@@ -26,9 +26,9 @@
 
 #include "bench/common.h"
 #include "dist/allreduce.h"
-#include "dist/cluster.h"
 #include "dist/codec.h"
 #include "dist/codec_zoo.h"
+#include "dist/elastic.h"
 #include "nn/loss.h"
 #include "optim/sgd.h"
 #include "telemetry/bench_export.h"
@@ -97,23 +97,26 @@ void zero_dead_rows(pt::graph::Network& net, double live) {
 /// Real encoded bytes for one 2-replica exchange at the given live width.
 pt::dist::ExchangeStats measure_wire(const std::string& codec_name,
                                      double live) {
-  pt::dist::Cluster c(build_replicas(2), spec_for(2));
-  for (int r = 0; r < 2; ++r) zero_dead_rows(c.replica(r), live);
-  c.set_codec(pt::dist::CodecRegistry::global().create(codec_name));
-  fill_grads(c.replica(0), 40);
-  fill_grads(c.replica(1), 41);
-  return c.exchange_gradients({1.0, 1.0});
+  std::vector<pt::graph::Network> nets = build_replicas(2);
+  for (pt::graph::Network& net : nets) zero_dead_rows(net, live);
+  auto codec = pt::dist::CodecRegistry::global().create(codec_name);
+  codec->bind(nets[0], 2);
+  fill_grads(nets[0], 40);
+  fill_grads(nets[1], 41);
+  return pt::dist::exchange_gradients(*codec, {&nets[0], &nets[1]}, {1.0, 1.0},
+                                      pt::exec::ExecContext::serial());
 }
 
 double time_steps(const std::string& codec_name, std::int64_t steps,
                   std::int64_t batch) {
-  pt::dist::Cluster c(build_replicas(2), spec_for(2));
+  pt::dist::ElasticCluster c(build_replicas(2), spec_for(2));
   c.set_codec(pt::dist::CodecRegistry::global().create(codec_name));
+  pt::exec::ExecContext& ctx = pt::exec::ExecContext::serial();
   pt::optim::SGD opt(0.05f, 0.9f);
-  for (int i = 0; i < 2; ++i) c.step(make_batch(batch, 7), opt);
+  for (int i = 0; i < 2; ++i) c.step(ctx, make_batch(batch, 7), opt);
   const auto t0 = std::chrono::steady_clock::now();
   for (std::int64_t i = 0; i < steps; ++i) {
-    c.step(make_batch(batch, 100 + static_cast<std::uint64_t>(i)), opt);
+    c.step(ctx, make_batch(batch, 100 + static_cast<std::uint64_t>(i)), opt);
   }
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
              .count() /
@@ -165,12 +168,12 @@ bool check_convergence(std::int64_t batch, double* dense_loss,
                        double* twobit_loss) {
   const pt::data::Batch fixed = make_batch(batch, 900);
   auto run = [&](const std::string& name) {
-    pt::dist::Cluster c(build_replicas(2), spec_for(2));
+    pt::dist::ElasticCluster c(build_replicas(2), spec_for(2));
     c.set_codec(pt::dist::CodecRegistry::global().create(name));
     pt::optim::SGD opt(0.05f, 0.9f);
     double first = 0, last = 0;
     for (int step = 0; step < 40; ++step) {
-      const auto r = c.step(fixed, opt);
+      const auto r = c.step(pt::exec::ExecContext::serial(), fixed, opt);
       if (step == 0) first = r.loss;
       last = r.loss;
     }

@@ -1,19 +1,18 @@
-// Elastic-membership overhead bench: what does the heartbeat poll, the
-// participant re-shard, and the straggler EWMA cost per step, and what does
-// a failure/rejoin cycle cost in modeled resync traffic?
+// Elastic-membership bench: is an all-healthy elastic step the textbook
+// data-parallel step, what does a step cost, and what does a
+// failure/rejoin cycle cost in modeled resync traffic?
 //
 //   $ ./elastic_overhead [--steps N] [--batch N] [--replicas N] [--out BENCH.json]
 //
 // Three things are measured and written to BENCH_elastic_overhead.json:
 //
 //  1. Equivalence (always, on any machine): with nobody failing, an
-//     ElasticCluster step must be bitwise-identical to a fixed Cluster step
-//     — membership tracking is bookkeeping, never numerics. Reported as
-//     determinism_bitwise_elastic_vs_fixed (run_bench_suite.sh fails the
-//     suite when it is false).
-//  2. Steady-state overhead: mean seconds per step for the fixed cluster vs
-//     the elastic cluster on the same replicas/batches, and the relative
-//     overhead of the membership machinery.
+//     ElasticCluster step must be bitwise-identical to a hand-rolled
+//     reference step (contiguous shards, weighted double accumulation in
+//     rank order, the same SGD) — membership tracking is bookkeeping, never
+//     numerics. Reported as determinism_bitwise_elastic_vs_reference
+//     (run_bench_suite.sh fails the suite when it is false).
+//  2. Steady state: mean seconds per all-healthy elastic step.
 //  3. Churn cost: a kill at 1/3 of the run and a rejoin at 2/3 — live-ring
 //     comm bytes before/during/after, plus the resync bytes the rejoiner
 //     pulls (the modeled price of elasticity).
@@ -23,9 +22,8 @@
 #include <vector>
 
 #include "bench/common.h"
-#include "dist/cluster.h"
+#include "bench/reference_step.h"
 #include "dist/elastic.h"
-#include "nn/loss.h"
 #include "optim/sgd.h"
 #include "telemetry/bench_export.h"
 
@@ -81,20 +79,23 @@ bool params_bitwise_equal(pt::graph::Network& a, pt::graph::Network& b) {
   return true;
 }
 
-/// All-healthy elastic steps must be the fixed cluster's steps, bit for bit.
+/// All-healthy elastic steps must be the reference steps, bit for bit:
+/// same loss, same correct count, same parameters.
 bool check_equivalence(int replicas, std::int64_t batch) {
-  pt::dist::Cluster fixed(build_replicas(replicas), spec_for(replicas));
+  std::vector<pt::graph::Network> reference = build_replicas(replicas);
   pt::dist::ElasticCluster elastic(build_replicas(replicas),
                                    spec_for(replicas));
   pt::optim::SGD opt_a(0.05f, 0.9f);
   pt::optim::SGD opt_b(0.05f, 0.9f);
   for (int step = 0; step < 3; ++step) {
     const auto b = make_batch(batch, 1000 + static_cast<std::uint64_t>(step));
-    fixed.step(b, opt_a);
-    elastic.step(b, opt_b);
+    const auto ref = pt::bench::reference_step(reference, b, opt_a);
+    const auto got = elastic.step(pt::exec::ExecContext::serial(), b, opt_b);
+    if (ref.loss != got.loss || ref.correct != got.correct) return false;
   }
   for (int r = 0; r < replicas; ++r) {
-    if (!params_bitwise_equal(fixed.replica(r), elastic.replica(r))) {
+    if (!params_bitwise_equal(reference[static_cast<std::size_t>(r)],
+                              elastic.replica(r))) {
       return false;
     }
   }
@@ -122,43 +123,27 @@ int main(int argc, char** argv) {
   const bool equivalent = check_equivalence(replicas, batch);
   std::cout << "elastic_overhead: ResNet-8(w0.5)/8x8, " << replicas
             << " replicas, batch " << batch << ", " << steps << " steps\n";
-  std::cout << "  all-healthy elastic step bitwise == fixed cluster step: "
+  std::cout << "  all-healthy elastic step bitwise == reference step: "
             << (equivalent ? "yes" : "NO — DETERMINISM VIOLATED") << "\n";
 
-  // Steady state: same replicas, same batches, membership tracking off
-  // (fixed Cluster) vs on (ElasticCluster, nobody failing).
-  auto time_fixed = [&]() {
-    pt::dist::Cluster c(build_replicas(replicas), spec_for(replicas));
-    pt::optim::SGD opt(0.05f, 0.9f);
-    for (int i = 0; i < 2; ++i) c.step(make_batch(batch, 7), opt);
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::int64_t i = 0; i < steps; ++i) {
-      c.step(make_batch(batch, 100 + static_cast<std::uint64_t>(i)), opt);
-    }
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-               .count() /
-           static_cast<double>(steps);
-  };
-  auto time_elastic = [&]() {
+  // Steady state: same replicas, same batches, nobody failing.
+  pt::exec::ExecContext& ctx = pt::exec::ExecContext::serial();
+  double elastic_s = 0;
+  {
     pt::dist::ElasticCluster c(build_replicas(replicas), spec_for(replicas));
     pt::optim::SGD opt(0.05f, 0.9f);
-    for (int i = 0; i < 2; ++i) c.step(make_batch(batch, 7), opt);
+    for (int i = 0; i < 2; ++i) c.step(ctx, make_batch(batch, 7), opt);
     const auto t0 = std::chrono::steady_clock::now();
     for (std::int64_t i = 0; i < steps; ++i) {
-      c.step(make_batch(batch, 100 + static_cast<std::uint64_t>(i)), opt);
+      c.step(ctx, make_batch(batch, 100 + static_cast<std::uint64_t>(i)), opt);
     }
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-               .count() /
-           static_cast<double>(steps);
-  };
-  const double fixed_s = time_fixed();
-  const double elastic_s = time_elastic();
-  const double overhead_pct = (elastic_s / fixed_s - 1.0) * 100.0;
-  std::cout << "  fixed cluster:   " << pt::fmt(fixed_s * 1e3, 2)
-            << " ms/step\n";
+    elastic_s =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count() /
+        static_cast<double>(steps);
+  }
   std::cout << "  elastic cluster: " << pt::fmt(elastic_s * 1e3, 2)
-            << " ms/step  (" << pt::fmt(overhead_pct, 1)
-            << "% membership overhead)\n";
+            << " ms/step\n";
 
   // Churn: kill one replica at steps/3, rejoin it at 2*steps/3; track the
   // live-ring comm bytes and the fenced resync traffic.
@@ -175,8 +160,8 @@ int main(int argc, char** argv) {
   double bytes_full = 0;
   double bytes_degraded = 0;
   for (std::int64_t i = 0; i < steps; ++i) {
-    const auto r =
-        churn.step(make_batch(batch, 500 + static_cast<std::uint64_t>(i)), opt);
+    const auto r = churn.step(
+        ctx, make_batch(batch, 500 + static_cast<std::uint64_t>(i)), opt);
     if (r.live_replicas == replicas) {
       bytes_full += r.comm_bytes_per_gpu;
     } else {
@@ -195,11 +180,10 @@ int main(int argc, char** argv) {
   j["replicas"] = pt::telemetry::Json(static_cast<std::int64_t>(replicas));
   j["batch"] = pt::telemetry::Json(batch);
   j["steps"] = pt::telemetry::Json(steps);
-  j["determinism_bitwise_elastic_vs_fixed"] = pt::telemetry::Json(equivalent);
+  j["determinism_bitwise_elastic_vs_reference"] =
+      pt::telemetry::Json(equivalent);
   j["skipped"] = pt::telemetry::Json(false);
-  j["fixed_seconds_per_step"] = pt::telemetry::Json(fixed_s);
   j["elastic_seconds_per_step"] = pt::telemetry::Json(elastic_s);
-  j["membership_overhead_percent"] = pt::telemetry::Json(overhead_pct);
   j["churn_kill_step"] = pt::telemetry::Json(kill_at);
   j["churn_rejoin_step"] = pt::telemetry::Json(rejoin_at);
   j["churn_resync_bytes"] = pt::telemetry::Json(

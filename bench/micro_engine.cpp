@@ -4,7 +4,8 @@
 // microbenchmarks keep the engine honest.
 #include <benchmark/benchmark.h>
 
-#include "dist/cluster.h"
+#include "dist/allreduce.h"
+#include "dist/codec_zoo.h"
 #include "graph/network.h"
 #include "models/builders.h"
 #include "nn/batchnorm.h"
@@ -96,12 +97,13 @@ void BM_AllreduceGradients(benchmark::State& state) {
   for (int i = 0; i < replicas; ++i) {
     nets.push_back(models::build_resnet_basic(8, mc));
   }
-  cost::CommSpec spec;
-  spec.gpus = replicas;
-  dist::Cluster cluster(std::move(nets), spec);
+  std::vector<graph::Network*> ptrs;
+  for (graph::Network& net : nets) ptrs.push_back(&net);
+  dist::DenseCodec codec;
+  codec.bind(nets.front(), replicas);
   std::vector<double> weights(static_cast<std::size_t>(replicas), 1.0);
   for (auto _ : state) {
-    cluster.exchange_gradients(weights);
+    dist::exchange_gradients(codec, ptrs, weights, exec::ExecContext::serial());
   }
 }
 BENCHMARK(BM_AllreduceGradients)->Arg(2)->Arg(4);

@@ -9,7 +9,7 @@
 // spend, demonstrating that replicas stay bit-identical.
 #include <iostream>
 
-#include "dist/cluster.h"
+#include "dist/elastic.h"
 #include "models/builders.h"
 #include "util/cli.h"
 #include "util/table.h"
@@ -44,8 +44,9 @@ int main(int argc, char** argv) {
   }
   pt::cost::CommSpec comm;
   comm.gpus = gpus;
-  pt::dist::Cluster cluster(std::move(replicas), comm);
+  pt::dist::ElasticCluster cluster(std::move(replicas), comm);
 
+  pt::exec::ExecContext& ctx = pt::exec::ExecContext::serial();
   pt::optim::SGD opt(0.1f, 0.9f, 1e-4f);
   pt::data::DataLoader loader(dataset, /*seed=*/3);
 
@@ -57,7 +58,7 @@ int main(int argc, char** argv) {
     while (loader.has_next()) {
       pt::data::Batch b = loader.next(batch);
       if (b.size() < gpus) break;  // final ragged batch smaller than cluster
-      const auto r = cluster.step(b, opt);
+      const auto r = cluster.step(ctx, b, opt);
       loss += r.loss * double(b.size());
       correct += r.correct;
       samples += b.size();

@@ -17,9 +17,9 @@ echo "===== bench: hotpath_scaling ====="
 timeout 900 ./hotpath_scaling --out /root/repo/BENCH_hotpath_scaling.json 2>&1
 echo
 echo "===== bench: elastic_overhead ====="
-# Elastic membership: fixed-vs-elastic step equivalence (bitwise), the
-# per-step cost of the heartbeat/re-shard machinery, and the modeled resync
-# traffic of a kill/rejoin cycle.
+# Elastic membership: all-healthy elastic steps vs a hand-rolled reference
+# step (bitwise), the per-step cost, and the modeled resync traffic of a
+# kill/rejoin cycle.
 timeout 900 ./elastic_overhead --out /root/repo/BENCH_elastic_overhead.json 2>&1
 echo
 echo "===== bench: sdc_overhead ====="
@@ -74,7 +74,7 @@ echo "SUITE DONE"
 FAILED_FLAGS=0
 for artifact in /root/repo/BENCH_*.json; do
   [ -e "$artifact" ] || continue
-  for flag in determinism_bitwise_1_vs_4 determinism_bitwise_elastic_vs_fixed \
+  for flag in determinism_bitwise_1_vs_4 determinism_bitwise_elastic_vs_reference \
               flops_monotone_nonincreasing memory_monotone_nonincreasing \
               strategy_resume_bitwise heal_bitwise zero_dropped \
               swap_speedup convergence_within_tol dense_bitwise_reference \

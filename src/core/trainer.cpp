@@ -232,15 +232,13 @@ void TrainConfig::validate() const {
     fail("prune_min_channels must be >= 1 (got " +
          std::to_string(prune_min_channels) + ")");
   }
-  if (!fault_spec.empty()) {
-    try {
-      // Replica-targeted SDC specs naming a worker that does not exist
-      // would otherwise arm and never fire — a silently dead test.
-      robust::validate_fault_replicas(robust::parse_fault_specs(fault_spec),
-                                      static_cast<int>(replicas));
-    } catch (const std::invalid_argument& e) {
-      fail(std::string("fault_spec: ") + e.what());
-    }
+  try {
+    // A clause with no consumer in this run shape would otherwise arm and
+    // never fire — a silently dead test.
+    robust::validate_training_faults(fault_spec, static_cast<int>(replicas),
+                                     !checkpoint_dir.empty());
+  } catch (const std::invalid_argument& e) {
+    fail(std::string("fault_spec: ") + e.what());
   }
   if (sdc_check_interval < 0) {
     fail("sdc_check_interval must be >= 0 (got " +
@@ -646,7 +644,7 @@ void PruneTrainer::train_epoch_dist(EpochStats& stats, float lambda, float lr,
   try {
     while (loader_.has_next()) {
       data::Batch batch = loader_.next(batch_size_);
-      const dist::ElasticStepResult r = cluster_->step(*ctx_, batch, opt, hook);
+      const dist::StepResult r = cluster_->step(*ctx_, batch, opt, hook);
       loss_sum += r.loss * static_cast<double>(r.processed);
       correct += r.correct;
       samples += r.processed;

@@ -1,10 +1,10 @@
-// Shared codec-driven gradient exchange for the simulated clusters.
+// Codec-driven gradient exchange for the simulated cluster.
 //
-// Both dist::Cluster (fixed membership) and dist::ElasticCluster (elastic
-// membership) exchange gradients the same way: every participating replica
-// encodes its gradients through the cluster's GradientCodec, the decoded
-// payloads are averaged (weighted, in replica-index order) into the first
-// network's buffers, and the result is broadcast — deterministic summation
+// dist::ElasticCluster::step exchanges gradients this way, and benches and
+// tests call it directly: every participating replica encodes its
+// gradients through the cluster's GradientCodec, the decoded payloads are
+// averaged (weighted, in replica-index order) into the first network's
+// buffers, and the result is broadcast — deterministic summation
 // order keeps every receiving replica bit-identical, and with the `dense`
 // codec the arithmetic is bit-for-bit the pre-codec exchange. The only
 // structural failure mode is a diverged parameter table (a replica whose

@@ -5,10 +5,10 @@
 // shrinks the live channel set (fewer coordinates), dynamic mini-batch
 // adjustment shrinks the update count, and a compressed wire format
 // shrinks the bytes per coordinate. The GradientCodec interface factors
-// the last axis out of the clusters: both dist::Cluster and
-// dist::ElasticCluster route every gradient exchange through one
-// codec-driven path (allreduce.h's exchange_gradients), and the codec
-// decides what actually crosses the simulated wire.
+// the last axis out of the cluster: dist::ElasticCluster's data-parallel
+// step routes every gradient exchange through one codec-driven path
+// (allreduce.h's exchange_gradients), and the codec decides what actually
+// crosses the simulated wire.
 //
 // The registry mirrors prune::StrategyRegistry exactly (name -> ParamSpec
 // defaults -> factory -> help() table); the built-in zoo (codec_zoo.h)

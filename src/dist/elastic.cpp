@@ -92,13 +92,18 @@ void ElasticCluster::set_resync_checkpoint(std::string path) {
   resync_ckpt_path_ = std::move(path);
 }
 
-double ElasticCluster::update_bytes() const {
+cost::CommCost ElasticCluster::comm_cost(const graph::Network& model,
+                                         int members) const {
   cost::CommQuery q;
-  q.model_bytes = static_cast<double>(replicas_.front().num_params()) * 4.0;
-  q.members = std::max(1, live_count());
+  q.model_bytes = static_cast<double>(model.num_params()) * 4.0;
+  q.members = members;
   q.live_fraction = codec_->live_fraction();
   q.codec = codec_->cost_kind();
-  return comm_.cost(q).wire_bytes;
+  return comm_.cost(q);
+}
+
+double ElasticCluster::update_bytes() const {
+  return comm_cost(replicas_.front(), std::max(1, live_count())).wire_bytes;
 }
 
 std::vector<MembershipTransition> ElasticCluster::drain_transitions() {
@@ -192,10 +197,22 @@ std::int64_t ElasticCluster::heal_replica(int victim, int root) {
   return bytes;
 }
 
-ElasticStepResult ElasticCluster::step(exec::ExecContext& ctx,
-                                       const data::Batch& batch,
-                                       optim::SGD& opt,
-                                       const PostUpdateHook& post_update) {
+ClusterDegraded ElasticCluster::degraded(std::int64_t step_id, int live,
+                                         const std::string& detail) {
+  robust::HealthEvent ev{robust::EventType::kQuorumLoss,
+                         robust::Severity::kFatal, -1,
+                         static_cast<double>(live),
+                         "step " + std::to_string(step_id) + ": " + detail};
+  health_events_.push_back(ev);
+  if (telemetry::enabled()) {
+    telemetry::event("health/quorum-loss", ev.describe());
+  }
+  return ClusterDegraded(std::move(ev));
+}
+
+StepResult ElasticCluster::step(exec::ExecContext& ctx,
+                                const data::Batch& batch, optim::SGD& opt,
+                                const PostUpdateHook& post_update) {
   telemetry::ScopedTimer step_span("dist/elastic_step");
   const std::int64_t total = batch.size();
   if (total <= 0) throw std::invalid_argument("empty mini-batch");
@@ -215,26 +232,19 @@ ElasticStepResult ElasticCluster::step(exec::ExecContext& ctx,
   const int quorum = table_.quorum_threshold();
   if (participants.empty() || static_cast<int>(participants.size()) < quorum) {
     std::ostringstream os;
-    os << "step " << step_id << ": " << participants.size() << " live of "
-       << size() << " replicas, quorum requires >= " << quorum
+    os << participants.size() << " live of " << size()
+       << " replicas, quorum requires >= " << quorum
        << " (min_live_fraction = " << table_.config().min_live_fraction << ")";
-    robust::HealthEvent ev{robust::EventType::kQuorumLoss,
-                           robust::Severity::kFatal, -1,
-                           static_cast<double>(participants.size()), os.str()};
-    health_events_.push_back(ev);
-    if (telemetry::enabled()) {
-      telemetry::event("health/quorum-loss", ev.describe());
-    }
-    throw ClusterDegraded(std::move(ev));
+    throw degraded(step_id, static_cast<int>(participants.size()), os.str());
   }
 
-  ElasticStepResult result;
+  StepResult result;
   result.live_replicas = static_cast<int>(participants.size());
 
   // Deterministic re-sharding: contiguous chunks over the participants in
   // rank order. The layout depends only on the participant set — batches
   // smaller than the live count leave trailing shards empty (zero weight,
-  // no compute), same as the fixed cluster.
+  // no compute), and so does a dropped shard.
   const std::int64_t n = static_cast<std::int64_t>(participants.size());
   std::vector<double> weights(participants.size(), 0.0);
   std::int64_t offset = 0;
@@ -242,6 +252,23 @@ ElasticStepResult ElasticCluster::step(exec::ExecContext& ctx,
     const int r = participants[static_cast<std::size_t>(i)];
     const std::int64_t shard = total / n + (i < total % n ? 1 : 0);
     if (shard == 0) continue;
+
+    // Transient failure: each failed attempt charges kDropDetectSeconds; a
+    // shard still down after kDropRetries retries is dropped.
+    std::int64_t failures = 0;
+    while (injector_.armed() && failures <= kDropRetries &&
+           injector_.drop_replica(r, step_id)) {
+      ++failures;
+    }
+    const double drop_wait = static_cast<double>(failures) * kDropDetectSeconds;
+    result.fault_wait_seconds += drop_wait;
+    result.retries += std::min(failures, kDropRetries);
+    if (failures > kDropRetries) {
+      ++result.dropped_replicas;
+      table_.record_step_time(r, drop_wait);
+      offset += shard;
+      continue;
+    }
 
     const auto wall_start = std::chrono::steady_clock::now();
     Tensor images({shard, s[1], s[2], s[3]});
@@ -259,14 +286,12 @@ ElasticStepResult ElasticCluster::step(exec::ExecContext& ctx,
     result.loss += loss.forward(out, labels) * static_cast<double>(shard);
     result.correct += loss.correct();
     net.backward(ctx, loss.backward());
-    if (injector_.armed()) {
-      injector_.corrupt_gradients(net, -1, step_id, r);
-    }
+    if (injector_.armed()) injector_.corrupt_gradients(net, -1, step_id, r);
     weights[static_cast<std::size_t>(i)] = static_cast<double>(shard);
     result.processed += shard;
 
-    // Straggler accounting: measured wall time plus any injected delay
-    // feeds the per-replica EWMA (bookkeeping only — never numerics).
+    // Straggler accounting (bookkeeping only — never numerics): wall time
+    // plus injected delay and drop detection feeds the per-replica EWMA.
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       wall_start)
@@ -274,12 +299,19 @@ ElasticStepResult ElasticCluster::step(exec::ExecContext& ctx,
     const double delay =
         injector_.armed() ? injector_.replica_delay(r, step_id) : 0.0;
     result.fault_wait_seconds += delay;
-    table_.record_step_time(r, wall + delay);
+    table_.record_step_time(r, wall + delay + drop_wait);
+  }
+  if (result.processed == 0) {
+    throw degraded(step_id, 0,
+                   "every populated shard dropped (batch " +
+                       std::to_string(total) + ", " +
+                       std::to_string(participants.size()) + " participants)");
   }
   result.loss /= static_cast<double>(result.processed);
 
   // Allreduce + update over participants only: dead replicas receive
-  // nothing and go stale (that staleness is what rejoin repairs).
+  // nothing and go stale (that staleness is what rejoin repairs). Dropped
+  // shards carry weight 0 but still receive the broadcast and the update.
   rebind_codec_if_stale();
   std::vector<graph::Network*> nets;
   nets.reserve(participants.size());
@@ -310,15 +342,9 @@ ElasticStepResult ElasticCluster::step(exec::ExecContext& ctx,
     resync_bytes_total_ += bytes;
   }
 
-  cost::CommQuery comm_query;
-  comm_query.model_bytes =
-      static_cast<double>(nets.front()->num_params()) * 4.0;
-  comm_query.members = result.live_replicas;
-  comm_query.live_fraction = codec_->live_fraction();
-  comm_query.codec = codec_->cost_kind();
-  const cost::CommCost comm_cost = comm_.cost(comm_query);
-  result.comm_bytes_per_gpu = comm_cost.wire_bytes;
-  result.comm_time_modeled = comm_cost.hierarchical_time;
+  const cost::CommCost cost = comm_cost(*nets.front(), result.live_replicas);
+  result.comm_bytes_per_gpu = cost.wire_bytes;
+  result.comm_time_modeled = cost.hierarchical_time;
   result.step_time_modeled =
       table_.max_ewma(participants) + result.comm_time_modeled;
 
@@ -330,6 +356,13 @@ ElasticStepResult ElasticCluster::step(exec::ExecContext& ctx,
     if (result.resync_bytes > 0) {
       telemetry::count("dist/resync_bytes",
                        static_cast<double>(result.resync_bytes));
+    }
+    if (result.retries > 0) {
+      telemetry::count("dist/retries", static_cast<double>(result.retries));
+    }
+    if (result.dropped_replicas > 0) {
+      telemetry::count("dist/dropped_replicas",
+                       static_cast<double>(result.dropped_replicas));
     }
   }
   return result;

@@ -1,46 +1,44 @@
-// Elastic data-parallel cluster (ISSUE 5 tentpole): dist::Cluster's
-// synchronous step semantics plus real membership — permanent replica
-// failure, quorum policy, deterministic re-sharding over the live set, and
-// checkpointed rejoin.
+// The data-parallel step (Sec. 2.2 "Distributed Training"): N in-process
+// replicas with a deterministic gradient allreduce, standing in for the
+// paper's 4-GPU NCCL setup, plus elastic membership.
 //
-// Differences from the fixed-membership Cluster:
+//  * Each step shards the mini-batch into contiguous chunks over the
+//    participants in rank order (participant i takes total/n +
+//    (i < total%n) samples), averages gradients weighted by shard size in
+//    rank order, and applies the same optimizer step everywhere, so
+//    participants stay bit-identical. The layout depends only on the
+//    participant set — the same contract pt::exec makes for intra-step
+//    parallelism (membership.h spells it out). Comm volume is accounted
+//    with the ring-allreduce cost model from src/cost.
 //
 //  * A MembershipTable heartbeat round runs before every step. Replicas
 //    whose permanent-failure latch is set (kill-replica / flaky-replica
-//    faults, or a statically scheduled departure) stop acking and are
-//    excluded from compute, allreduce, broadcast, *and* the optimizer
-//    step — a dead replica's model goes stale, which is precisely what
-//    makes rejoin a real protocol rather than a no-op. (Cluster's
-//    drop/delay faults are transient: there the victim still receives the
-//    broadcast and stays bit-identical. Kill is the permanent cousin.)
+//    faults, or a scheduled departure) are excluded from compute,
+//    allreduce, broadcast, *and* the optimizer step: a dead replica goes
+//    stale, which is what makes rejoin a real protocol. Fewer than
+//    ceil(min_live_fraction * size) participants raises ClusterDegraded
+//    (a fatal kQuorumLoss HealthEvent for the guardian).
 //
-//  * Re-sharding is deterministic: the global batch is split into
-//    contiguous chunks over the participants in replica-rank order
-//    (participant i takes total/n + (i < total%n) samples). The layout
-//    depends only on the participant set, so a given membership schedule
-//    always yields bitwise-identical shards — the same contract pt::exec
-//    makes for intra-step parallelism (membership.h spells it out).
+//  * Transient faults leave membership alone. A drop-replica fault fails
+//    one attempt of a participant's shard; each failure charges
+//    kDropDetectSeconds and is retried up to kDropRetries times. A shard
+//    still down is dropped from compute and the loss (allreduce weight 0),
+//    but its replica still takes the averaged gradient, the optimizer step
+//    and the post-update hook, so it stays bit-identical. Short batches
+//    leave trailing shards empty the same way. delay-replica is modeled
+//    straggler time, never a failed attempt.
 //
-//  * Quorum: fewer than ceil(min_live_fraction * size) participants
-//    raises ClusterDegraded carrying a fatal kQuorumLoss HealthEvent, so
-//    the guardian (PR 2) can checkpoint-and-abort instead of silently
-//    training on a sliver of the batch.
-//
-//  * Checkpointed rejoin: a DEAD replica revived by a rejoin-replica
-//    fault (or schedule_rejoin) spends one fenced step REJOINING — it
-//    first replays topology from the last CRC-valid checkpoint
-//    (set_resync_checkpoint, the PR 1 state-dict file; a missing, corrupt,
-//    or stale-shape checkpoint falls back to cloning the structure from a
+//  * Checkpointed rejoin: a DEAD replica revived by a rejoin-replica fault
+//    (or schedule_rejoin) spends one fenced step REJOINING — it replays
+//    topology from the last CRC-valid checkpoint (set_resync_checkpoint;
+//    a missing, corrupt, or stale-shape file falls back to cloning a
 //    survivor), then receives a full state broadcast (params + momentum +
-//    BN buffers) from the first participant at the end of the step. Its
-//    first synced step is therefore bit-identical to the survivors'.
-//    Resynced bytes are accounted (resync_bytes_total, telemetry counter
-//    dist/resync_bytes).
+//    BN buffers) from the first participant, so its first synced step is
+//    bit-identical to the survivors'. Resynced bytes are accounted.
 //
-//  * Straggler accounting: measured per-participant step time (wall clock
-//    + injected delay) feeds a per-replica EWMA; the modeled synchronous
-//    step time is max live EWMA + modeled allreduce time at the live ring
-//    size and the codec's compressed volume (cost::CommModel::cost).
+//  * Straggler accounting: measured step time plus injected delay and drop
+//    detection feeds a per-replica EWMA; the modeled synchronous step time
+//    is max live EWMA + modeled allreduce time at the live ring size.
 #pragma once
 
 #include <cstdint>
@@ -61,7 +59,7 @@
 
 namespace pt::dist {
 
-struct ElasticStepResult {
+struct StepResult {
   double loss = 0;                ///< mean loss over *processed* samples
   std::int64_t correct = 0;       ///< correct predictions among processed
   std::int64_t processed = 0;     ///< samples actually trained this step
@@ -69,13 +67,21 @@ struct ElasticStepResult {
   double comm_bytes_per_gpu = 0;  ///< ring bytes at the live ring size
   double comm_time_modeled = 0;   ///< modeled allreduce time, live ring
   double step_time_modeled = 0;   ///< max live EWMA + comm_time_modeled
-  double fault_wait_seconds = 0;  ///< injected straggler delay this step
+  double fault_wait_seconds = 0;  ///< straggler delay + drop detection time
   std::int64_t resync_bytes = 0;  ///< state bytes broadcast to rejoiners
+  std::int64_t retries = 0;       ///< failed shard attempts that were retried
+  std::int64_t dropped_replicas = 0;  ///< shards dropped after kDropRetries
 };
 
-/// Raised by ElasticCluster::step when the live set falls below quorum;
-/// carries the fatal kQuorumLoss event for the guardian. The epoch field
-/// is -1 (the cluster counts steps, not epochs) — the trainer stamps it.
+/// Re-attempts of a dropped shard per step, and the modeled seconds each
+/// failed attempt charges to StepResult::fault_wait_seconds.
+inline constexpr std::int64_t kDropRetries = 2;
+inline constexpr double kDropDetectSeconds = 1.0;
+
+/// Raised by ElasticCluster::step when the live set falls below quorum
+/// (or every populated shard was dropped); carries the fatal kQuorumLoss
+/// event for the guardian. The epoch field is -1 (the cluster counts
+/// steps, not epochs) — the trainer stamps it.
 class ClusterDegraded : public std::runtime_error {
  public:
   explicit ClusterDegraded(robust::HealthEvent event)
@@ -113,6 +119,7 @@ class ElasticCluster {
 
   /// Attaches a fault injector (by value; pass {} to disarm). Membership
   /// kinds (kill/flaky/rejoin) are consulted by the heartbeat poll;
+  /// drop-replica fails shard attempts (retry, then drop the shard);
   /// gradient kinds corrupt the matching participant after backward;
   /// delay-replica charges modeled straggler time into the EWMA.
   void set_fault_injector(robust::FaultInjector injector);
@@ -138,20 +145,14 @@ class ElasticCluster {
   void set_codec(std::shared_ptr<GradientCodec> codec);
   GradientCodec& codec() { return *codec_; }
 
-  /// One synchronous elastic step: heartbeat poll, quorum check, shard
-  /// over participants, forward/backward, weighted allreduce, optimizer
-  /// step + hook on participants only, then fenced rejoiner resync.
-  /// Throws ClusterDegraded below quorum (or with zero participants) and
+  /// One synchronous step: heartbeat poll, quorum check, shard over
+  /// participants, forward/backward (dropped shards skipped), weighted
+  /// allreduce, optimizer step + hook on participants only, then fenced
+  /// rejoiner resync. Throws ClusterDegraded below quorum, with zero
+  /// participants, or when every populated shard was dropped, and
   /// ReplicaDivergence if a participant's param table drifted.
-  ElasticStepResult step(exec::ExecContext& ctx, const data::Batch& batch,
-                         optim::SGD& opt,
-                         const PostUpdateHook& post_update = {});
-
-  /// Context-free shim: single-threaded step on ExecContext::serial().
-  ElasticStepResult step(const data::Batch& batch, optim::SGD& opt,
-                         const PostUpdateHook& post_update = {}) {
-    return step(exec::ExecContext::serial(), batch, opt, post_update);
-  }
+  StepResult step(exec::ExecContext& ctx, const data::Batch& batch,
+                  optim::SGD& opt, const PostUpdateHook& post_update = {});
 
   /// Membership edges since the last call, in occurrence order.
   std::vector<MembershipTransition> drain_transitions();
@@ -177,12 +178,21 @@ class ElasticCluster {
 
  private:
   /// Rebinds the codec when pruning surgery changed parameter shapes since
-  /// the last bind (same contract as Cluster::rebind_codec_if_stale).
+  /// the last bind (the trainer also rebinds after every reconfiguration,
+  /// to recompact rows zeroed but not removed).
   void rebind_codec_if_stale();
+
+  /// Modeled allreduce of `model`'s gradients over a ring of `members`, at
+  /// the codec's compressed volume.
+  cost::CommCost comm_cost(const graph::Network& model, int members) const;
 
   /// Replays topology + state onto rejoiner `r` from checkpoint or the
   /// survivor at rank `root`, then counts the fenced state broadcast.
   std::int64_t resync_rejoiner(int r, int root);
+
+  /// Records a fatal kQuorumLoss event and returns it as ClusterDegraded.
+  ClusterDegraded degraded(std::int64_t step_id, int live,
+                           const std::string& detail);
 
   /// The fenced full-state copy shared by rejoin resync (phase 2) and
   /// integrity heals: every state tensor of `src_rank`'s replica copied

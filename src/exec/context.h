@@ -14,10 +14,11 @@
 //     steps — a steady-state epoch performs zero workspace heap
 //     allocations (asserted by tests/exec_test.cpp via the stats counters).
 //
-// Layers, Network, PruneTrainer, and dist::Cluster all take an
-// ExecContext&; the context-free entry points are compatibility shims over
-// ExecContext::serial(). See DESIGN.md §9 for ownership, the determinism
-// contract, and the workspace lifecycle across reconfiguration.
+// Layers, Network, PruneTrainer, and dist::ElasticCluster all take an
+// ExecContext&; the context-free Layer/Network entry points are
+// compatibility shims over ExecContext::serial(). See DESIGN.md §9 for
+// ownership, the determinism contract, and the workspace lifecycle across
+// reconfiguration.
 #pragma once
 
 #include <atomic>

@@ -41,7 +41,8 @@ std::string fault_spec_help() {
       "  nan-grad        set one gradient element to quiet NaN     epoch,step,replica,count\n"
       "  bitflip-grad    flip one random bit of one grad element   epoch,step,replica,count\n"
       "  scale-grad      multiply every gradient by `scale`        epoch,step,replica,count,scale\n"
-      "  drop-replica    replica fails the step (timeout+retry)    step,replica,count\n"
+      "  drop-replica    replica's shard fails; retried twice,     step,replica,count\n"
+      "                  then dropped from the allreduce\n"
       "  delay-replica   replica straggles `delay` modeled secs    step,replica,count,delay\n"
       "  kill-replica    permanent death: misses every heartbeat   step,replica,count\n"
       "  flaky-replica   dies with probability `prob` per step     step,replica,count,prob\n"
@@ -186,19 +187,68 @@ std::vector<FaultSpec> parse_fault_specs(const std::string& text) {
   return specs;
 }
 
-void validate_fault_replicas(const std::vector<FaultSpec>& specs,
-                             int replicas) {
-  for (const FaultSpec& s : specs) {
-    if (s.kind != FaultSpec::Kind::kSdcParam &&
-        s.kind != FaultSpec::Kind::kSdcMomentum) {
-      continue;
+void validate_training_faults(const std::string& text, int replicas,
+                              bool checkpointing) {
+  using Kind = FaultSpec::Kind;
+  // parse_fault_specs yields exactly one spec per ';'-separated clause.
+  const std::vector<FaultSpec> specs = parse_fault_specs(text);
+  const std::vector<std::string> clauses = split(text, ';');
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const FaultSpec& s = specs[i];
+    auto reject = [&](const std::string& why) {
+      throw std::invalid_argument("fault spec clause '" + clauses[i] + "' " +
+                                  why + " and would never fire");
+    };
+    // Each consumer queries the injector with fixed wildcards (-1) for the
+    // coordinates it does not know; a clause keyed on one never matches.
+    switch (s.kind) {
+      case Kind::kDropReplica:
+      case Kind::kDelayReplica:
+      case Kind::kKillReplica:
+      case Kind::kFlakyReplica:
+      case Kind::kRejoinReplica:
+        if (replicas == 1) reject("targets cluster replicas at replicas=1");
+        if (s.epoch >= 0) {
+          reject("sets epoch=, but replica faults match on the cluster's "
+                 "step clock only");
+        }
+        break;
+      case Kind::kPoisonCkpt:
+      case Kind::kSlowModel:
+      case Kind::kFlakyOutput:
+        reject("is a serving fault; no trainer consumes it");
+        break;
+      case Kind::kTruncateCkpt:
+      case Kind::kCorruptCkpt:
+      case Kind::kTornCkpt:
+        if (!checkpointing) reject("strikes checkpoints, but none are written");
+        if (s.step >= 0 || s.replica >= 0) {
+          reject("sets step= or replica=, but checkpoint faults match on "
+                 "the epoch only");
+        }
+        break;
+      case Kind::kNanGrad:
+      case Kind::kBitflipGrad:
+      case Kind::kScaleGrad:
+        if (replicas > 1 && s.epoch >= 0) {
+          reject("sets epoch=, but the cluster matches gradient faults on "
+                 "its step clock only");
+        }
+        break;
+      case Kind::kSdcParam:
+      case Kind::kSdcMomentum:
+        if (s.epoch >= 0) {
+          reject("sets epoch=, but SDC faults match on the step clock only");
+        }
+        break;
+    }
+    if (s.replica >= 0 && replicas == 1) {
+      reject("sets replica=, but single-device training has no replica index");
     }
     if (s.replica >= replicas) {
-      throw std::invalid_argument(
-          "fault spec: " + to_string(s.kind) + ":replica=" +
-          std::to_string(s.replica) + " targets a replica that does not " +
-          "exist (replicas=" + std::to_string(replicas) +
-          ") and would never fire");
+      reject("targets replica " + std::to_string(s.replica) +
+             ", which does not exist (replicas=" + std::to_string(replicas) +
+             ")");
     }
   }
 }

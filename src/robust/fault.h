@@ -2,11 +2,12 @@
 //
 // Every recovery path in the guardian is exercised by *injected* faults,
 // never by luck: the FaultInjector corrupts gradients (NaN / bit-flip /
-// scale), drops or delays simulated cluster replicas (dist::Cluster::step
-// consumes the drop/delay queries and applies timeout + retry + shard
-// reweighting), and truncates or bit-flips checkpoint files as they are
-// written. Faults are described by a compact spec string so tests, the
-// quickstart (--fault-spec), and benchmarks share one vocabulary:
+// scale), drops or delays simulated cluster replicas (dist::ElasticCluster
+// retries a dropped shard and drops it from the allreduce if it stays
+// down; a delay is modeled straggler time), and truncates or bit-flips
+// checkpoint files as they are written. Faults are described by a compact
+// spec string so tests, the quickstart (--fault-spec), and benchmarks
+// share one vocabulary:
 //
 //   "<kind>[:key=value[,key=value...]][;<kind>:...]"
 //
@@ -76,7 +77,7 @@ struct FaultSpec {
     kNanGrad = 0,      ///< set one gradient element to quiet NaN
     kBitflipGrad = 1,  ///< flip one random bit of one gradient element
     kScaleGrad = 2,    ///< multiply every gradient by `scale`
-    kDropReplica = 3,  ///< replica fails the step (timeout -> retry)
+    kDropReplica = 3,  ///< replica's shard attempt fails (retry, then drop)
     kDelayReplica = 4, ///< replica straggles `delay_seconds` (modeled)
     kTruncateCkpt = 5, ///< truncate a checkpoint file to half its size
     kCorruptCkpt = 6,  ///< flip one random byte of a checkpoint file
@@ -116,13 +117,18 @@ std::vector<FaultSpec> parse_fault_specs(const std::string& text);
 /// DESIGN.md §7 carries the same table.
 std::string fault_spec_help();
 
-/// Rejects replica-targeted SDC specs that can never fire: an sdc-param /
-/// sdc-momentum clause with replica >= `replicas` names a worker that does
-/// not exist, which previously just never matched — a silently dead test.
-/// Throws std::invalid_argument naming the offending clause.
-/// TrainConfig::validate() calls this with the configured replica count.
-void validate_fault_replicas(const std::vector<FaultSpec>& specs,
-                             int replicas);
+/// Rejects every clause of `text` whose keys can never match in a training
+/// run with `replicas` workers (checkpoints written iff `checkpointing`):
+/// replica kinds on a single device, serve kinds (no trainer consumes
+/// them), checkpoint kinds without checkpoints, epoch= on the kinds matched
+/// on a step clock (replica and SDC kinds everywhere, gradient kinds on the
+/// cluster), step= or replica= on checkpoint kinds, replica= on a single
+/// device, and replica= naming a worker that does not exist. It does not
+/// check that a step or epoch key falls inside the run. Throws
+/// std::invalid_argument naming the clause. TrainConfig::validate() calls
+/// this with the configured run shape.
+void validate_training_faults(const std::string& text, int replicas,
+                              bool checkpointing);
 
 class FaultInjector {
  public:
@@ -138,8 +144,8 @@ class FaultInjector {
 
   /// Applies every matching gradient fault to `net`'s parameter gradients.
   /// Called between backward() and the optimizer step. `replica` is -1 in
-  /// single-device training; dist::Cluster passes the replica index so
-  /// replica-targeted specs corrupt exactly one worker's local gradients.
+  /// single-device training; dist::ElasticCluster passes the replica index
+  /// so replica-targeted specs corrupt exactly one worker's local gradients.
   /// Returns true if at least one fault fired.
   bool corrupt_gradients(graph::Network& net, std::int64_t epoch,
                          std::int64_t step, int replica = -1);

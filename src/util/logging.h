@@ -5,8 +5,8 @@
 //
 // The sink is a single mutex-guarded writer: each log line is formatted
 // into one buffer and emitted under the lock, so concurrent callers (e.g.
-// simulated dist::Cluster replicas, exec pool workers, telemetry event echo)
-// never interleave characters within a line.
+// simulated dist::ElasticCluster replicas, exec pool workers, telemetry
+// event echo) never interleave characters within a line.
 #pragma once
 
 #include <chrono>

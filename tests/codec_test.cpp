@@ -22,7 +22,6 @@
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "dist/allreduce.h"
-#include "dist/cluster.h"
 #include "dist/codec.h"
 #include "dist/codec_zoo.h"
 #include "dist/elastic.h"
@@ -269,12 +268,12 @@ TEST_P(CodecConformance, ClusterStepsAreBitwiseIdenticalAcrossThreadCounts) {
     for (int i = 0; i < 2; ++i) nets.push_back(make_bnfree_net(42));
     cost::CommSpec spec;
     spec.gpus = 2;
-    Cluster c(std::move(nets), spec);
+    ElasticCluster c(std::move(nets), spec);
     c.set_codec(CodecRegistry::global().create(GetParam()));
     return c;
   };
-  Cluster one = build();
-  Cluster four = build();
+  ElasticCluster one = build();
+  ElasticCluster four = build();
   exec::ExecContext ctx4(4);
   optim::SGD opt_a(0.05f, 0.9f);
   optim::SGD opt_b(0.05f, 0.9f);
@@ -440,12 +439,13 @@ TEST(TwoBitCodec, ConvergenceTracksDenseWithinTolerance) {
     for (int i = 0; i < 2; ++i) nets.push_back(make_bnfree_net(21));
     cost::CommSpec spec;
     spec.gpus = 2;
-    Cluster c(std::move(nets), spec);
+    ElasticCluster c(std::move(nets), spec);
     c.set_codec(CodecRegistry::global().create(codec_name));
     optim::SGD opt(0.05f, 0.9f);
     double first = 0, last = 0;
     for (int step = 0; step < 40; ++step) {
-      const auto r = c.step(make_batch(16, 900 + step), opt);
+      const auto r =
+          c.step(exec::ExecContext::serial(), make_batch(16, 900 + step), opt);
       if (step == 0) first = r.loss;
       last = r.loss;
     }
@@ -550,12 +550,12 @@ TEST(Cluster, UpdateBytesShrinkWithTheCodec) {
     for (int i = 0; i < 2; ++i) nets.push_back(make_bnfree_net(42));
     cost::CommSpec spec;
     spec.gpus = 2;
-    Cluster c(std::move(nets), spec);
+    ElasticCluster c(std::move(nets), spec);
     c.set_codec(CodecRegistry::global().create(name));
     return c;
   };
-  Cluster dense = build("dense");
-  Cluster twobit = build("twobit");
+  ElasticCluster dense = build("dense");
+  ElasticCluster twobit = build("twobit");
   EXPECT_GT(dense.update_bytes(), 0.0);
   EXPECT_DOUBLE_EQ(twobit.update_bytes(), dense.update_bytes() * 2.0 / 32.0);
 }

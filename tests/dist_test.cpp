@@ -1,6 +1,7 @@
-// Data-parallel cluster tests: the defining property (synchronous data
+// Data-parallel step tests: the defining property (synchronous data
 // parallelism == single-device training on the full batch, for BN-free
-// models), replica consistency, allreduce arithmetic, and comm accounting.
+// models), replica consistency, allreduce arithmetic, transient drop/delay
+// faults, and comm accounting.
 //
 // The elastic half (ISSUE 5) adds the membership state machine, the bitwise
 // determinism contract (injected kill == statically scheduled departure),
@@ -14,15 +15,16 @@
 #include <string>
 #include <vector>
 
+#include "bench/reference_step.h"
 #include "ckpt/checkpoint.h"
 #include "core/trainer.h"
 #include "dist/allreduce.h"
-#include "dist/cluster.h"
 #include "dist/codec_zoo.h"
 #include "dist/elastic.h"
 #include "dist/membership.h"
 #include "models/builders.h"
 #include "robust/fault.h"
+#include "robust/integrity.h"
 #include "robust/recovery.h"
 #include "prune/reconfigure.h"
 #include "nn/activations.h"
@@ -66,362 +68,7 @@ cost::CommSpec spec_for(int gpus) {
   return s;
 }
 
-Cluster make_cluster(int replicas, std::uint64_t seed = 42) {
-  std::vector<graph::Network> nets;
-  for (int i = 0; i < replicas; ++i) nets.push_back(make_bnfree_net(seed));
-  return Cluster(std::move(nets), spec_for(replicas));
-}
-
-TEST(Cluster, RejectsMismatchedCommSpec) {
-  std::vector<graph::Network> nets;
-  nets.push_back(make_bnfree_net(1));
-  EXPECT_THROW(Cluster(std::move(nets), spec_for(4)), std::invalid_argument);
-}
-
-TEST(Cluster, StepMatchesSingleDeviceTraining) {
-  // 4-way data parallelism on a divisible batch must produce the same
-  // weights as one device with the full batch.
-  Cluster cluster = make_cluster(4, 7);
-  graph::Network solo = make_bnfree_net(7);
-  data::Batch batch = make_batch(16, 3);
-
-  optim::SGD opt_cluster(0.1f, 0.9f);
-  optim::SGD opt_solo(0.1f, 0.9f);
-  for (int step = 0; step < 3; ++step) {
-    cluster.step(batch, opt_cluster);
-    nn::SoftmaxCrossEntropy loss;
-    Tensor out = solo.forward(batch.images, true);
-    loss.forward(out, batch.labels);
-    solo.zero_grad();
-    solo.backward(loss.backward());
-    opt_solo.step(solo.params());
-  }
-  auto pc = cluster.replica(0).params();
-  auto ps = solo.params();
-  ASSERT_EQ(pc.size(), ps.size());
-  for (std::size_t i = 0; i < pc.size(); ++i) {
-    for (std::int64_t q = 0; q < pc[i]->value.numel(); ++q) {
-      EXPECT_NEAR(pc[i]->value.data()[q], ps[i]->value.data()[q], 1e-5f)
-          << "param " << i << " elem " << q;
-    }
-  }
-}
-
-TEST(Cluster, ReplicasStayIdentical) {
-  Cluster cluster = make_cluster(3, 9);
-  optim::SGD opt(0.05f, 0.9f);
-  for (int step = 0; step < 4; ++step) {
-    cluster.step(make_batch(9 + step, 100 + step), opt);  // uneven shards too
-  }
-  auto p0 = cluster.replica(0).params();
-  for (int r = 1; r < cluster.size(); ++r) {
-    auto pr = cluster.replica(r).params();
-    for (std::size_t i = 0; i < p0.size(); ++i) {
-      for (std::int64_t q = 0; q < p0[i]->value.numel(); ++q) {
-        ASSERT_EQ(p0[i]->value.data()[q], pr[i]->value.data()[q]);
-      }
-    }
-  }
-}
-
-TEST(Cluster, AllreduceAveragesGradients) {
-  Cluster cluster = make_cluster(2, 11);
-  auto p0 = cluster.replica(0).params();
-  auto p1 = cluster.replica(1).params();
-  p0[0]->grad.fill(1.f);
-  p1[0]->grad.fill(3.f);
-  cluster.exchange_gradients({1.0, 1.0});
-  EXPECT_FLOAT_EQ(p0[0]->grad.data()[0], 2.f);
-  EXPECT_FLOAT_EQ(p1[0]->grad.data()[0], 2.f);
-}
-
-TEST(Cluster, AllreduceWeightsByShardSize) {
-  Cluster cluster = make_cluster(2, 12);
-  auto p0 = cluster.replica(0).params();
-  auto p1 = cluster.replica(1).params();
-  p0[0]->grad.fill(1.f);
-  p1[0]->grad.fill(4.f);
-  cluster.exchange_gradients({3.0, 1.0});  // (3*1 + 1*4) / 4 = 1.75
-  EXPECT_FLOAT_EQ(p0[0]->grad.data()[0], 1.75f);
-}
-
-TEST(Cluster, RejectsEmptyBatch) {
-  Cluster cluster = make_cluster(4, 13);
-  optim::SGD opt(0.1f);
-  data::Batch empty;
-  EXPECT_THROW(cluster.step(empty, opt), std::invalid_argument);
-}
-
-TEST(Cluster, TinyBatchDegradesGracefully) {
-  // A batch smaller than the replica count used to throw; now the empty
-  // shards simply carry zero allreduce weight, and the step is equivalent
-  // to single-device training on the populated samples.
-  Cluster cluster = make_cluster(4, 13);
-  graph::Network solo = make_bnfree_net(13);
-  data::Batch batch = make_batch(2, 1);
-
-  optim::SGD opt_cluster(0.1f, 0.9f);
-  optim::SGD opt_solo(0.1f, 0.9f);
-  const auto result = cluster.step(batch, opt_cluster);
-  EXPECT_EQ(result.processed, 2);
-  EXPECT_EQ(result.dropped_replicas, 0);
-
-  nn::SoftmaxCrossEntropy loss;
-  Tensor out = solo.forward(batch.images, true);
-  loss.forward(out, batch.labels);
-  solo.zero_grad();
-  solo.backward(loss.backward());
-  opt_solo.step(solo.params());
-
-  auto pc = cluster.replica(0).params();
-  auto ps = solo.params();
-  ASSERT_EQ(pc.size(), ps.size());
-  for (std::size_t i = 0; i < pc.size(); ++i) {
-    for (std::int64_t q = 0; q < pc[i]->value.numel(); ++q) {
-      ASSERT_NEAR(pc[i]->value.data()[q], ps[i]->value.data()[q], 1e-6f);
-    }
-  }
-  // Idle replicas received the same broadcast + step: still bit-identical.
-  auto p3 = cluster.replica(3).params();
-  for (std::size_t i = 0; i < pc.size(); ++i) {
-    for (std::int64_t q = 0; q < pc[i]->value.numel(); ++q) {
-      ASSERT_EQ(pc[i]->value.data()[q], p3[i]->value.data()[q]);
-    }
-  }
-}
-
-TEST(Cluster, DropRetrySucceedsOnSecondAttempt) {
-  // count defaults to 1: the first attempt of replica 0 fails, the retry
-  // succeeds, and no samples are lost.
-  Cluster cluster = make_cluster(2, 21);
-  cluster.set_fault_injector(
-      robust::FaultInjector::from_string("drop-replica:replica=0", 99), {});
-  optim::SGD opt(0.1f, 0.9f);
-  const auto result = cluster.step(make_batch(8, 4), opt);
-  EXPECT_EQ(result.retries, 1);
-  EXPECT_EQ(result.dropped_replicas, 0);
-  EXPECT_EQ(result.processed, 8);
-  EXPECT_GT(result.fault_wait_seconds, 0.0);
-}
-
-TEST(Cluster, PersistentDropReweightsShardOntoSurvivors) {
-  // Replica 1 stays down past every retry: its shard is excluded, the
-  // survivors' update equals single-device training on replica 0's shard,
-  // and the dead replica still ends the step bit-identical (it receives
-  // the broadcast and the common optimizer step, ready to rejoin).
-  Cluster cluster = make_cluster(2, 22);
-  graph::Network solo = make_bnfree_net(22);
-  FaultPolicy policy;
-  policy.max_retries = 1;
-  policy.timeout_seconds = 0.5;
-  cluster.set_fault_injector(
-      robust::FaultInjector::from_string("drop-replica:replica=1,count=0", 7),
-      policy);
-  data::Batch batch = make_batch(8, 4);
-  optim::SGD opt_cluster(0.1f, 0.9f);
-  optim::SGD opt_solo(0.1f, 0.9f);
-  const auto result = cluster.step(batch, opt_cluster);
-  EXPECT_EQ(result.dropped_replicas, 1);
-  EXPECT_EQ(result.retries, 1);
-  EXPECT_EQ(result.processed, 4);
-  // Charged one timeout per failed attempt (initial + one retry).
-  EXPECT_DOUBLE_EQ(result.fault_wait_seconds, 1.0);
-
-  data::Batch shard;
-  shard.images = Tensor({4, 2, 5, 5});
-  std::copy(batch.images.data(), batch.images.data() + shard.images.numel(),
-            shard.images.data());
-  shard.labels.assign(batch.labels.begin(), batch.labels.begin() + 4);
-  nn::SoftmaxCrossEntropy loss;
-  Tensor out = solo.forward(shard.images, true);
-  loss.forward(out, shard.labels);
-  solo.zero_grad();
-  solo.backward(loss.backward());
-  opt_solo.step(solo.params());
-
-  auto pc = cluster.replica(0).params();
-  auto ps = solo.params();
-  for (std::size_t i = 0; i < pc.size(); ++i) {
-    for (std::int64_t q = 0; q < pc[i]->value.numel(); ++q) {
-      ASSERT_NEAR(pc[i]->value.data()[q], ps[i]->value.data()[q], 1e-6f);
-    }
-  }
-  auto p1 = cluster.replica(1).params();
-  for (std::size_t i = 0; i < pc.size(); ++i) {
-    for (std::int64_t q = 0; q < pc[i]->value.numel(); ++q) {
-      ASSERT_EQ(pc[i]->value.data()[q], p1[i]->value.data()[q]);
-    }
-  }
-}
-
-TEST(Cluster, DelayWithinTimeoutIsChargedNotRetried) {
-  Cluster cluster = make_cluster(2, 23);
-  cluster.set_fault_injector(robust::FaultInjector::from_string(
-      "delay-replica:replica=1,delay=0.3", 5), {});
-  optim::SGD opt(0.1f);
-  const auto result = cluster.step(make_batch(8, 6), opt);
-  EXPECT_EQ(result.retries, 0);
-  EXPECT_EQ(result.dropped_replicas, 0);
-  EXPECT_DOUBLE_EQ(result.fault_wait_seconds, 0.3);
-  EXPECT_EQ(result.processed, 8);
-}
-
-TEST(Cluster, DelayPastTimeoutFailsTheAttempt) {
-  Cluster cluster = make_cluster(2, 24);
-  FaultPolicy policy;
-  policy.max_retries = 0;
-  policy.timeout_seconds = 1.0;
-  cluster.set_fault_injector(robust::FaultInjector::from_string(
-      "delay-replica:replica=1,delay=5,count=0", 5), policy);
-  optim::SGD opt(0.1f);
-  const auto result = cluster.step(make_batch(8, 6), opt);
-  EXPECT_EQ(result.dropped_replicas, 1);
-  EXPECT_EQ(result.processed, 4);
-}
-
-TEST(Cluster, EveryReplicaDownThrows) {
-  Cluster cluster = make_cluster(2, 25);
-  cluster.set_fault_injector(
-      robust::FaultInjector::from_string("drop-replica:count=0", 5), {});
-  optim::SGD opt(0.1f);
-  EXPECT_THROW(cluster.step(make_batch(8, 6), opt), std::runtime_error);
-}
-
-TEST(Cluster, ReplicaTargetedGradientFaultKeepsReplicasIdentical) {
-  // Gradient corruption on one replica flows through the allreduce into
-  // everyone — replicas stay bit-identical (flagging the damage is the
-  // HealthMonitor's job, not the cluster's).
-  Cluster cluster = make_cluster(2, 26);
-  cluster.set_fault_injector(robust::FaultInjector::from_string(
-      "scale-grad:replica=1,scale=100", 5), {});
-  optim::SGD opt(0.1f, 0.9f);
-  cluster.step(make_batch(8, 6), opt);
-  EXPECT_EQ(cluster.fault_injector().total_fires(), 1);
-  auto p0 = cluster.replica(0).params();
-  auto p1 = cluster.replica(1).params();
-  for (std::size_t i = 0; i < p0.size(); ++i) {
-    for (std::int64_t q = 0; q < p0[i]->value.numel(); ++q) {
-      ASSERT_EQ(p0[i]->value.data()[q], p1[i]->value.data()[q]);
-    }
-  }
-}
-
-TEST(ClusterFaultPolicy, ValidatesFields) {
-  FaultPolicy bad;
-  bad.max_retries = -1;
-  Cluster cluster = make_cluster(2, 27);
-  EXPECT_THROW(cluster.set_fault_injector({}, bad), std::invalid_argument);
-  bad.max_retries = 0;
-  bad.timeout_seconds = -2.0;
-  EXPECT_THROW(cluster.set_fault_injector({}, bad), std::invalid_argument);
-}
-
-TEST(Cluster, CommBytesMatchRingFormula) {
-  Cluster cluster = make_cluster(4, 14);
-  optim::SGD opt(0.1f);
-  const auto result = cluster.step(make_batch(8, 2), opt);
-  const double model_bytes =
-      static_cast<double>(cluster.replica(0).num_params()) * 4.0;
-  EXPECT_DOUBLE_EQ(result.comm_bytes_per_gpu, 2.0 * 3.0 / 4.0 * model_bytes);
-  EXPECT_GT(result.comm_time_modeled, 0.0);
-  EXPECT_DOUBLE_EQ(cluster.update_bytes(), result.comm_bytes_per_gpu);
-}
-
-TEST(Cluster, LossDecreasesOverSteps) {
-  Cluster cluster = make_cluster(2, 15);
-  optim::SGD opt(0.1f, 0.9f);
-  data::Batch batch = make_batch(12, 5);
-  double first = 0, last = 0;
-  for (int step = 0; step < 15; ++step) {
-    const auto r = cluster.step(batch, opt);
-    if (step == 0) first = r.loss;
-    last = r.loss;
-  }
-  EXPECT_LT(last, first);
-}
-
-
-TEST(Cluster, ReconfigurationKeepsReplicasConsistent) {
-  // Data-parallel PruneTrain: every replica prunes deterministically from
-  // identical weights, so reconfiguring each replica independently leaves
-  // the cluster consistent and training proceeds on the smaller model.
-  models::ModelConfig mc;
-  mc.image_h = 8;
-  mc.image_w = 8;
-  mc.classes = 4;
-  mc.width_mult = 0.5f;
-  std::vector<graph::Network> nets;
-  for (int i = 0; i < 2; ++i) nets.push_back(models::build_resnet_basic(8, mc));
-  Cluster cluster(std::move(nets), spec_for(2));
-
-  // Kill one stage-variable channel identically on both replicas (writers
-  // and readers), as group lasso would.
-  for (int r = 0; r < 2; ++r) {
-    graph::Network& net = cluster.replica(r);
-    const auto& blk = net.info.blocks[0];
-    auto& stem = net.layer_as<nn::Conv2d>(net.info.first_conv);
-    auto& c1 = net.layer_as<nn::Conv2d>(blk.path_convs[0]);
-    auto& c2 = net.layer_as<nn::Conv2d>(blk.path_convs[1]);
-    const std::int64_t len0 = stem.in_channels() * 9;
-    for (std::int64_t q = 0; q < len0; ++q) stem.weight().value.data()[q] = 0.f;
-    const std::int64_t rs = 9;
-    for (std::int64_t k = 0; k < c1.out_channels(); ++k) {
-      for (std::int64_t q = 0; q < rs; ++q) {
-        c1.weight().value.data()[(k * c1.in_channels()) * rs + q] = 0.f;
-      }
-    }
-    const std::int64_t len2 = c2.in_channels() * rs;
-    for (std::int64_t q = 0; q < len2; ++q) c2.weight().value.data()[q] = 0.f;
-    // Readers of the stage var in the next block.
-    const auto& blk1 = net.info.blocks[1];
-    auto& n1 = net.layer_as<nn::Conv2d>(blk1.path_convs[0]);
-    for (std::int64_t k = 0; k < n1.out_channels(); ++k) {
-      for (std::int64_t q = 0; q < rs; ++q) {
-        n1.weight().value.data()[(k * n1.in_channels()) * rs + q] = 0.f;
-      }
-    }
-    auto& sc = net.layer_as<nn::Conv2d>(blk1.shortcut_conv);
-    for (std::int64_t k = 0; k < sc.out_channels(); ++k) {
-      sc.weight().value.data()[k * sc.in_channels()] = 0.f;
-    }
-    prune::Reconfigurer rec(net, 1e-4f);
-    const auto stats = rec.reconfigure();
-    EXPECT_TRUE(stats.changed);
-  }
-
-  // Replica structures must agree, and training must still work.
-  EXPECT_EQ(cluster.replica(0).num_params(), cluster.replica(1).num_params());
-  optim::SGD opt(0.05f, 0.9f);
-  Rng rng(77);
-  data::Batch batch;
-  batch.images = Tensor::randn({8, 3, 8, 8}, rng);
-  for (int i = 0; i < 8; ++i) batch.labels.push_back(i % 4);
-  const auto result = cluster.step(batch, opt);
-  EXPECT_TRUE(std::isfinite(result.loss));
-  auto p0 = cluster.replica(0).params();
-  auto p1 = cluster.replica(1).params();
-  for (std::size_t i = 0; i < p0.size(); ++i) {
-    for (std::int64_t q = 0; q < p0[i]->value.numel(); ++q) {
-      ASSERT_EQ(p0[i]->value.data()[q], p1[i]->value.data()[q]);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Elastic membership (ISSUE 5): state machine, determinism contract, quorum,
-// reconfiguration under churn, and checkpointed rejoin.
-
-namespace fs = std::filesystem;
-
-/// Fresh per-test scratch directory (pid-suffixed so the plain and .asan
-/// binaries never collide under a concurrent ctest run).
-fs::path scratch_dir(const std::string& tag) {
-  const fs::path p = fs::temp_directory_path() /
-                     ("pt_dist_" + tag + "_" + std::to_string(::getpid()));
-  fs::remove_all(p);
-  fs::create_directories(p);
-  return p;
-}
+exec::ExecContext& serial() { return exec::ExecContext::serial(); }
 
 ElasticCluster make_elastic(int replicas, std::uint64_t seed = 42,
                             MembershipConfig mc = {}) {
@@ -440,6 +87,24 @@ void expect_params_bitwise_equal(graph::Network& a, graph::Network& b) {
       ASSERT_EQ(pa[i]->value.data()[q], pb[i]->value.data()[q]);
     }
   }
+}
+
+/// One single-device step of `net` on samples [begin, begin + n) of `batch`.
+void solo_step(graph::Network& net, const data::Batch& batch,
+               std::int64_t begin, std::int64_t n, optim::SGD& opt) {
+  const Shape& s = batch.images.shape();
+  const std::int64_t len = s[1] * s[2] * s[3];
+  Tensor images({n, s[1], s[2], s[3]});
+  std::copy(batch.images.data() + begin * len,
+            batch.images.data() + (begin + n) * len, images.data());
+  std::vector<std::int64_t> labels(batch.labels.begin() + begin,
+                                   batch.labels.begin() + begin + n);
+  nn::SoftmaxCrossEntropy loss;
+  Tensor out = net.forward(images, true);
+  loss.forward(out, labels);
+  net.zero_grad();
+  net.backward(loss.backward());
+  opt.step(net.params());
 }
 
 /// Zeroes one stage-variable channel group (writers and readers alike, as
@@ -487,6 +152,262 @@ data::Batch make_resnet_batch(std::uint64_t seed) {
   b.images = Tensor::randn({8, 3, 8, 8}, rng);
   for (int i = 0; i < 8; ++i) b.labels.push_back(i % 4);
   return b;
+}
+
+TEST(Cluster, RejectsMismatchedCommSpec) {
+  std::vector<graph::Network> nets;
+  nets.push_back(make_bnfree_net(1));
+  EXPECT_THROW(ElasticCluster(std::move(nets), spec_for(4)),
+               std::invalid_argument);
+}
+
+TEST(Cluster, StepMatchesSingleDeviceTraining) {
+  // 4-way data parallelism on a divisible batch must produce the same
+  // weights as one device with the full batch.
+  ElasticCluster cluster = make_elastic(4, 7);
+  graph::Network solo = make_bnfree_net(7);
+  data::Batch batch = make_batch(16, 3);
+
+  optim::SGD opt_cluster(0.1f, 0.9f);
+  optim::SGD opt_solo(0.1f, 0.9f);
+  for (int step = 0; step < 3; ++step) {
+    cluster.step(serial(), batch, opt_cluster);
+    solo_step(solo, batch, 0, batch.size(), opt_solo);
+  }
+  auto pc = cluster.replica(0).params();
+  auto ps = solo.params();
+  ASSERT_EQ(pc.size(), ps.size());
+  for (std::size_t i = 0; i < pc.size(); ++i) {
+    for (std::int64_t q = 0; q < pc[i]->value.numel(); ++q) {
+      EXPECT_NEAR(pc[i]->value.data()[q], ps[i]->value.data()[q], 1e-5f)
+          << "param " << i << " elem " << q;
+    }
+  }
+}
+
+TEST(Cluster, ReplicasStayIdentical) {
+  ElasticCluster cluster = make_elastic(3, 9);
+  optim::SGD opt(0.05f, 0.9f);
+  for (int step = 0; step < 4; ++step) {
+    // Uneven shards too.
+    cluster.step(serial(), make_batch(9 + step, 100 + step), opt);
+  }
+  for (int r = 1; r < cluster.size(); ++r) {
+    expect_params_bitwise_equal(cluster.replica(0), cluster.replica(r));
+  }
+}
+
+TEST(Cluster, AllreduceAveragesGradients) {
+  ElasticCluster cluster = make_elastic(2, 11);
+  auto p0 = cluster.replica(0).params();
+  auto p1 = cluster.replica(1).params();
+  p0[0]->grad.fill(1.f);
+  p1[0]->grad.fill(3.f);
+  exchange_gradients(cluster.codec(),
+                     {&cluster.replica(0), &cluster.replica(1)}, {1.0, 1.0},
+                     serial());
+  EXPECT_FLOAT_EQ(p0[0]->grad.data()[0], 2.f);
+  EXPECT_FLOAT_EQ(p1[0]->grad.data()[0], 2.f);
+}
+
+TEST(Cluster, AllreduceWeightsByShardSize) {
+  ElasticCluster cluster = make_elastic(2, 12);
+  auto p0 = cluster.replica(0).params();
+  auto p1 = cluster.replica(1).params();
+  p0[0]->grad.fill(1.f);
+  p1[0]->grad.fill(4.f);
+  // (3*1 + 1*4) / 4 = 1.75
+  exchange_gradients(cluster.codec(),
+                     {&cluster.replica(0), &cluster.replica(1)}, {3.0, 1.0},
+                     serial());
+  EXPECT_FLOAT_EQ(p0[0]->grad.data()[0], 1.75f);
+}
+
+TEST(Cluster, RejectsEmptyBatch) {
+  ElasticCluster cluster = make_elastic(4, 13);
+  optim::SGD opt(0.1f);
+  data::Batch empty;
+  EXPECT_THROW(cluster.step(serial(), empty, opt), std::invalid_argument);
+}
+
+TEST(Cluster, TinyBatchDegradesGracefully) {
+  // A batch smaller than the replica count used to throw; now the empty
+  // shards simply carry zero allreduce weight, and the step is equivalent
+  // to single-device training on the populated samples.
+  ElasticCluster cluster = make_elastic(4, 13);
+  graph::Network solo = make_bnfree_net(13);
+  data::Batch batch = make_batch(2, 1);
+
+  optim::SGD opt_cluster(0.1f, 0.9f);
+  optim::SGD opt_solo(0.1f, 0.9f);
+  const auto result = cluster.step(serial(), batch, opt_cluster);
+  EXPECT_EQ(result.processed, 2);
+  EXPECT_EQ(result.dropped_replicas, 0);
+  solo_step(solo, batch, 0, batch.size(), opt_solo);
+
+  auto pc = cluster.replica(0).params();
+  auto ps = solo.params();
+  ASSERT_EQ(pc.size(), ps.size());
+  for (std::size_t i = 0; i < pc.size(); ++i) {
+    for (std::int64_t q = 0; q < pc[i]->value.numel(); ++q) {
+      ASSERT_NEAR(pc[i]->value.data()[q], ps[i]->value.data()[q], 1e-6f);
+    }
+  }
+  // Idle replicas received the same broadcast + step: still bit-identical.
+  expect_params_bitwise_equal(cluster.replica(0), cluster.replica(3));
+}
+
+TEST(Cluster, DropRetrySucceedsOnSecondAttempt) {
+  // count defaults to 1: the first attempt of replica 0 fails, the retry
+  // succeeds, and no samples are lost.
+  ElasticCluster cluster = make_elastic(2, 21);
+  cluster.set_fault_injector(
+      robust::FaultInjector::from_string("drop-replica:replica=0", 99));
+  optim::SGD opt(0.1f, 0.9f);
+  const auto result = cluster.step(serial(), make_batch(8, 4), opt);
+  EXPECT_EQ(result.retries, 1);
+  EXPECT_EQ(result.dropped_replicas, 0);
+  EXPECT_EQ(result.processed, 8);
+  EXPECT_DOUBLE_EQ(result.fault_wait_seconds, kDropDetectSeconds);
+}
+
+TEST(Cluster, PersistentDropReweightsShardOntoSurvivors) {
+  // Replica 1 stays down past every retry: its shard is excluded, the
+  // survivors' update equals single-device training on replica 0's shard,
+  // and the dropped replica still ends the step bit-identical (it receives
+  // the broadcast and the common optimizer step) without leaving the
+  // membership.
+  ElasticCluster cluster = make_elastic(2, 22);
+  graph::Network solo = make_bnfree_net(22);
+  cluster.set_fault_injector(
+      robust::FaultInjector::from_string("drop-replica:replica=1,count=0", 7));
+  data::Batch batch = make_batch(8, 4);
+  optim::SGD opt_cluster(0.1f, 0.9f);
+  optim::SGD opt_solo(0.1f, 0.9f);
+  const auto result = cluster.step(serial(), batch, opt_cluster);
+  EXPECT_EQ(result.dropped_replicas, 1);
+  EXPECT_EQ(result.retries, kDropRetries);
+  EXPECT_EQ(result.processed, 4);
+  EXPECT_EQ(result.live_replicas, 2);
+  // Charged once per failed attempt (initial + every retry).
+  EXPECT_DOUBLE_EQ(result.fault_wait_seconds,
+                   static_cast<double>(kDropRetries + 1) * kDropDetectSeconds);
+  EXPECT_FALSE(cluster.member(1).failed);
+  EXPECT_EQ(cluster.member(1).state, ReplicaState::kHealthy);
+  // The dropped shard's detection time is its replica's straggler sample.
+  EXPECT_DOUBLE_EQ(cluster.member(1).ewma_step_seconds,
+                   result.fault_wait_seconds);
+
+  solo_step(solo, batch, 0, 4, opt_solo);
+  auto pc = cluster.replica(0).params();
+  auto ps = solo.params();
+  for (std::size_t i = 0; i < pc.size(); ++i) {
+    for (std::int64_t q = 0; q < pc[i]->value.numel(); ++q) {
+      ASSERT_NEAR(pc[i]->value.data()[q], ps[i]->value.data()[q], 1e-6f);
+    }
+  }
+  expect_params_bitwise_equal(cluster.replica(0), cluster.replica(1));
+}
+
+TEST(Cluster, DelayWithinTimeoutIsChargedNotRetried) {
+  // A delay is straggler time, never a failed attempt.
+  ElasticCluster cluster = make_elastic(2, 23);
+  cluster.set_fault_injector(robust::FaultInjector::from_string(
+      "delay-replica:replica=1,delay=0.3", 5));
+  optim::SGD opt(0.1f);
+  const auto result = cluster.step(serial(), make_batch(8, 6), opt);
+  EXPECT_EQ(result.retries, 0);
+  EXPECT_EQ(result.dropped_replicas, 0);
+  EXPECT_DOUBLE_EQ(result.fault_wait_seconds, 0.3);
+  EXPECT_EQ(result.processed, 8);
+}
+
+TEST(Cluster, EveryReplicaDownThrows) {
+  ElasticCluster cluster = make_elastic(2, 25);
+  cluster.set_fault_injector(
+      robust::FaultInjector::from_string("drop-replica:count=0", 5));
+  optim::SGD opt(0.1f);
+  EXPECT_THROW(cluster.step(serial(), make_batch(8, 6), opt),
+               ClusterDegraded);
+}
+
+TEST(Cluster, ReplicaTargetedGradientFaultKeepsReplicasIdentical) {
+  // Gradient corruption on one replica flows through the allreduce into
+  // everyone — replicas stay bit-identical (flagging the damage is the
+  // HealthMonitor's job, not the cluster's).
+  ElasticCluster cluster = make_elastic(2, 26);
+  cluster.set_fault_injector(robust::FaultInjector::from_string(
+      "scale-grad:replica=1,scale=100", 5));
+  optim::SGD opt(0.1f, 0.9f);
+  cluster.step(serial(), make_batch(8, 6), opt);
+  EXPECT_EQ(cluster.fault_injector().total_fires(), 1);
+  expect_params_bitwise_equal(cluster.replica(0), cluster.replica(1));
+}
+
+TEST(Cluster, CommBytesMatchRingFormula) {
+  ElasticCluster cluster = make_elastic(4, 14);
+  optim::SGD opt(0.1f);
+  const auto result = cluster.step(serial(), make_batch(8, 2), opt);
+  const double model_bytes =
+      static_cast<double>(cluster.replica(0).num_params()) * 4.0;
+  EXPECT_DOUBLE_EQ(result.comm_bytes_per_gpu, 2.0 * 3.0 / 4.0 * model_bytes);
+  EXPECT_GT(result.comm_time_modeled, 0.0);
+  EXPECT_DOUBLE_EQ(cluster.update_bytes(), result.comm_bytes_per_gpu);
+}
+
+TEST(Cluster, LossDecreasesOverSteps) {
+  ElasticCluster cluster = make_elastic(2, 15);
+  optim::SGD opt(0.1f, 0.9f);
+  data::Batch batch = make_batch(12, 5);
+  double first = 0, last = 0;
+  for (int step = 0; step < 15; ++step) {
+    const auto r = cluster.step(serial(), batch, opt);
+    if (step == 0) first = r.loss;
+    last = r.loss;
+  }
+  EXPECT_LT(last, first);
+}
+
+TEST(Cluster, ReconfigurationKeepsReplicasConsistent) {
+  // Data-parallel PruneTrain: every replica prunes deterministically from
+  // identical weights, so reconfiguring each replica independently leaves
+  // the cluster consistent and training proceeds on the smaller model.
+  std::vector<graph::Network> nets;
+  for (int i = 0; i < 2; ++i) {
+    nets.push_back(models::build_resnet_basic(8, small_resnet_cfg()));
+  }
+  ElasticCluster cluster(std::move(nets), spec_for(2));
+
+  // Kill one stage-variable channel identically on both replicas.
+  for (int r = 0; r < 2; ++r) {
+    graph::Network& net = cluster.replica(r);
+    zero_stage_group(net);
+    prune::Reconfigurer rec(net, 1e-4f);
+    EXPECT_TRUE(rec.reconfigure().changed);
+  }
+
+  // Replica structures must agree, and training must still work.
+  EXPECT_EQ(cluster.replica(0).num_params(), cluster.replica(1).num_params());
+  optim::SGD opt(0.05f, 0.9f);
+  const auto result = cluster.step(serial(), make_resnet_batch(77), opt);
+  EXPECT_TRUE(std::isfinite(result.loss));
+  expect_params_bitwise_equal(cluster.replica(0), cluster.replica(1));
+}
+
+// ---------------------------------------------------------------------------
+// Elastic membership (ISSUE 5): state machine, determinism contract, quorum,
+// reconfiguration under churn, and checkpointed rejoin.
+
+namespace fs = std::filesystem;
+
+/// Fresh per-test scratch directory (pid-suffixed so the plain and .asan
+/// binaries never collide under a concurrent ctest run).
+fs::path scratch_dir(const std::string& tag) {
+  const fs::path p = fs::temp_directory_path() /
+                     ("pt_dist_" + tag + "_" + std::to_string(::getpid()));
+  fs::remove_all(p);
+  fs::create_directories(p);
+  return p;
 }
 
 TEST(Membership, StateMachineFollowsHeartbeatProtocol) {
@@ -584,22 +505,25 @@ TEST(Membership, EwmaTracksStragglerEstimates) {
 }
 
 TEST(ElasticCluster, AllHealthyMatchesFixedClusterBitwise) {
-  // With nobody failing, the elastic step is the fixed cluster's step:
-  // same shards, same allreduce order, same update — bit for bit.
-  Cluster fixed = make_cluster(3, 42);
+  // With nobody failing, the elastic step is the fixed-membership
+  // reference step written out by hand: same contiguous shards, same
+  // weighted rank-order allreduce, same update — bit for bit.
+  std::vector<graph::Network> fixed;
+  for (int r = 0; r < 3; ++r) fixed.push_back(make_bnfree_net(42));
   ElasticCluster elastic = make_elastic(3, 42);
   optim::SGD opt_a(0.05f, 0.9f);
   optim::SGD opt_b(0.05f, 0.9f);
   for (int step = 0; step < 4; ++step) {
     data::Batch batch = make_batch(9 + step, 40 + step);
-    const auto ra = fixed.step(batch, opt_a);
-    const auto rb = elastic.step(batch, opt_b);
-    EXPECT_DOUBLE_EQ(ra.loss, rb.loss);
-    EXPECT_EQ(ra.correct, rb.correct);
+    const auto ref = bench::reference_step(fixed, batch, opt_a);
+    const auto rb = elastic.step(serial(), batch, opt_b);
+    EXPECT_DOUBLE_EQ(ref.loss, rb.loss);
+    EXPECT_EQ(ref.correct, rb.correct);
     EXPECT_EQ(rb.live_replicas, 3);
   }
   for (int r = 0; r < 3; ++r) {
-    expect_params_bitwise_equal(fixed.replica(r), elastic.replica(r));
+    expect_params_bitwise_equal(fixed[static_cast<std::size_t>(r)],
+                                elastic.replica(r));
   }
 }
 
@@ -618,8 +542,8 @@ TEST(ElasticCluster, InjectedKillAtStepNMatchesStaticScheduleBitwise) {
   optim::SGD opt_b(0.05f, 0.9f);
   for (int step = 0; step < 10; ++step) {
     data::Batch batch = make_batch(13, 300 + step);  // uneven shards too
-    const auto ra = injected.step(batch, opt_a);
-    const auto rb = scheduled.step(batch, opt_b);
+    const auto ra = injected.step(serial(), batch, opt_a);
+    const auto rb = scheduled.step(serial(), batch, opt_b);
     EXPECT_EQ(ra.live_replicas, rb.live_replicas);
     EXPECT_EQ(ra.processed, rb.processed);
     EXPECT_DOUBLE_EQ(ra.loss, rb.loss);
@@ -655,14 +579,14 @@ TEST(ElasticCluster, FlakyFaultsAreDeterministicGivenSeed) {
     data::Batch batch = make_batch(12, 700 + step);
     if (!degraded_a) {
       try {
-        a.step(batch, opt_a);
+        a.step(serial(), batch, opt_a);
       } catch (const ClusterDegraded&) {
         degraded_a = true;
       }
     }
     if (!degraded_b) {
       try {
-        b.step(batch, opt_b);
+        b.step(serial(), batch, opt_b);
       } catch (const ClusterDegraded&) {
         degraded_b = true;
       }
@@ -684,9 +608,9 @@ TEST(ElasticCluster, QuorumLossRaisesClusterDegraded) {
   cluster.schedule_departure(1, 1);
   cluster.schedule_departure(2, 1);
   optim::SGD opt(0.05f, 0.9f);
-  cluster.step(make_batch(8, 1), opt);  // 4 live: fine
+  cluster.step(serial(), make_batch(8, 1), opt);  // 4 live: fine
   try {
-    cluster.step(make_batch(8, 2), opt);
+    cluster.step(serial(), make_batch(8, 2), opt);
     FAIL() << "expected ClusterDegraded";
   } catch (const ClusterDegraded& e) {
     EXPECT_EQ(e.event().type, robust::EventType::kQuorumLoss);
@@ -707,16 +631,17 @@ TEST(ElasticCluster, EveryReplicaDeadIsDegradedEvenAtMinimalQuorum) {
   cluster.schedule_departure(0, 1);
   cluster.schedule_departure(1, 1);
   optim::SGD opt(0.05f, 0.9f);
-  cluster.step(make_batch(6, 1), opt);
-  EXPECT_THROW(cluster.step(make_batch(6, 2), opt), ClusterDegraded);
+  cluster.step(serial(), make_batch(6, 1), opt);
+  EXPECT_THROW(cluster.step(serial(), make_batch(6, 2), opt),
+               ClusterDegraded);
 }
 
 TEST(ElasticCluster, DegenerateRingChargesNoComm) {
   ElasticCluster cluster = make_elastic(2, 42);  // quorum = 1 of 2
   cluster.schedule_departure(1, 1);
   optim::SGD opt(0.05f, 0.9f);
-  cluster.step(make_batch(6, 1), opt);
-  const auto r = cluster.step(make_batch(6, 2), opt);
+  cluster.step(serial(), make_batch(6, 1), opt);
+  const auto r = cluster.step(serial(), make_batch(6, 2), opt);
   EXPECT_EQ(r.live_replicas, 1);
   EXPECT_DOUBLE_EQ(r.comm_bytes_per_gpu, 0.0);
   EXPECT_DOUBLE_EQ(r.comm_time_modeled, 0.0);
@@ -729,7 +654,7 @@ TEST(ElasticCluster, StragglerDelayFeedsModeledStepTime) {
   cluster.set_fault_injector(robust::FaultInjector::from_string(
       "delay-replica:replica=1,delay=3.5,count=0", 5));
   optim::SGD opt(0.05f, 0.9f);
-  const auto r = cluster.step(make_batch(8, 9), opt);
+  const auto r = cluster.step(serial(), make_batch(8, 9), opt);
   EXPECT_DOUBLE_EQ(r.fault_wait_seconds, 3.5);
   EXPECT_GT(cluster.member(1).ewma_step_seconds, 3.5);
   EXPECT_GE(r.step_time_modeled, 3.5 + r.comm_time_modeled);
@@ -752,19 +677,19 @@ TEST(ElasticCluster, RejoinerReplaysTopologyFromCheckpointAndSyncsBitwise) {
 
   optim::SGD opt(0.05f, 0.9f);
   for (int step = 0; step < 3; ++step) {
-    cluster.step(make_batch(9, 900 + step), opt);
+    cluster.step(serial(), make_batch(9, 900 + step), opt);
   }
   EXPECT_EQ(cluster.member(1).state, ReplicaState::kDead);
 
   // Step 3: the rejoiner is fenced (2 participants) and resynced at the end.
-  const auto fence = cluster.step(make_batch(9, 903), opt);
+  const auto fence = cluster.step(serial(), make_batch(9, 903), opt);
   EXPECT_EQ(fence.live_replicas, 2);
   EXPECT_GT(fence.resync_bytes, 0);
   EXPECT_EQ(cluster.member(1).state, ReplicaState::kRejoining);
   EXPECT_EQ(cluster.resync_bytes_total(), fence.resync_bytes);
 
   // Step 4: first synced step — a full participant, bitwise identical.
-  const auto synced = cluster.step(make_batch(9, 904), opt);
+  const auto synced = cluster.step(serial(), make_batch(9, 904), opt);
   EXPECT_EQ(synced.live_replicas, 3);
   EXPECT_EQ(cluster.member(1).rejoined_at, 4);
   expect_params_bitwise_equal(cluster.replica(0), cluster.replica(1));
@@ -791,8 +716,9 @@ TEST(ElasticCluster, KillStraddlingReconfigurationKeepsSurvivorsConsistent) {
 
   optim::SGD opt(0.05f, 0.9f);
   auto run_step = [&](int step) {
-    return cluster.step(make_resnet_batch(500 + static_cast<std::uint64_t>(step)),
-                        opt);
+    return cluster.step(
+        serial(), make_resnet_batch(500 + static_cast<std::uint64_t>(step)),
+        opt);
   };
   run_step(0);
   run_step(1);  // replica 3 latches out here
@@ -839,7 +765,9 @@ TEST(ElasticCluster, RejoinWithStaleTopologyFallsBackToSurvivorClone) {
 
   optim::SGD opt(0.05f, 0.9f);
   for (int step = 0; step < 3; ++step) {
-    cluster.step(make_resnet_batch(600 + static_cast<std::uint64_t>(step)), opt);
+    cluster.step(serial(),
+                 make_resnet_batch(600 + static_cast<std::uint64_t>(step)),
+                 opt);
   }
   EXPECT_EQ(cluster.member(2).state, ReplicaState::kDead);
 
@@ -853,10 +781,11 @@ TEST(ElasticCluster, RejoinWithStaleTopologyFallsBackToSurvivorClone) {
   EXPECT_GT(cluster.replica(2).num_params(), cluster.replica(0).num_params());
 
   cluster.schedule_rejoin(2, 4);
-  cluster.step(make_resnet_batch(603), opt);               // step 3: 2 live
-  const auto fence = cluster.step(make_resnet_batch(604), opt);  // fence
+  cluster.step(serial(), make_resnet_batch(603), opt);  // step 3: 2 live
+  const auto fence =
+      cluster.step(serial(), make_resnet_batch(604), opt);  // fence
   EXPECT_GT(fence.resync_bytes, 0);
-  const auto synced = cluster.step(make_resnet_batch(605), opt);
+  const auto synced = cluster.step(serial(), make_resnet_batch(605), opt);
   EXPECT_EQ(synced.live_replicas, 3);
   EXPECT_EQ(cluster.replica(2).num_params(), cluster.replica(0).num_params());
   expect_params_bitwise_equal(cluster.replica(0), cluster.replica(2));
@@ -986,6 +915,51 @@ TEST(ElasticTrainer, SurvivesPermanentKillMidRun) {
   EXPECT_TRUE(std::isfinite(result.final_test_acc));
   EXPECT_FALSE(trainer.recovery_report().aborted);
   EXPECT_GE(trainer.recovery_report().faults_injected, 1);
+  fs::remove_all(dir);
+}
+
+TEST(ElasticTrainer, TransientDropRetriesAndMatchesFaultFreeRunBitwise) {
+  // count=1: replica 1's first attempt at step 3 fails and the retry
+  // succeeds, so the fault fires without changing a single bit of the run.
+  auto data = data::SyntheticImageDataset(elastic_data());
+  const fs::path clean_dir = scratch_dir("drop_clean");
+  const fs::path drop_dir = scratch_dir("drop_retry");
+  graph::Network clean = elastic_net();
+  core::PruneTrainer(clean, data, elastic_cfg(clean_dir.string())).run();
+
+  graph::Network net = elastic_net();
+  core::TrainConfig cfg = elastic_cfg(drop_dir.string());
+  cfg.fault_spec = "drop-replica:replica=1,step=3";
+  core::PruneTrainer trainer(net, data, cfg);
+  trainer.run();
+  EXPECT_EQ(trainer.recovery_report().faults_injected, 1);
+  EXPECT_EQ(trainer.recovery_report().rollbacks, 0);
+  expect_params_bitwise_equal(clean, net);
+  fs::remove_all(clean_dir);
+  fs::remove_all(drop_dir);
+}
+
+TEST(ElasticTrainer, PersistentDropKeepsReplicasIdenticalUnderSdcChecks) {
+  // count=0: replica 1 fails every attempt at step 3, so its shard is
+  // dropped for that step. It still takes the averaged update, so the
+  // digest vote run after every step never sees the replicas disagree.
+  auto data = data::SyntheticImageDataset(elastic_data());
+  const fs::path dir = scratch_dir("drop_sdc");
+  graph::Network net = elastic_net();
+  core::TrainConfig cfg = elastic_cfg(dir.string());
+  cfg.fault_spec = "drop-replica:replica=1,step=3,count=0";
+  cfg.sdc_check_interval = 1;
+  core::PruneTrainer trainer(net, data, cfg);
+  const auto result = trainer.run();
+
+  EXPECT_EQ(result.epochs.size(), 4u);
+  EXPECT_EQ(trainer.recovery_report().faults_injected, kDropRetries + 1);
+  ASSERT_NE(trainer.integrity_monitor(), nullptr);
+  EXPECT_GT(trainer.integrity_monitor()->checks(), 0);
+  for (const auto& ev : trainer.recovery_report().events) {
+    EXPECT_NE(ev.type, robust::EventType::kSdcDetected) << ev.describe();
+    EXPECT_NE(ev.type, robust::EventType::kSdcNoQuorum) << ev.describe();
+  }
   fs::remove_all(dir);
 }
 

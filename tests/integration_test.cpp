@@ -9,7 +9,7 @@
 #include "core/trainer.h"
 #include "cost/device.h"
 #include "cost/flops.h"
-#include "dist/cluster.h"
+#include "dist/elastic.h"
 #include "models/builders.h"
 #include "nn/activations.h"
 #include "nn/channel_index.h"
@@ -240,7 +240,7 @@ TEST(Cluster, UnevenShardsMatchWeightedFullBatch) {
   for (int i = 0; i < 3; ++i) replicas.push_back(make_net(55));
   cost::CommSpec comm;
   comm.gpus = 3;
-  dist::Cluster cluster(std::move(replicas), comm);
+  dist::ElasticCluster cluster(std::move(replicas), comm);
   graph::Network solo = make_net(55);
 
   Rng rng(10);
@@ -249,7 +249,7 @@ TEST(Cluster, UnevenShardsMatchWeightedFullBatch) {
   for (int i = 0; i < 10; ++i) batch.labels.push_back(i % 3);
 
   optim::SGD opt_c(0.1f, 0.f), opt_s(0.1f, 0.f);
-  cluster.step(batch, opt_c);
+  cluster.step(exec::ExecContext::serial(), batch, opt_c);
   nn::SoftmaxCrossEntropy loss;
   Tensor out = solo.forward(batch.images, true);
   loss.forward(out, batch.labels);

@@ -327,10 +327,10 @@ TEST(FaultSpec, HelpDocumentsTheSdcKinds) {
 }
 
 TEST(FaultSpec, RejectsSdcTargetingANonexistentReplica) {
-  const auto specs = robust::parse_fault_specs("sdc-param:replica=3,step=1");
-  EXPECT_THROW(robust::validate_fault_replicas(specs, 3),
+  const std::string spec = "sdc-param:replica=3,step=1";
+  EXPECT_THROW(robust::validate_training_faults(spec, 3, false),
                std::invalid_argument);
-  EXPECT_NO_THROW(robust::validate_fault_replicas(specs, 4));
+  EXPECT_NO_THROW(robust::validate_training_faults(spec, 4, false));
   // The trainer routes --fault-spec through the same check.
   core::TrainConfig cfg;
   cfg.replicas = 2;

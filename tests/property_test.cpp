@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "cost/flops.h"
 #include "models/builders.h"
@@ -94,6 +95,12 @@ struct PropertyCase {
   const char* model;
   std::uint64_t seed;
 };
+
+// Without a printer gtest dumps the struct's bytes, including the address of
+// `model`, so the registered ctest names would change with every process.
+void PrintTo(const PropertyCase& c, std::ostream* os) {
+  *os << c.model << "_seed" << c.seed;
+}
 
 class FunctionPreservationTest : public ::testing::TestWithParam<PropertyCase> {};
 

@@ -566,6 +566,104 @@ TEST(GuardianConfig, ValidatesRobustnessFields) {
 }
 
 // ---------------------------------------------------------------------------
+// No silent accepts: in every run shape, each fault kind is either rejected
+// by TrainConfig::validate() (naming the clause) or fires in a short run.
+
+TEST(TrainConfigFaults, EveryKindIsRejectedOrFires) {
+  struct Row {
+    std::string spec;
+    bool single;       // has a consumer at replicas=1
+    bool cluster;      // has a consumer at replicas=2
+    bool checkpoints;  // needs checkpoint_dir
+  };
+  const std::vector<Row> rows = {
+      {"nan-grad:step=1", true, true, false},
+      {"nan-grad:epoch=0,step=1", true, false, false},
+      {"bitflip-grad:step=1", true, true, false},
+      {"bitflip-grad:epoch=0,step=1", true, false, false},
+      {"scale-grad:step=1", true, true, false},
+      {"scale-grad:epoch=0,step=1", true, false, false},
+      {"drop-replica:step=1", false, true, false},
+      {"delay-replica:step=1", false, true, false},
+      {"kill-replica:replica=1,step=1", false, true, false},
+      {"flaky-replica:replica=1,prob=1", false, true, false},
+      {"kill-replica:replica=1,step=1;rejoin-replica:replica=1,step=3", false,
+       true, false},
+      {"truncate-ckpt", true, true, true},
+      {"corrupt-ckpt", true, true, true},
+      {"torn-ckpt", true, true, true},
+      {"sdc-param:step=1", true, true, false},
+      {"sdc-momentum:step=1", true, true, false},
+      // Keys that no consumer matches in a mode are rejected there too.
+      {"drop-replica:epoch=0,step=1", false, false, false},
+      {"delay-replica:replica=2,step=1", false, false, false},
+      {"flaky-replica:replica=2,prob=1", false, false, false},
+      {"nan-grad:replica=1,step=1", false, true, false},
+      {"corrupt-ckpt:step=1", false, false, true},
+      {"sdc-param:epoch=0,step=1", false, false, false},
+      {"sdc-momentum:replica=0,step=1", false, true, false},
+      {"poison-ckpt", false, false, false},
+      {"slow-model", false, false, false},
+      {"flaky-output", false, false, false},
+  };
+  std::vector<bool> covered(
+      static_cast<std::size_t>(robust::FaultSpec::Kind::kFlakyOutput) + 1);
+  for (const Row& row : rows) {
+    for (const auto& spec : robust::parse_fault_specs(row.spec)) {
+      covered[static_cast<std::size_t>(spec.kind)] = true;
+    }
+  }
+  for (std::size_t k = 0; k < covered.size(); ++k) {
+    EXPECT_TRUE(covered[k]) << "kind " << k << " missing from the table";
+  }
+
+  data::SyntheticSpec spec = pruning_data();
+  spec.train_samples = 64;  // 4 steps of 16
+  spec.test_samples = 32;
+  auto data = data::SyntheticImageDataset(spec);
+  for (const Row& row : rows) {
+    const std::int64_t clauses =
+        static_cast<std::int64_t>(robust::parse_fault_specs(row.spec).size());
+    const std::string first_clause = row.spec.substr(0, row.spec.find(';'));
+    for (const std::int64_t replicas : {1, 2}) {
+      for (const bool checkpoints : {false, true}) {
+        SCOPED_TRACE(row.spec + " replicas=" + std::to_string(replicas) +
+                     (checkpoints ? " with" : " without") + " checkpoint_dir");
+        core::TrainConfig cfg;
+        cfg.policy = core::PrunePolicy::kDense;
+        cfg.epochs = 1;
+        cfg.batch_size = 16;
+        cfg.replicas = replicas;
+        cfg.suspect_threshold = 1;
+        cfg.fault_spec = row.spec;
+        // A fresh directory per run, so no run sees another's checkpoints.
+        if (checkpoints) {
+          cfg.checkpoint_dir = scratch_dir("every_kind").string();
+        }
+        const bool consumed = (replicas == 1 ? row.single : row.cluster) &&
+                              (checkpoints || !row.checkpoints);
+        if (!consumed) {
+          try {
+            cfg.validate();
+            ADD_FAILURE() << "accepted a clause that never fires";
+          } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find("'" + first_clause + "'"),
+                      std::string::npos)
+                << e.what();
+          }
+          continue;
+        }
+        graph::Network net = small_net();
+        core::PruneTrainer trainer(net, data, cfg);
+        trainer.run();
+        EXPECT_GE(trainer.recovery_report().faults_injected, clauses);
+      }
+    }
+  }
+  fs::remove_all(scratch_dir("every_kind"));
+}
+
+// ---------------------------------------------------------------------------
 // End-to-end guardian runs (the ISSUE 2 acceptance scenario).
 
 TEST(Guardian, NanFaultRollsBackAndReproducesCleanRun) {
