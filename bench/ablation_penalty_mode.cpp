@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
     for (float ratio : {0.2f, 0.3f}) {
       auto net = build_net(c);
       auto cfg = proxy_train_config(epochs, ratio, core::PrunePolicy::kPruneTrain);
-      cfg.size_normalized_penalty = normalized;
+      cfg.strategy_params["size_normalized"] = normalized ? "true" : "false";
       core::PruneTrainer trainer(net, ds, cfg);
       const auto r = trainer.run();
       const ModelCost pruned = model_cost(net, input);

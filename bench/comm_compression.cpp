@@ -97,6 +97,7 @@ void zero_dead_rows(pt::graph::Network& net, double live) {
 /// Real encoded bytes for one 2-replica exchange at the given live width.
 pt::dist::ExchangeStats measure_wire(const std::string& codec_name,
                                      double live) {
+  pt::exec::ExecContext ctx(1);
   std::vector<pt::graph::Network> nets = build_replicas(2);
   for (pt::graph::Network& net : nets) zero_dead_rows(net, live);
   auto codec = pt::dist::CodecRegistry::global().create(codec_name);
@@ -104,14 +105,14 @@ pt::dist::ExchangeStats measure_wire(const std::string& codec_name,
   fill_grads(nets[0], 40);
   fill_grads(nets[1], 41);
   return pt::dist::exchange_gradients(*codec, {&nets[0], &nets[1]}, {1.0, 1.0},
-                                      pt::exec::ExecContext::serial());
+                                      ctx);
 }
 
 double time_steps(const std::string& codec_name, std::int64_t steps,
                   std::int64_t batch) {
   pt::dist::ElasticCluster c(build_replicas(2), spec_for(2));
   c.set_codec(pt::dist::CodecRegistry::global().create(codec_name));
-  pt::exec::ExecContext& ctx = pt::exec::ExecContext::serial();
+  pt::exec::ExecContext ctx(1);
   pt::optim::SGD opt(0.05f, 0.9f);
   for (int i = 0; i < 2; ++i) c.step(ctx, make_batch(batch, 7), opt);
   const auto t0 = std::chrono::steady_clock::now();
@@ -126,6 +127,7 @@ double time_steps(const std::string& codec_name, std::int64_t steps,
 /// The dense codec's exchange vs the pre-codec weighted-average loop,
 /// bitwise, over several randomized rounds and weight vectors.
 bool check_dense_reference() {
+  pt::exec::ExecContext ctx(1);
   pt::graph::Network a = build_model(), b = build_model();
   pt::dist::DenseCodec codec;
   codec.bind(a, 2);
@@ -147,8 +149,7 @@ bool check_dense_reference() {
       }
       expected.push_back(std::move(avg));
     }
-    pt::dist::exchange_gradients(codec, nets, w,
-                                 pt::exec::ExecContext::serial());
+    pt::dist::exchange_gradients(codec, nets, w, ctx);
     for (std::size_t i = 0; i < pa.size(); ++i) {
       if (std::memcmp(pa[i]->grad.data(), expected[i].data(),
                       sizeof(float) * expected[i].size()) != 0 ||
@@ -166,6 +167,7 @@ bool check_dense_reference() {
 /// fresh random labels every step would leave nothing to learn.
 bool check_convergence(std::int64_t batch, double* dense_loss,
                        double* twobit_loss) {
+  pt::exec::ExecContext ctx(1);
   const pt::data::Batch fixed = make_batch(batch, 900);
   auto run = [&](const std::string& name) {
     pt::dist::ElasticCluster c(build_replicas(2), spec_for(2));
@@ -173,7 +175,7 @@ bool check_convergence(std::int64_t batch, double* dense_loss,
     pt::optim::SGD opt(0.05f, 0.9f);
     double first = 0, last = 0;
     for (int step = 0; step < 40; ++step) {
-      const auto r = c.step(pt::exec::ExecContext::serial(), fixed, opt);
+      const auto r = c.step(ctx, fixed, opt);
       if (step == 0) first = r.loss;
       last = r.loss;
     }

@@ -1,5 +1,6 @@
 #include "bench/common.h"
 
+#include <charconv>
 #include <iostream>
 #include <stdexcept>
 
@@ -66,10 +67,16 @@ core::TrainConfig proxy_train_config(std::int64_t epochs, float ratio,
   cfg.base_lr = 0.1f;
   cfg.lr_milestones = {epochs / 2, (3 * epochs) / 4};
   cfg.policy = policy;
-  // Dense baselines pass ratio 0 (no lasso term); keep the default ratio so
-  // validate() passes — the dense policy never reads it.
-  cfg.lasso_ratio = ratio > 0.f ? ratio : core::TrainConfig{}.lasso_ratio;
-  cfg.lasso_boost = kLassoBoost;
+  // The canonical proxy time-compression factor (see DESIGN.md).
+  cfg.strategy_params["boost"] = "150";
+  // Dense baselines pass ratio 0 (no lasso term) and keep the registry
+  // default — the dense policy never reads it. to_chars gives the shortest
+  // text that parses back to exactly `ratio`.
+  if (ratio > 0.f) {
+    char buf[32];
+    cfg.strategy_params["ratio"] =
+        std::string(buf, std::to_chars(buf, buf + sizeof(buf), ratio).ptr);
+  }
   cfg.reconfig_interval = std::max<std::int64_t>(2, epochs / 6);
   cfg.one_shot_epoch = epochs / 2;
   cfg.eval_interval = 5;

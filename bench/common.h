@@ -54,12 +54,10 @@ ModelCost model_cost(graph::Network& net, const Shape& input,
 
 /// Canonical training protocol for proxy runs: `epochs` epochs with LR
 /// decays at 50% and 75%, batch 64, lr 0.1, reconfiguration every
-/// `epochs/6` epochs, Eq. 3 ratio `ratio` with the canonical lasso boost.
+/// `epochs/6` epochs, Eq. 3 ratio `ratio` (0 = registry default) with the
+/// canonical lasso boost 150.
 core::TrainConfig proxy_train_config(std::int64_t epochs, float ratio,
                                      core::PrunePolicy policy);
-
-/// The canonical proxy time-compression factor (see TrainConfig docs).
-constexpr float kLassoBoost = 150.f;
 
 /// Standard bench CLI: --epochs, --quick, --csv. Returns configured flags.
 CliFlags standard_flags(std::int64_t default_epochs);

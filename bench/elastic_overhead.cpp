@@ -82,6 +82,7 @@ bool params_bitwise_equal(pt::graph::Network& a, pt::graph::Network& b) {
 /// All-healthy elastic steps must be the reference steps, bit for bit:
 /// same loss, same correct count, same parameters.
 bool check_equivalence(int replicas, std::int64_t batch) {
+  pt::exec::ExecContext ctx(1);
   std::vector<pt::graph::Network> reference = build_replicas(replicas);
   pt::dist::ElasticCluster elastic(build_replicas(replicas),
                                    spec_for(replicas));
@@ -90,7 +91,7 @@ bool check_equivalence(int replicas, std::int64_t batch) {
   for (int step = 0; step < 3; ++step) {
     const auto b = make_batch(batch, 1000 + static_cast<std::uint64_t>(step));
     const auto ref = pt::bench::reference_step(reference, b, opt_a);
-    const auto got = elastic.step(pt::exec::ExecContext::serial(), b, opt_b);
+    const auto got = elastic.step(ctx, b, opt_b);
     if (ref.loss != got.loss || ref.correct != got.correct) return false;
   }
   for (int r = 0; r < replicas; ++r) {
@@ -127,7 +128,7 @@ int main(int argc, char** argv) {
             << (equivalent ? "yes" : "NO — DETERMINISM VIOLATED") << "\n";
 
   // Steady state: same replicas, same batches, nobody failing.
-  pt::exec::ExecContext& ctx = pt::exec::ExecContext::serial();
+  pt::exec::ExecContext ctx(1);
   double elastic_s = 0;
   {
     pt::dist::ElasticCluster c(build_replicas(replicas), spec_for(replicas));

@@ -134,10 +134,11 @@ int main(int argc, char** argv) {
   // Cross-check with real single-core forward wall time.
   Rng rng(5);
   Tensor x = Tensor::randn({batch, 3, 32, 32}, rng);
+  exec::ExecContext ctx(1);
   auto time_net = [&](graph::Network& net) {
-    net.forward(x, false);  // warm-up
+    net.forward(ctx, x, false);  // warm-up
     Timer timer;
-    for (int i = 0; i < 3; ++i) net.forward(x, false);
+    for (int i = 0; i < 3; ++i) net.forward(ctx, x, false);
     return timer.seconds() / 3.0;
   };
   Table w({"scheme", "forward wall time (ms)"});

@@ -19,14 +19,14 @@ namespace pt {
 namespace {
 
 void BM_GemmNN(benchmark::State& state) {
+  exec::ExecContext ctx(1);
   const std::int64_t n = state.range(0);
   Rng rng(1);
   Tensor a = Tensor::randn({n, n}, rng);
   Tensor b = Tensor::randn({n, n}, rng);
   Tensor c({n, n});
   for (auto _ : state) {
-    gemm_nn(exec::ExecContext::serial(), n, n, n, 1.f, a.data(), b.data(), 0.f,
-            c.data());
+    gemm_nn(ctx, n, n, n, 1.f, a.data(), b.data(), 0.f, c.data());
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
@@ -47,39 +47,42 @@ void BM_Im2col(benchmark::State& state) {
 BENCHMARK(BM_Im2col)->Arg(16)->Arg(64);
 
 void BM_ConvForward(benchmark::State& state) {
+  exec::ExecContext ctx(1);
   const std::int64_t ch = state.range(0);
   Rng rng(3);
   nn::Conv2d conv(ch, ch, 3, 1, 1, rng);
   Tensor x = Tensor::randn({8, ch, 16, 16}, rng);
   for (auto _ : state) {
-    Tensor y = conv.forward(x, false);
+    Tensor y = conv.forward(ctx, x, false);
     benchmark::DoNotOptimize(y.data());
   }
 }
 BENCHMARK(BM_ConvForward)->Arg(8)->Arg(32);
 
 void BM_ConvBackward(benchmark::State& state) {
+  exec::ExecContext ctx(1);
   const std::int64_t ch = state.range(0);
   Rng rng(4);
   nn::Conv2d conv(ch, ch, 3, 1, 1, rng);
   Tensor x = Tensor::randn({8, ch, 16, 16}, rng);
-  Tensor y = conv.forward(x, true);
+  Tensor y = conv.forward(ctx, x, true);
   Tensor dy = Tensor::randn(y.shape(), rng);
   for (auto _ : state) {
     conv.zero_grad();
-    Tensor dx = conv.backward(dy);
+    Tensor dx = conv.backward(ctx, dy);
     benchmark::DoNotOptimize(dx.data());
   }
 }
 BENCHMARK(BM_ConvBackward)->Arg(8)->Arg(32);
 
 void BM_BatchNormTraining(benchmark::State& state) {
+  exec::ExecContext ctx(1);
   const std::int64_t ch = state.range(0);
   Rng rng(5);
   nn::BatchNorm2d bn(ch);
   Tensor x = Tensor::randn({16, ch, 16, 16}, rng);
   for (auto _ : state) {
-    Tensor y = bn.forward(x, true);
+    Tensor y = bn.forward(ctx, x, true);
     benchmark::DoNotOptimize(y.data());
   }
   state.SetBytesProcessed(state.iterations() * x.numel() * 4 * 3);
@@ -87,6 +90,7 @@ void BM_BatchNormTraining(benchmark::State& state) {
 BENCHMARK(BM_BatchNormTraining)->Arg(16)->Arg(64);
 
 void BM_AllreduceGradients(benchmark::State& state) {
+  exec::ExecContext ctx(1);
   const int replicas = static_cast<int>(state.range(0));
   models::ModelConfig mc;
   mc.image_h = 8;
@@ -103,12 +107,13 @@ void BM_AllreduceGradients(benchmark::State& state) {
   codec.bind(nets.front(), replicas);
   std::vector<double> weights(static_cast<std::size_t>(replicas), 1.0);
   for (auto _ : state) {
-    dist::exchange_gradients(codec, ptrs, weights, exec::ExecContext::serial());
+    dist::exchange_gradients(codec, ptrs, weights, ctx);
   }
 }
 BENCHMARK(BM_AllreduceGradients)->Arg(2)->Arg(4);
 
 void BM_TrainingIteration(benchmark::State& state) {
+  exec::ExecContext ctx(1);
   models::ModelConfig mc;
   mc.image_h = 8;
   mc.image_w = 8;
@@ -122,10 +127,10 @@ void BM_TrainingIteration(benchmark::State& state) {
   optim::SGD opt(0.1f, 0.9f);
   nn::SoftmaxCrossEntropy loss;
   for (auto _ : state) {
-    Tensor out = net.forward(x, true);
+    Tensor out = net.forward(ctx, x, true);
     loss.forward(out, labels);
     net.zero_grad();
-    net.backward(loss.backward());
+    net.backward(ctx, loss.backward());
     opt.step(net.params());
   }
 }

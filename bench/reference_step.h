@@ -26,6 +26,7 @@ struct ReferenceStepResult {
 inline ReferenceStepResult reference_step(std::vector<graph::Network>& nets,
                                           const data::Batch& batch,
                                           optim::SGD& opt) {
+  exec::ExecContext ctx(1);
   const std::int64_t p = static_cast<std::int64_t>(nets.size());
   const std::int64_t total = batch.size();
   const Shape& s = batch.images.shape();
@@ -46,10 +47,10 @@ inline ReferenceStepResult reference_step(std::vector<graph::Network>& nets,
     graph::Network& net = nets[static_cast<std::size_t>(r)];
     net.zero_grad();
     nn::SoftmaxCrossEntropy loss;
-    Tensor out = net.forward(images, true);
+    Tensor out = net.forward(ctx, images, true);
     result.loss += loss.forward(out, labels) * static_cast<double>(shard);
     result.correct += loss.correct();
-    net.backward(loss.backward());
+    net.backward(ctx, loss.backward());
   }
   result.loss /= static_cast<double>(total);
   double total_weight = 0;

@@ -20,13 +20,14 @@ namespace {
 
 double images_per_second(graph::Network& net, const data::SyntheticSpec& spec,
                          std::int64_t batch) {
+  exec::ExecContext ctx(1);
   Rng rng(3);
   Tensor x = Tensor::randn({batch, spec.channels, spec.height, spec.width}, rng);
-  net.forward(x, false);  // warm-up
+  net.forward(ctx, x, false);  // warm-up
   Timer t;
   int reps = 0;
   while (t.seconds() < 0.3) {
-    net.forward(x, false);
+    net.forward(ctx, x, false);
     ++reps;
   }
   return double(reps) * double(batch) / t.seconds();

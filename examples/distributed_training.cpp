@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   comm.gpus = gpus;
   pt::dist::ElasticCluster cluster(std::move(replicas), comm);
 
-  pt::exec::ExecContext& ctx = pt::exec::ExecContext::serial();
+  pt::exec::ExecContext ctx(1);
   pt::optim::SGD opt(0.1f, 0.9f, 1e-4f);
   pt::data::DataLoader loader(dataset, /*seed=*/3);
 

@@ -128,8 +128,8 @@ int main(int argc, char** argv) {
     cfg.base_lr = 0.1f;
     cfg.lr_milestones = {epochs / 2, 3 * epochs / 4};
     cfg.policy = pt::core::PrunePolicy::kPruneTrain;
-    cfg.lasso_ratio = 0.25f;
-    cfg.lasso_boost = 150.f;
+    cfg.strategy_params["ratio"] = "0.25";
+    cfg.strategy_params["boost"] = "150";
     cfg.reconfig_interval = std::max<std::int64_t>(2, epochs / 4);
     cfg.eval_interval = epochs;
     cfg.checkpoint_dir = stage.string();

@@ -1,6 +1,6 @@
 // Quickstart: train a ResNet with PruneTrain and watch the model shrink.
 //
-//   $ ./quickstart [--epochs N] [--ratio R] [--checkpoint-dir D] [--resume F]
+//   $ ./quickstart [--epochs N] [--checkpoint-dir D] [--resume F]
 //
 // Builds a CIFAR-style ResNet-20 on the synthetic CIFAR-10 stand-in,
 // trains it with group-lasso regularization from iteration 0, and
@@ -56,8 +56,9 @@
 //
 // --strategy <name> swaps the sparsifier (group_lasso, dsd, dst,
 // channel_prop — see DESIGN.md §11); the repeatable --strategy-param k=v
-// tunes it, e.g.:
+// tunes it (group_lasso starts from ratio=0.25, boost=150), e.g.:
 //
+//   $ ./quickstart --strategy-param ratio=0.3
 //   $ ./quickstart --strategy dst --strategy-param threshold_lr=0.05 \
 //                  --strategy-param beta=10
 //
@@ -88,7 +89,6 @@
 int main(int argc, char** argv) {
   pt::CliFlags flags;
   flags.define("epochs", "36", "training epochs");
-  flags.define("ratio", "0.25", "group-lasso penalty ratio (Eq. 3 target)");
   flags.define("checkpoint-dir", "",
                "write crash-safe per-epoch checkpoints into this directory");
   flags.define("resume", "", "resume from a checkpoint file (e.g. "
@@ -181,6 +181,11 @@ int main(int argc, char** argv) {
   cfg.lr_milestones = {epochs / 2, 3 * epochs / 4};
   cfg.policy = pt::core::PrunePolicy::kPruneTrain;
   cfg.strategy = flags.get("strategy");
+  if (cfg.strategy == "group_lasso") {
+    // Eq. 3 ratio 0.25 and the proxy-scale time compression (see
+    // DESIGN.md); --strategy-param overrides either.
+    cfg.strategy_params = {{"ratio", "0.25"}, {"boost", "150"}};
+  }
   for (const std::string& kv : flags.get_list("strategy-param")) {
     const auto eq = kv.find('=');
     if (eq == std::string::npos || eq == 0) {
@@ -197,12 +202,6 @@ int main(int argc, char** argv) {
       return 1;
     }
     cfg.codec_params[kv.substr(0, eq)] = kv.substr(eq + 1);
-  }
-  if (cfg.strategy == "group_lasso") {
-    // The legacy lasso knobs only mean something to group lasso; setting
-    // them alongside another strategy is a validation error.
-    cfg.lasso_ratio = static_cast<float>(flags.get_double("ratio"));
-    cfg.lasso_boost = 150.f;  // proxy-scale time compression (see DESIGN.md)
   }
   cfg.reconfig_interval = std::max<std::int64_t>(2, epochs / 6);
   cfg.eval_interval = 4;

@@ -118,7 +118,8 @@ telemetry::Json config_json(const TrainConfig& cfg) {
   j["policy"] = telemetry::Json(to_string(cfg.policy));
   j["strategy"] = telemetry::Json(cfg.strategy);
   telemetry::Json params = telemetry::Json::object();
-  for (const auto& [key, value] : cfg.strategy_params) {
+  for (const auto& [key, value] : prune::StrategyRegistry::global().resolve(
+           cfg.strategy, cfg.strategy_params)) {
     params[key] = telemetry::Json(value);
   }
   j["strategy_params"] = params;
@@ -133,8 +134,6 @@ telemetry::Json config_json(const TrainConfig& cfg) {
   j["base_lr"] = telemetry::Json(static_cast<double>(cfg.base_lr));
   j["momentum"] = telemetry::Json(static_cast<double>(cfg.momentum));
   j["weight_decay"] = telemetry::Json(static_cast<double>(cfg.weight_decay));
-  j["lasso_ratio"] = telemetry::Json(static_cast<double>(cfg.lasso_ratio));
-  j["lasso_boost"] = telemetry::Json(static_cast<double>(cfg.lasso_boost));
   j["reconfig_interval"] = telemetry::Json(cfg.reconfig_interval);
   j["threshold"] = telemetry::Json(static_cast<double>(cfg.threshold));
   j["fine_tune_epochs"] = telemetry::Json(cfg.fine_tune_epochs);
@@ -148,15 +147,6 @@ telemetry::Json config_json(const TrainConfig& cfg) {
   j["sdc_check_interval"] = telemetry::Json(cfg.sdc_check_interval);
   j["keep_checkpoints"] = telemetry::Json(cfg.keep_checkpoints);
   return j;
-}
-
-// Round-trips a float through text exactly (9 significant digits), for
-// mirroring legacy config fields into strategy parameter strings.
-std::string float_param(float v) {
-  std::ostringstream os;
-  os.precision(9);
-  os << v;
-  return os.str();
 }
 
 }  // namespace
@@ -196,10 +186,6 @@ void TrainConfig::validate() const {
     fail("checkpoint_interval must be >= 1 (got " +
          std::to_string(checkpoint_interval) + ")");
   }
-  if (!(lasso_ratio > 0.f) || !(lasso_ratio < 1.f)) {
-    fail("lasso_ratio must lie in (0, 1) (got " + std::to_string(lasso_ratio) +
-         ")");
-  }
   if (fine_tune_epochs < 0) {
     fail("fine_tune_epochs must be >= 0 (got " +
          std::to_string(fine_tune_epochs) + ")");
@@ -235,8 +221,11 @@ void TrainConfig::validate() const {
   try {
     // A clause with no consumer in this run shape would otherwise arm and
     // never fire — a silently dead test.
+    const std::int64_t run_epochs =
+        epochs * (policy == PrunePolicy::kSSL ? 2 : 1) +
+        (policy == PrunePolicy::kDense ? 0 : fine_tune_epochs);
     robust::validate_training_faults(fault_spec, static_cast<int>(replicas),
-                                     !checkpoint_dir.empty());
+                                     !checkpoint_dir.empty(), run_epochs);
   } catch (const std::invalid_argument& e) {
     fail(std::string("fault_spec: ") + e.what());
   }
@@ -249,16 +238,15 @@ void TrainConfig::validate() const {
          std::to_string(keep_checkpoints) + ")");
   }
   // Strategy: the name must be registered and the parameters must resolve
-  // (unknown keys, unparsable values, and legacy-field contradictions all
-  // fail here rather than mid-training).
+  // (unknown keys and unparsable or out-of-range values fail here rather
+  // than mid-training).
+  std::map<std::string, std::string> resolved_params;
   try {
-    (void)prune::StrategyRegistry::global().create(strategy,
-                                                   resolved_strategy_params());
+    const auto& registry = prune::StrategyRegistry::global();
+    resolved_params = registry.resolve(strategy, strategy_params);
+    (void)registry.make(strategy, resolved_params);
   } catch (const std::invalid_argument& e) {
-    throw std::invalid_argument(std::string(e.what()).rfind("TrainConfig:", 0) ==
-                                        0
-                                    ? e.what()
-                                    : "TrainConfig: " + std::string(e.what()));
+    fail(e.what());
   }
   if (strategy != "group_lasso" &&
       (policy == PrunePolicy::kSSL || policy == PrunePolicy::kOneShot)) {
@@ -288,9 +276,10 @@ void TrainConfig::validate() const {
   }
   if (replicas > 1) {
     if (strategy == "group_lasso" &&
-        !prune::strategy_param_bool(resolved_strategy_params(), "proximal")) {
-      fail("replicas > 1 requires proximal_update (the elastic cluster "
-           "applies group lasso as a per-replica proximal hook)");
+        !prune::strategy_param_bool(resolved_params, "proximal")) {
+      fail("replicas > 1 requires strategy_params[\"proximal\"] = true (the "
+           "elastic cluster applies group lasso as a per-replica proximal "
+           "hook)");
     }
     if (!(min_live_fraction > 0.0 && min_live_fraction <= 1.0)) {
       fail("min_live_fraction must lie in (0, 1] (got " +
@@ -301,85 +290,6 @@ void TrainConfig::validate() const {
            std::to_string(suspect_threshold) + ")");
     }
   }
-}
-
-std::map<std::string, std::string> TrainConfig::resolved_strategy_params()
-    const {
-  auto fail = [](const std::string& what) {
-    throw std::invalid_argument("TrainConfig: " + what);
-  };
-  std::map<std::string, std::string> p = strategy_params;
-  const TrainConfig defaults;
-  if (strategy == "group_lasso") {
-    // Back-compat: the legacy lasso fields flow in as defaults. When a
-    // legacy field was explicitly moved off its default AND the parameter
-    // is also set, the two must agree — silently preferring either side
-    // would make old and new spellings diverge.
-    const auto contradiction = [&](const char* legacy_name,
-                                   const std::string& legacy_value,
-                                   const char* key, const std::string& given) {
-      fail(std::string(legacy_name) + "=" + legacy_value +
-           " contradicts strategy_params[\"" + key + "\"]=" + given +
-           " — set only one (the " + legacy_name +
-           " field is the deprecated spelling)");
-    };
-    const auto mirror_float = [&](const char* key, float legacy,
-                                  float default_value,
-                                  const char* legacy_name) {
-      auto it = p.find(key);
-      if (it == p.end()) {
-        p[key] = float_param(legacy);
-        return;
-      }
-      if (legacy == default_value) return;  // only the param was set
-      float given = 0.f;
-      try {
-        given = std::stof(it->second);
-      } catch (const std::exception&) {
-        return;  // the registry's create() reports the parse error
-      }
-      if (given != legacy) {
-        contradiction(legacy_name, float_param(legacy), key, it->second);
-      }
-    };
-    const auto mirror_bool = [&](const char* key, bool legacy,
-                                 bool default_value, const char* legacy_name) {
-      auto it = p.find(key);
-      if (it == p.end()) {
-        p[key] = legacy ? "true" : "false";
-        return;
-      }
-      if (legacy == default_value) return;
-      const bool given =
-          it->second == "true" || it->second == "1" || it->second == "yes";
-      if (given != legacy) {
-        contradiction(legacy_name, legacy ? "true" : "false", key, it->second);
-      }
-    };
-    mirror_float("ratio", lasso_ratio, defaults.lasso_ratio, "lasso_ratio");
-    mirror_float("boost", lasso_boost, defaults.lasso_boost, "lasso_boost");
-    mirror_bool("proximal", proximal_update, defaults.proximal_update,
-                "proximal_update");
-    mirror_bool("size_normalized", size_normalized_penalty,
-                defaults.size_normalized_penalty, "size_normalized_penalty");
-  } else {
-    // The legacy lasso knobs mean nothing to other strategies; letting
-    // them sit silently set is exactly the contradictory-combination trap
-    // the deprecation errors exist for.
-    const auto reject = [&](const char* legacy_name, bool changed) {
-      if (changed) {
-        fail(std::string(legacy_name) +
-             " is group-lasso-specific and is not read by strategy \"" +
-             strategy + "\" — clear it (use strategy_params for \"" + strategy +
-             "\"'s own knobs)");
-      }
-    };
-    reject("lasso_ratio", lasso_ratio != defaults.lasso_ratio);
-    reject("lasso_boost", lasso_boost != defaults.lasso_boost);
-    reject("size_normalized_penalty",
-           size_normalized_penalty != defaults.size_normalized_penalty);
-  }
-  return p;
 }
 
 PruneTrainer::PruneTrainer(graph::Network& net,
@@ -393,8 +303,8 @@ PruneTrainer::PruneTrainer(graph::Network& net,
                     dataset.spec().width}),
       batch_size_(cfg_.batch_size) {
   cfg_.validate();
-  strategy_ = prune::StrategyRegistry::global().create(
-      cfg_.strategy, cfg_.resolved_strategy_params());
+  strategy_ = prune::StrategyRegistry::global().create(cfg_.strategy,
+                                                       cfg_.strategy_params);
   // Like the strategy, the codec exists before any resume load so
   // checkpointed codec state (error-feedback residuals, live-row masks)
   // deserializes into the object the cluster will actually use.

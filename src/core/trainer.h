@@ -63,11 +63,11 @@ struct TrainConfig {
   /// "dst", and "channel_prop" (src/prune/strategy_zoo.h).
   std::string strategy = "group_lasso";
   /// Per-strategy parameters (string key/value; see `--strategy help` or
-  /// StrategyRegistry::help() for each strategy's keys and defaults).
-  /// For group_lasso the legacy fields below (lasso_ratio, lasso_boost,
-  /// proximal_update, size_normalized_penalty) are mirrored in as defaults;
-  /// setting both a legacy field and its parameter to different values is
-  /// a validation error.
+  /// StrategyRegistry::help() for each strategy's keys and defaults). The
+  /// group_lasso knobs are "ratio" (Eq. 3 target penalty ratio), "boost"
+  /// (proxy-scale lambda multiplier, see DESIGN.md), "proximal" (group
+  /// soft-threshold update; required by replicas > 1) and
+  /// "size_normalized" (the Sec. 4.1 per-group-size penalty ablation).
   std::map<std::string, std::string> strategy_params;
 
   /// Gradient wire format for the simulated allreduce, by
@@ -80,19 +80,6 @@ struct TrainConfig {
   /// (a parameter the configured codec does not declare is an error).
   std::map<std::string, std::string> codec_params;
 
-  float lasso_ratio = 0.2f;           ///< Eq. 3 target penalty ratio
-  /// Proxy-scale time compression. Eq. 3's lambda is implicitly matched to
-  /// the paper's training horizon (~70k optimizer steps: group-norm decay
-  /// per step is ~lr*lambda, and lambda from Eq. 3 makes the total decay
-  /// over a full ImageNet/CIFAR run comparable to the initial norms).
-  /// Proxy runs here take 10^2-10^3 steps, so lambda is multiplied by this
-  /// factor to reproduce the same *fraction-of-run* sparsification
-  /// trajectory. 1.0 = paper-faithful; see DESIGN.md.
-  float lasso_boost = 1.0f;
-  /// Use the proximal group-soft-threshold update (exact zeros) instead of
-  /// the plain subgradient. Required for boosted-lambda proxy runs; with
-  /// the paper's own lambda scale the two are indistinguishable.
-  bool proximal_update = true;
   /// Run one final prune+reconfigure pass after training so the reported
   /// model is fully compacted (the default). Analyses that sweep pruning
   /// thresholds over the trained weights (e.g. Fig. 6) disable this to
@@ -106,11 +93,6 @@ struct TrainConfig {
   /// this to recover ~0.3% accuracy on ImageNet (Sec. 5.1); no pruning or
   /// reconfiguration happens during fine-tuning.
   std::int64_t fine_tune_epochs = 0;
-  /// Per-group penalty normalization (Sec. 4.1 ablation). The paper argues
-  /// for a single *global* coefficient, which prioritizes pruning the
-  /// computation-heavy early layers; prior work scales each group's
-  /// penalty by sqrt(group size), which prioritizes model-size reduction.
-  bool size_normalized_penalty = false;
 
   /// Hot-path threads for the trainer's exec::ExecContext: 1 (default) is
   /// fully serial, 0 auto-detects (hardware_concurrency). Any value yields
@@ -209,8 +191,8 @@ struct TrainConfig {
   /// gradients allreduce deterministically, and membership faults
   /// (kill/flaky/rejoin-replica in fault_spec) exercise permanent failure
   /// and checkpointed rejoin. 1 (the default) is plain single-device
-  /// training. Requires proximal_update: the group-lasso step runs as a
-  /// per-replica post-update hook.
+  /// training. group_lasso requires strategy_params["proximal"] = true
+  /// here: the group-lasso step runs as a per-replica post-update hook.
   std::int64_t replicas = 1;
   /// Quorum: a step needs >= ceil(min_live_fraction * replicas) live
   /// members, else the run checkpoints-and-aborts via the guardian
@@ -228,8 +210,8 @@ struct TrainConfig {
   /// When set, the trainer enables the process-wide telemetry switch and
   /// per-layer network profiling, writes `<metrics_dir>/manifest.json`
   /// before the first epoch, and appends one self-describing JSONL line to
-  /// `<metrics_dir>/epochs.jsonl` after every epoch (atomic temp+rename,
-  /// like checkpoints).
+  /// `<metrics_dir>/epochs.jsonl` after every epoch (O_APPEND + fsync; a
+  /// torn tail from a crash is truncated before the next append).
   std::string metrics_dir;
   std::string run_name = "run";  ///< recorded in the manifest
 
@@ -237,14 +219,6 @@ struct TrainConfig {
   /// field combination cannot produce a valid run. Called by PruneTrainer's
   /// constructor, so a bad config fails fast rather than mid-training.
   void validate() const;
-
-  /// The strategy_params map with the group-lasso legacy fields mirrored
-  /// in as defaults (back-compat: configs that only set lasso_ratio /
-  /// lasso_boost / proximal_update / size_normalized_penalty keep
-  /// working). Throws std::invalid_argument when a legacy field and its
-  /// parameter contradict each other, or when a legacy lasso field is set
-  /// alongside a non-lasso strategy.
-  std::map<std::string, std::string> resolved_strategy_params() const;
 };
 
 struct EpochStats {

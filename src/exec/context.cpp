@@ -262,9 +262,4 @@ ExecContext::ExecContext(int num_threads) {
 
 void ExecContext::rebuild_workspace() { workspace_->clear(); }
 
-ExecContext& ExecContext::serial() {
-  static ExecContext ctx(1);
-  return ctx;
-}
-
 }  // namespace pt::exec

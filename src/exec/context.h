@@ -15,9 +15,9 @@
 //     allocations (asserted by tests/exec_test.cpp via the stats counters).
 //
 // Layers, Network, PruneTrainer, and dist::ElasticCluster all take an
-// ExecContext&; the context-free Layer/Network entry points are
-// compatibility shims over ExecContext::serial(). See DESIGN.md §9 for
-// ownership, the determinism contract, and the workspace lifecycle across
+// ExecContext&; there is no process-wide default context, so every caller
+// (tests and benches included) owns one. See DESIGN.md §9 for ownership,
+// the determinism contract, and the workspace lifecycle across
 // reconfiguration.
 #pragma once
 
@@ -187,11 +187,6 @@ class ExecContext {
   /// track the current model shapes; the next step re-leases at the pruned
   /// sizes. The pool is untouched — worker threads survive reconfiguration.
   void rebuild_workspace();
-
-  /// Process-wide single-threaded context backing the context-free
-  /// compatibility shims (Layer::forward(x, training) etc.). Test-only
-  /// convenience: production call paths thread an explicit context.
-  static ExecContext& serial();
 
  private:
   std::unique_ptr<ThreadPool> pool_;

@@ -74,14 +74,6 @@ class Network {
   /// gradients accumulate into each layer's Param::grad.
   Tensor backward(exec::ExecContext& ctx, const Tensor& dy);
 
-  /// Context-free shims: single-threaded execution on ExecContext::serial().
-  Tensor forward(const Tensor& x, bool training) {
-    return forward(exec::ExecContext::serial(), x, training);
-  }
-  Tensor backward(const Tensor& dy) {
-    return backward(exec::ExecContext::serial(), dy);
-  }
-
   /// All live parameters, in node order.
   std::vector<nn::Param*> params();
   std::vector<const nn::Param*> params() const;

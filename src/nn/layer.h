@@ -67,9 +67,7 @@ std::vector<NamedParam> group_params(const std::vector<StateEntry>& entries);
 ///
 /// Execution API: the public forward/backward entry points take an
 /// exec::ExecContext& carrying the thread pool and the workspace arena the
-/// kernels run on. The context-free overloads are compatibility shims over
-/// the process-wide single-threaded exec::ExecContext::serial() — kept for
-/// tests and one-off probes; production loops thread an explicit context.
+/// kernels run on; there are no context-free overloads.
 class Layer {
  public:
   virtual ~Layer() = default;
@@ -84,14 +82,6 @@ class Layer {
   /// returns dL/d(input). Must be called after a training-mode forward.
   Tensor backward(exec::ExecContext& ctx, const Tensor& dy) {
     return do_backward(ctx, dy);
-  }
-
-  /// Context-free shims: single-threaded execution on ExecContext::serial().
-  Tensor forward(const Tensor& x, bool training) {
-    return do_forward(exec::ExecContext::serial(), x, training);
-  }
-  Tensor backward(const Tensor& dy) {
-    return do_backward(exec::ExecContext::serial(), dy);
   }
 
   /// Learnable parameters (empty for stateless layers).

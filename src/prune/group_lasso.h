@@ -38,8 +38,9 @@ class GroupLassoRegularizer {
   /// per group type, the standard approximation for overlapping groups).
   /// Unlike the plain subgradient, it reaches *exact* zeros instead of
   /// oscillating at amplitude ~lr*lambda — required when the proxy-scale
-  /// lasso_boost makes lr*lambda larger than the pruning threshold. With
-  /// the paper's own tiny lambda the two updates are indistinguishable.
+  /// "boost" strategy parameter makes lr*lambda larger than the pruning
+  /// threshold. With the paper's own tiny lambda the two updates are
+  /// indistinguishable.
   void apply_proximal(float kappa) const;
 
   /// Conv node ids under regularization.

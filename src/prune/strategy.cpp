@@ -18,6 +18,17 @@ std::string join_names(const std::vector<std::string>& names) {
   return out;
 }
 
+const StrategyFactory& require_factory(const StrategyRegistry& registry,
+                                       const std::string& name) {
+  const StrategyFactory* factory = registry.find(name);
+  if (factory == nullptr) {
+    throw std::invalid_argument("unknown prune strategy '" + name +
+                                "' (known: " + join_names(registry.names()) +
+                                ")");
+  }
+  return *factory;
+}
+
 }  // namespace
 
 ReconfigDecision Strategy::propose_reconfigure(const EpochInfo& info) const {
@@ -65,26 +76,34 @@ std::vector<std::string> StrategyRegistry::names() const {
   return out;
 }
 
-std::unique_ptr<Strategy> StrategyRegistry::create(
+std::map<std::string, std::string> StrategyRegistry::resolve(
     const std::string& name,
     const std::map<std::string, std::string>& params) const {
-  const StrategyFactory* factory = find(name);
-  if (factory == nullptr) {
-    throw std::invalid_argument("unknown prune strategy '" + name +
-                                "' (known: " + join_names(names()) + ")");
-  }
+  const StrategyFactory& factory = require_factory(*this, name);
   std::map<std::string, std::string> resolved;
-  for (const ParamSpec& p : factory->params) resolved[p.name] = p.default_value;
+  for (const ParamSpec& p : factory.params) resolved[p.name] = p.default_value;
   for (const auto& [key, value] : params) {
     if (resolved.find(key) == resolved.end()) {
       std::vector<std::string> known;
-      for (const ParamSpec& p : factory->params) known.push_back(p.name);
+      for (const ParamSpec& p : factory.params) known.push_back(p.name);
       throw std::invalid_argument("strategy '" + name + "' has no parameter '" +
                                   key + "' (known: " + join_names(known) + ")");
     }
     resolved[key] = value;
   }
-  return factory->make(resolved);
+  return resolved;
+}
+
+std::unique_ptr<Strategy> StrategyRegistry::make(
+    const std::string& name,
+    const std::map<std::string, std::string>& resolved) const {
+  return require_factory(*this, name).make(resolved);
+}
+
+std::unique_ptr<Strategy> StrategyRegistry::create(
+    const std::string& name,
+    const std::map<std::string, std::string>& params) const {
+  return make(name, resolve(name, params));
 }
 
 std::string StrategyRegistry::help() const {

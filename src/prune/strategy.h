@@ -194,9 +194,20 @@ class StrategyRegistry {
   const StrategyFactory* find(const std::string& name) const;
   std::vector<std::string> names() const;
 
-  /// Instantiates `name` with `params` overlaid on the spec defaults.
-  /// Throws std::invalid_argument on an unknown strategy, an unknown
-  /// parameter key, or an unparsable value.
+  /// The effective parameter map of `name`: `params` overlaid on the spec
+  /// defaults, so every declared key is present. Throws
+  /// std::invalid_argument on an unknown strategy or parameter key.
+  std::map<std::string, std::string> resolve(
+      const std::string& name,
+      const std::map<std::string, std::string>& params) const;
+
+  /// Instantiates `name` from a resolve()d map. Throws
+  /// std::invalid_argument on an unknown strategy or an unparsable value.
+  std::unique_ptr<Strategy> make(
+      const std::string& name,
+      const std::map<std::string, std::string>& resolved) const;
+
+  /// make(name, resolve(name, params)).
   std::unique_ptr<Strategy> create(
       const std::string& name,
       const std::map<std::string, std::string>& params = {}) const;

@@ -188,7 +188,7 @@ std::vector<FaultSpec> parse_fault_specs(const std::string& text) {
 }
 
 void validate_training_faults(const std::string& text, int replicas,
-                              bool checkpointing) {
+                              bool checkpointing, std::int64_t run_epochs) {
   using Kind = FaultSpec::Kind;
   // parse_fault_specs yields exactly one spec per ';'-separated clause.
   const std::vector<FaultSpec> specs = parse_fault_specs(text);
@@ -226,6 +226,11 @@ void validate_training_faults(const std::string& text, int replicas,
           reject("sets step= or replica=, but checkpoint faults match on "
                  "the epoch only");
         }
+        if (s.epoch > run_epochs) {
+          reject("sets epoch=" + std::to_string(s.epoch) +
+                 ", but the last checkpoint is saved at epoch " +
+                 std::to_string(run_epochs));
+        }
         break;
       case Kind::kNanGrad:
       case Kind::kBitflipGrad:
@@ -233,6 +238,11 @@ void validate_training_faults(const std::string& text, int replicas,
         if (replicas > 1 && s.epoch >= 0) {
           reject("sets epoch=, but the cluster matches gradient faults on "
                  "its step clock only");
+        }
+        if (s.epoch >= run_epochs) {
+          reject("sets epoch=" + std::to_string(s.epoch) +
+                 ", but the run has " + std::to_string(run_epochs) +
+                 " epochs (0-based)");
         }
         break;
       case Kind::kSdcParam:

@@ -118,17 +118,19 @@ std::vector<FaultSpec> parse_fault_specs(const std::string& text);
 std::string fault_spec_help();
 
 /// Rejects every clause of `text` whose keys can never match in a training
-/// run with `replicas` workers (checkpoints written iff `checkpointing`):
-/// replica kinds on a single device, serve kinds (no trainer consumes
-/// them), checkpoint kinds without checkpoints, epoch= on the kinds matched
-/// on a step clock (replica and SDC kinds everywhere, gradient kinds on the
-/// cluster), step= or replica= on checkpoint kinds, replica= on a single
-/// device, and replica= naming a worker that does not exist. It does not
-/// check that a step or epoch key falls inside the run. Throws
-/// std::invalid_argument naming the clause. TrainConfig::validate() calls
-/// this with the configured run shape.
+/// run of `run_epochs` epochs with `replicas` workers (checkpoints written
+/// iff `checkpointing`): replica kinds on a single device, serve kinds (no
+/// trainer consumes them), checkpoint kinds without checkpoints, epoch= on
+/// the kinds matched on a step clock (replica and SDC kinds everywhere,
+/// gradient kinds on the cluster), epoch= past the end of the run (a
+/// gradient epoch is 0-based, a checkpoint is matched after the epoch
+/// counter advances, so 0..run_epochs), step= or replica= on checkpoint
+/// kinds, replica= on a single device, and replica= naming a worker that
+/// does not exist. It does not check that a step key falls inside the run.
+/// Throws std::invalid_argument naming the clause. TrainConfig::validate()
+/// calls this with the configured run shape.
 void validate_training_faults(const std::string& text, int replicas,
-                              bool checkpointing);
+                              bool checkpointing, std::int64_t run_epochs);
 
 class FaultInjector {
  public:

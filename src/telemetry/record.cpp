@@ -251,7 +251,7 @@ RunRecorder::RunRecorder(std::string dir, const RunManifest& manifest)
 }
 
 void RunRecorder::append(const EpochRecord& record) {
-  atomic_append_line(dir_ + "/epochs.jsonl", record.to_json().dump());
+  append_line(dir_ + "/epochs.jsonl", record.to_json().dump());
 }
 
 std::vector<EpochRecord> RunRecorder::read_records(const std::string& dir) {
@@ -262,6 +262,9 @@ std::vector<EpochRecord> RunRecorder::read_records(const std::string& dir) {
   if (!f) throw std::runtime_error("read_records: cannot open " + path);
   std::string line;
   while (std::getline(f, line)) {
+    // getline hit EOF before a '\n': the torn tail of a crashed append
+    // (the next append truncates it).
+    if (f.eof()) break;
     if (line.empty()) continue;
     out.push_back(EpochRecord::from_json(Json::parse(line)));
   }

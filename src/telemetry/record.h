@@ -1,15 +1,15 @@
 // Per-epoch run records (ISSUE 3 tentpole, part 2).
 //
 // A run directory holds two files, both written crash-safely through
-// util::fileio (write-temp-fsync-rename, the same discipline src/ckpt
-// uses):
+// util::fileio:
 //
 //   manifest.json  — one self-describing object per run: schema version,
 //                    run name, creation time, git describe, seed, and the
 //                    caller-provided config dump. Written once, before the
-//                    first epoch.
-//   epochs.jsonl   — one JSON object per line per epoch, appended
-//                    atomically after each epoch. Every line carries
+//                    first epoch (write-temp-fsync-rename, the same
+//                    discipline src/ckpt uses).
+//   epochs.jsonl   — one JSON object per line per epoch, appended with
+//                    an fsync after each epoch. Every line carries
 //                    `schema`/`schema_version`, the trainer's EpochStats
 //                    mirror, the reconfiguration outcome, per-layer FLOPs
 //                    and measured wall-time (from graph::NodeProfile),
@@ -141,8 +141,10 @@ class RunRecorder {
 
   const std::string& dir() const { return dir_; }
 
-  /// Parses every line of `<dir>/epochs.jsonl`; returns {} when the file
-  /// does not exist yet. Throws std::runtime_error on malformed lines.
+  /// Parses every complete line of `<dir>/epochs.jsonl`; returns {} when
+  /// the file does not exist yet. An unterminated final line (a torn
+  /// append) is skipped; a malformed complete line throws
+  /// std::runtime_error.
   static std::vector<EpochRecord> read_records(const std::string& dir);
   /// Parses `<dir>/manifest.json`.
   static RunManifest read_manifest(const std::string& dir);

@@ -37,7 +37,7 @@ void gemm_tn(exec::ExecContext& ctx, std::int64_t m, std::int64_t n,
              float beta, float* c);
 
 // There are no context-free GEMM overloads: every caller passes an
-// exec::ExecContext (single-threaded callers use ExecContext::serial()).
+// exec::ExecContext (single-threaded callers own an ExecContext(1)).
 
 /// y += alpha * x (sizes must match).
 void axpy(float alpha, std::span<const float> x, std::span<float> y);

@@ -6,11 +6,28 @@
 #include <array>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <stdexcept>
 
 namespace pt {
+
+namespace {
+
+// Writes all `size` bytes to `fd`; false on a write error.
+bool write_all(int fd, const void* data, std::size_t size) {
+  const char* p = static_cast<const char*>(data);
+  while (size > 0) {
+    const ssize_t n = ::write(fd, p, size);
+    if (n < 0) return false;
+    p += n;
+    size -= static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+}  // namespace
 
 void atomic_write_file(const std::string& path, const void* data,
                        std::size_t size) {
@@ -19,17 +36,10 @@ void atomic_write_file(const std::string& path, const void* data,
   if (fd < 0) {
     throw std::runtime_error("atomic_write_file: cannot open " + tmp);
   }
-  const char* p = static_cast<const char*>(data);
-  std::size_t remaining = size;
-  while (remaining > 0) {
-    const ssize_t n = ::write(fd, p, remaining);
-    if (n < 0) {
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      throw std::runtime_error("atomic_write_file: write failed for " + tmp);
-    }
-    p += n;
-    remaining -= static_cast<std::size_t>(n);
+  if (!write_all(fd, data, size)) {
+    ::close(fd);
+    ::unlink(tmp.c_str());
+    throw std::runtime_error("atomic_write_file: write failed for " + tmp);
   }
   // Flush file data before the rename so a crash between rename and the
   // next page-cache writeback cannot surface a renamed-but-empty file.
@@ -43,18 +53,30 @@ void atomic_write_file(const std::string& path, const void* data,
   }
 }
 
-void atomic_append_line(const std::string& path, const std::string& line) {
-  std::string content;
+void append_line(const std::string& path, const std::string& line) {
   {
-    std::ifstream f(path, std::ios::binary);
-    if (f) {
-      content.assign(std::istreambuf_iterator<char>(f),
-                     std::istreambuf_iterator<char>());
+    // A crash mid-append can leave an unterminated tail: cut it back to the
+    // last complete line so the new line does not fuse with it. Only this
+    // rare recovery path reads the whole file.
+    std::ifstream f(path, std::ios::binary | std::ios::ate);
+    if (f && f.tellg() > 0 && f.seekg(-1, std::ios::end) && f.get() != '\n') {
+      const std::string text = read_file_text(path);
+      const std::size_t nl = text.rfind('\n');
+      std::filesystem::resize_file(path, nl == std::string::npos ? 0 : nl + 1);
     }
   }
-  content += line;
-  if (content.empty() || content.back() != '\n') content.push_back('\n');
-  atomic_write_file(path, content.data(), content.size());
+  std::string text = line;
+  if (text.empty() || text.back() != '\n') text.push_back('\n');
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+  if (fd < 0) throw std::runtime_error("append_line: cannot open " + path);
+  if (!write_all(fd, text.data(), text.size())) {
+    ::close(fd);
+    throw std::runtime_error("append_line: write failed for " + path);
+  }
+  const bool synced = ::fsync(fd) == 0;
+  if (::close(fd) != 0 || !synced) {
+    throw std::runtime_error("append_line: fsync failed for " + path);
+  }
 }
 
 std::vector<std::uint8_t> read_file_bytes(const std::string& path) {

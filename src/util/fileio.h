@@ -19,13 +19,14 @@ namespace pt {
 void atomic_write_file(const std::string& path, const void* data,
                        std::size_t size);
 
-/// Appends one line to a text file under the same temp+rename discipline:
-/// the existing content plus `line` (a '\n' is added when missing) is
-/// written to `<path>.tmp` and renamed over `path`, so a reader or a
-/// crash-restarted process sees either the file without the line or with
-/// the complete line — never a torn tail. Creates the file when absent.
-/// This is the append protocol of the telemetry JSONL emitter.
-void atomic_append_line(const std::string& path, const std::string& line);
+/// Appends `line` (a '\n' is added when missing) to a text file with one
+/// O_APPEND write and an fsync, in O(|line|). A crash mid-append can leave
+/// an unterminated tail; it is truncated away before the next append, so a
+/// resumed writer never buries a torn line mid-file. Readers skip an
+/// unterminated final line. Creates the file when absent. Throws
+/// std::runtime_error on any I/O failure. This is the append protocol of
+/// the telemetry JSONL emitter.
+void append_line(const std::string& path, const std::string& line);
 
 /// Reads an entire file into memory. Throws std::runtime_error if the file
 /// cannot be opened or read.

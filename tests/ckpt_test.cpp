@@ -67,10 +67,10 @@ core::TrainConfig pruning_cfg() {
   cfg.base_lr = 0.1f;
   cfg.weight_decay = 1e-4f;
   cfg.lr_milestones = {3, 5};
-  cfg.lasso_ratio = 0.3f;
-  // Proxy time compression (see TrainConfig docs), strong enough that the
+  cfg.strategy_params["ratio"] = "0.3";
+  // Proxy time compression (see DESIGN.md), strong enough that the
   // first reconfiguration at the end of epoch 1 already removes channels.
-  cfg.lasso_boost = 2000.f;
+  cfg.strategy_params["boost"] = "2000";
   cfg.reconfig_interval = 2;
   cfg.eval_interval = 2;
   cfg.fine_tune_epochs = 1;
@@ -157,6 +157,7 @@ TEST(NetworkState, RoleNames) {
 // Checkpoint round trip.
 
 TEST(Checkpoint, RoundTripRestoresReconfiguredNetworkExactly) {
+  exec::ExecContext ctx(1);
   auto data = data::SyntheticImageDataset(pruning_data());
   auto net = models::build_resnet_basic(8, pruning_model());
   core::TrainConfig cfg = pruning_cfg();
@@ -200,8 +201,8 @@ TEST(Checkpoint, RoundTripRestoresReconfiguredNetworkExactly) {
   }
 
   // And the restored model computes the same function, bit for bit.
-  Tensor out_a = net.forward(data.test_images(), false);
-  Tensor out_b = restored.forward(data.test_images(), false);
+  Tensor out_a = net.forward(ctx, data.test_images(), false);
+  Tensor out_b = restored.forward(ctx, data.test_images(), false);
   const auto spa = out_a.span();
   const auto spb = out_b.span();
   ASSERT_EQ(spa.size(), spb.size());
@@ -399,9 +400,10 @@ TEST(TrainConfigValidate, RejectsBadFields) {
   expect_rejects([](auto& c) { c.eval_interval = 0; }, "eval_interval");
   expect_rejects([](auto& c) { c.checkpoint_interval = 0; },
                  "checkpoint_interval");
-  expect_rejects([](auto& c) { c.lasso_ratio = 0.f; }, "lasso_ratio");
-  expect_rejects([](auto& c) { c.lasso_ratio = 1.f; }, "lasso_ratio");
-  expect_rejects([](auto& c) { c.lasso_ratio = -0.2f; }, "lasso_ratio");
+  for (const char* ratio : {"0", "1", "-0.2"}) {
+    expect_rejects([&](auto& c) { c.strategy_params["ratio"] = ratio; },
+                   "ratio");
+  }
   expect_rejects([](auto& c) { c.fine_tune_epochs = -1; }, "fine_tune_epochs");
 }
 

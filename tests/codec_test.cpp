@@ -187,7 +187,7 @@ TEST_P(CodecConformance, EncodeDecodeRoundTripsShapeAndStaysFinite) {
   auto codec = make();
   codec->bind(net, 1);
   auto params = net.params();
-  auto& ctx = exec::ExecContext::serial();
+  exec::ExecContext ctx(1);
   for (std::size_t t = 0; t < params.size(); ++t) {
     const std::int64_t n = params[t]->grad.numel();
     const WireTensor wire =
@@ -221,8 +221,8 @@ TEST_P(CodecConformance, ExchangeIsBitwiseIdenticalAcrossThreadCounts) {
 
   graph::Network a1 = make_bnfree_net(7), b1 = make_bnfree_net(7);
   graph::Network a4 = make_bnfree_net(7), b4 = make_bnfree_net(7);
-  exec::ExecContext four(4);
-  const CodecState s1 = run(exec::ExecContext::serial(), a1, b1);
+  exec::ExecContext one(1), four(4);
+  const CodecState s1 = run(one, a1, b1);
   const CodecState s4 = run(four, a4, b4);
 
   expect_grads_bitwise_equal(a1, a4);
@@ -233,7 +233,7 @@ TEST_P(CodecConformance, ExchangeIsBitwiseIdenticalAcrossThreadCounts) {
 TEST_P(CodecConformance, StateRoundTripReproducesFutureExchangesBitwise) {
   graph::Network a = make_bnfree_net(9), b = make_bnfree_net(9);
   graph::Network a2 = make_bnfree_net(9), b2 = make_bnfree_net(9);
-  auto& ctx = exec::ExecContext::serial();
+  exec::ExecContext ctx(1);
 
   auto original = make();
   original->bind(a, 2);
@@ -274,12 +274,12 @@ TEST_P(CodecConformance, ClusterStepsAreBitwiseIdenticalAcrossThreadCounts) {
   };
   ElasticCluster one = build();
   ElasticCluster four = build();
-  exec::ExecContext ctx4(4);
+  exec::ExecContext ctx1(1), ctx4(4);
   optim::SGD opt_a(0.05f, 0.9f);
   optim::SGD opt_b(0.05f, 0.9f);
   for (int step = 0; step < 4; ++step) {
     data::Batch batch = make_batch(9 + step, 500 + step);
-    const auto ra = one.step(exec::ExecContext::serial(), batch, opt_a);
+    const auto ra = one.step(ctx1, batch, opt_a);
     const auto rb = four.step(ctx4, batch, opt_b);
     EXPECT_DOUBLE_EQ(ra.loss, rb.loss);
     EXPECT_EQ(ra.correct, rb.correct);
@@ -305,12 +305,12 @@ TEST_P(CodecConformance, ElasticKillRejoinIsDeterministicUnderCompression) {
   };
   ElasticCluster one = build();
   ElasticCluster four = build();
-  exec::ExecContext ctx4(4);
+  exec::ExecContext ctx1(1), ctx4(4);
   optim::SGD opt_a(0.05f, 0.9f);
   optim::SGD opt_b(0.05f, 0.9f);
   for (int step = 0; step < 9; ++step) {
     data::Batch batch = make_batch(10, 700 + step);
-    const auto ra = one.step(exec::ExecContext::serial(), batch, opt_a);
+    const auto ra = one.step(ctx1, batch, opt_a);
     const auto rb = four.step(ctx4, batch, opt_b);
     EXPECT_EQ(ra.live_replicas, rb.live_replicas);
     EXPECT_DOUBLE_EQ(ra.loss, rb.loss);
@@ -331,6 +331,7 @@ TEST_P(CodecConformance, ElasticKillRejoinIsDeterministicUnderCompression) {
 TEST(ExchangeGradients, DenseIsBitwiseTheReferenceWeightedAverage) {
   // The dense codec must reproduce the pre-codec exchange exactly: a
   // per-element double accumulation over replicas in rank order.
+  exec::ExecContext ctx(1);
   graph::Network a = make_bnfree_net(11), b = make_bnfree_net(11);
   fill_grads(a, 300);
   fill_grads(b, 301);
@@ -354,7 +355,7 @@ TEST(ExchangeGradients, DenseIsBitwiseTheReferenceWeightedAverage) {
   codec.bind(a, 2);
   std::vector<graph::Network*> nets{&a, &b};
   const ExchangeStats stats =
-      exchange_gradients(codec, nets, {3.0, 1.0}, exec::ExecContext::serial());
+      exchange_gradients(codec, nets, {3.0, 1.0}, ctx);
   for (std::size_t i = 0; i < pa.size(); ++i) {
     for (std::int64_t q = 0; q < pa[i]->grad.numel(); ++q) {
       ASSERT_EQ(pa[i]->grad.data()[q], expected[i][static_cast<std::size_t>(q)]);
@@ -367,11 +368,12 @@ TEST(ExchangeGradients, DenseIsBitwiseTheReferenceWeightedAverage) {
 }
 
 TEST(ExchangeGradients, UnboundOrStaleCodecFailsLoudly) {
+  exec::ExecContext ctx(1);
   graph::Network a = make_bnfree_net(12), b = make_bnfree_net(12);
   std::vector<graph::Network*> nets{&a, &b};
   DenseCodec codec;  // never bound
   EXPECT_THROW(
-      exchange_gradients(codec, nets, {1.0, 1.0}, exec::ExecContext::serial()),
+      exchange_gradients(codec, nets, {1.0, 1.0}, ctx),
       std::logic_error);
 }
 
@@ -384,7 +386,7 @@ TEST(TwoBitCodec, ResidualCarriesTheQuantizationError) {
   TwoBitCodec codec;
   codec.bind(net, 1);
   auto params = net.params();
-  auto& ctx = exec::ExecContext::serial();
+  exec::ExecContext ctx(1);
   const std::int64_t n = params[0]->grad.numel();
   const std::vector<float> grad(params[0]->grad.data(),
                                 params[0]->grad.data() + n);
@@ -413,7 +415,7 @@ TEST(TwoBitCodec, ResetReplicaDropsItsResidual) {
   TwoBitCodec codec;
   codec.bind(net, 2);
   auto params = net.params();
-  auto& ctx = exec::ExecContext::serial();
+  exec::ExecContext ctx(1);
   codec.encode(1, 0, params[0]->grad.data(), params[0]->grad.numel(), ctx);
   bool any_nonzero = false;
   for (float v : codec.residual(1, 0)) any_nonzero |= (v != 0.f);
@@ -434,6 +436,7 @@ TEST(TwoBitCodec, ConvergenceTracksDenseWithinTolerance) {
   // The ablation that keeps compression honest: 2-replica training with
   // twobit + error feedback must follow the dense loss trajectory, not
   // just shrink bytes.
+  exec::ExecContext ctx(1);
   auto run = [&](const std::string& codec_name) {
     std::vector<graph::Network> nets;
     for (int i = 0; i < 2; ++i) nets.push_back(make_bnfree_net(21));
@@ -445,7 +448,7 @@ TEST(TwoBitCodec, ConvergenceTracksDenseWithinTolerance) {
     double first = 0, last = 0;
     for (int step = 0; step < 40; ++step) {
       const auto r =
-          c.step(exec::ExecContext::serial(), make_batch(16, 900 + step), opt);
+          c.step(ctx, make_batch(16, 900 + step), opt);
       if (step == 0) first = r.loss;
       last = r.loss;
     }
@@ -478,7 +481,7 @@ TEST(LiveChannelCodec, TransmitsOnlyLiveRowsAndZeroFillsDeadOnes) {
   EXPECT_LT(codec.live_fraction(), 1.0);
 
   fill_grads(net, 500);
-  auto& ctx = exec::ExecContext::serial();
+  exec::ExecContext ctx(1);
   const std::int64_t n = params[0]->grad.numel();
   const WireTensor wire = codec.encode(0, 0, params[0]->grad.data(), n, ctx);
   EXPECT_EQ(wire.rows.size(), 4u);
@@ -521,7 +524,7 @@ TEST(LiveChannelCodec, FullyLiveMaskMatchesDenseExchangeBitwise) {
   // exchange must equal the dense exchange bit for bit.
   graph::Network a = make_bnfree_net(16), b = make_bnfree_net(16);
   graph::Network c = make_bnfree_net(16), d = make_bnfree_net(16);
-  auto& ctx = exec::ExecContext::serial();
+  exec::ExecContext ctx(1);
   fill_grads(a, 600);
   fill_grads(b, 601);
   fill_grads(c, 600);
@@ -596,8 +599,9 @@ core::TrainConfig codec_cfg(const std::string& dir, const std::string& codec) {
   cfg.base_lr = 0.1f;
   cfg.weight_decay = 1e-4f;
   cfg.lr_milestones = {3};
-  cfg.lasso_ratio = 0.3f;
-  cfg.lasso_boost = 2000.f;  // proxy time compression; prunes by epoch 2
+  cfg.strategy_params["ratio"] = "0.3";
+  // Proxy time compression; prunes by epoch 2.
+  cfg.strategy_params["boost"] = "2000";
   cfg.reconfig_interval = 2;
   cfg.eval_interval = 2;
   cfg.checkpoint_dir = dir;

@@ -44,7 +44,7 @@ TrainConfig base_cfg() {
   cfg.base_lr = 0.05f;
   cfg.weight_decay = 1e-4f;
   cfg.reconfig_interval = 3;
-  cfg.lasso_ratio = 0.25f;
+  cfg.strategy_params["ratio"] = "0.25";
   return cfg;
 }
 
@@ -88,8 +88,8 @@ TrainConfig pruning_cfg() {
   cfg.batch_size = 64;
   cfg.base_lr = 0.1f;
   cfg.lr_milestones = {15, 23};
-  cfg.lasso_ratio = 0.3f;
-  cfg.lasso_boost = 200.f;  // proxy time compression, see TrainConfig docs
+  cfg.strategy_params["ratio"] = "0.3";
+  cfg.strategy_params["boost"] = "200";  // proxy time compression (DESIGN.md)
   cfg.reconfig_interval = 5;
   cfg.eval_interval = 5;
   return cfg;
@@ -120,8 +120,8 @@ TEST(PruneTrainer, LassoLossDecreasesUnderRegularization) {
   cfg.policy = PrunePolicy::kPruneTrain;
   cfg.epochs = 6;
   // Meaningful shrinkage pressure (without it, BN scale-invariance lets
-  // gradient noise *grow* weight norms — see TrainConfig::lasso_boost).
-  cfg.lasso_boost = 100.f;
+  // gradient noise *grow* weight norms — see the "boost" parameter).
+  cfg.strategy_params["boost"] = "100";
   cfg.reconfig_interval = 100;  // no reconfig: watch pure sparsification
   PruneTrainer trainer(net, data, cfg);
   const auto result = trainer.run();
@@ -185,10 +185,10 @@ TEST(PruneTrainer, HigherRatioPrunesMore) {
   auto weak_net = models::build_resnet_basic(8, pruning_model());
   auto strong_net = models::build_resnet_basic(8, pruning_model());
   TrainConfig cfg = pruning_cfg();
-  cfg.lasso_ratio = 0.1f;
+  cfg.strategy_params["ratio"] = "0.1";
   PruneTrainer weak(weak_net, data, cfg);
   const auto r_weak = weak.run();
-  cfg.lasso_ratio = 0.3f;
+  cfg.strategy_params["ratio"] = "0.3";
   PruneTrainer strong(strong_net, data, cfg);
   const auto r_strong = strong.run();
   EXPECT_LT(r_strong.final_channels, r_weak.final_channels);
@@ -280,7 +280,7 @@ TEST(PruneTrainer, DynamicBatchGrowsDuringPruning) {
   cost::MemoryModel mem(net, {3, 8, 8});
   TrainConfig cfg = base_cfg();
   cfg.epochs = 12;
-  cfg.lasso_ratio = 0.3f;
+  cfg.strategy_params["ratio"] = "0.3";
   cfg.batch_size = 24;
   cfg.dynamic_batch.enabled = true;
   cfg.dynamic_batch.granularity = 8;
@@ -311,53 +311,8 @@ TEST(ToString, PolicyNames) {
 }
 
 // ---------------------------------------------------------------------------
-// TrainConfig strategy validation: legacy lasso fields map into the
-// group_lasso parameters, contradictory combinations fail loudly, and
-// non-lasso strategies reject the group-lasso-only protocol knobs.
-
-TEST(TrainConfigStrategy, LegacyFieldsMirrorIntoGroupLassoParams) {
-  TrainConfig cfg = base_cfg();
-  cfg.lasso_ratio = 0.3f;
-  cfg.lasso_boost = 42.f;
-  cfg.proximal_update = false;
-  const auto p = cfg.resolved_strategy_params();
-  EXPECT_FLOAT_EQ(std::stof(p.at("ratio")), 0.3f);
-  EXPECT_FLOAT_EQ(std::stof(p.at("boost")), 42.f);
-  EXPECT_EQ(p.at("proximal"), "false");
-  EXPECT_EQ(p.at("size_normalized"), "false");
-  cfg.validate();  // and the resolved set must create cleanly
-}
-
-TEST(TrainConfigStrategy, AgreeingSpellingsCoexist) {
-  TrainConfig cfg = base_cfg();
-  cfg.lasso_ratio = 0.3f;
-  cfg.strategy_params["ratio"] = "0.3";
-  EXPECT_NO_THROW(cfg.validate());
-}
-
-TEST(TrainConfigStrategy, ContradictorySpellingsThrow) {
-  TrainConfig cfg = base_cfg();
-  cfg.lasso_ratio = 0.3f;
-  cfg.strategy_params["ratio"] = "0.4";
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-
-  TrainConfig cfg2 = base_cfg();
-  cfg2.proximal_update = false;
-  cfg2.strategy_params["proximal"] = "true";
-  EXPECT_THROW(cfg2.validate(), std::invalid_argument);
-}
-
-TEST(TrainConfigStrategy, LassoKnobsRejectedForOtherStrategies) {
-  TrainConfig cfg = base_cfg();
-  cfg.strategy = "dst";
-  cfg.lasso_ratio = 0.3f;  // moved off its default → meaningless for dst
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-
-  TrainConfig ok = base_cfg();
-  ok.strategy = "dst";
-  ok.lasso_ratio = TrainConfig{}.lasso_ratio;
-  EXPECT_NO_THROW(ok.validate());
-}
+// TrainConfig strategy validation: non-lasso strategies reject unknown
+// parameters and the group-lasso-only protocol policies.
 
 TEST(TrainConfigStrategy, UnknownStrategyOrParamThrows) {
   TrainConfig cfg = base_cfg();
@@ -366,7 +321,7 @@ TEST(TrainConfigStrategy, UnknownStrategyOrParamThrows) {
 
   TrainConfig cfg2 = base_cfg();
   cfg2.strategy = "dsd";
-  cfg2.lasso_ratio = TrainConfig{}.lasso_ratio;
+  cfg2.strategy_params.clear();
   cfg2.strategy_params["bogus"] = "1";
   EXPECT_THROW(cfg2.validate(), std::invalid_argument);
 }
@@ -375,21 +330,21 @@ TEST(TrainConfigStrategy, ProtocolPoliciesRequireGroupLasso) {
   TrainConfig cfg = base_cfg();
   cfg.policy = PrunePolicy::kSSL;
   cfg.strategy = "channel_prop";
-  cfg.lasso_ratio = TrainConfig{}.lasso_ratio;
+  cfg.strategy_params.clear();
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
 
   TrainConfig cfg2 = base_cfg();
   cfg2.policy = PrunePolicy::kOneShot;
   cfg2.one_shot_epoch = 2;
   cfg2.strategy = "dsd";
-  cfg2.lasso_ratio = TrainConfig{}.lasso_ratio;
+  cfg2.strategy_params.clear();
   EXPECT_THROW(cfg2.validate(), std::invalid_argument);
 }
 
 TEST(TrainConfigStrategy, DsdRejectsLegacyFineTuneEpochs) {
   TrainConfig cfg = base_cfg();
   cfg.strategy = "dsd";
-  cfg.lasso_ratio = TrainConfig{}.lasso_ratio;
+  cfg.strategy_params.clear();
   cfg.fine_tune_epochs = 2;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
@@ -432,40 +387,6 @@ TEST(TrainConfigCodec, CompressionRequiresReplicas) {
   ok2.codec = "twobit";
   ok2.codec_params["threshold_scale"] = "1.5";
   EXPECT_NO_THROW(ok2.validate());
-}
-
-TEST(PruneTrainer, GroupLassoStrategyParamsMatchLegacySpelling) {
-  // The same run expressed through the legacy lasso fields and through
-  // strategy_params must be bitwise identical.
-  auto data = data::SyntheticImageDataset(tiny_data());
-
-  TrainConfig legacy = base_cfg();
-  legacy.policy = PrunePolicy::kPruneTrain;
-  legacy.epochs = 4;
-  legacy.lasso_ratio = 0.3f;
-  legacy.lasso_boost = 500.f;
-  auto net_legacy = models::build_resnet_basic(8, tiny_model());
-  PruneTrainer t_legacy(net_legacy, data, legacy);
-  const TrainResult r_legacy = t_legacy.run();
-
-  TrainConfig params = base_cfg();
-  params.policy = PrunePolicy::kPruneTrain;
-  params.epochs = 4;
-  params.lasso_ratio = TrainConfig{}.lasso_ratio;
-  params.strategy_params = {{"ratio", "0.3"}, {"boost", "500"}};
-  auto net_params = models::build_resnet_basic(8, tiny_model());
-  PruneTrainer t_params(net_params, data, params);
-  const TrainResult r_params = t_params.run();
-
-  ASSERT_EQ(r_params.epochs.size(), r_legacy.epochs.size());
-  for (std::size_t e = 0; e < r_legacy.epochs.size(); ++e) {
-    EXPECT_DOUBLE_EQ(r_params.epochs[e].train_loss,
-                     r_legacy.epochs[e].train_loss);
-    EXPECT_EQ(r_params.epochs[e].channels_alive,
-              r_legacy.epochs[e].channels_alive);
-  }
-  EXPECT_FLOAT_EQ(r_params.lambda, r_legacy.lambda);
-  EXPECT_DOUBLE_EQ(r_params.final_test_acc, r_legacy.final_test_acc);
 }
 
 }  // namespace

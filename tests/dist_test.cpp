@@ -68,8 +68,6 @@ cost::CommSpec spec_for(int gpus) {
   return s;
 }
 
-exec::ExecContext& serial() { return exec::ExecContext::serial(); }
-
 ElasticCluster make_elastic(int replicas, std::uint64_t seed = 42,
                             MembershipConfig mc = {}) {
   std::vector<graph::Network> nets;
@@ -92,6 +90,7 @@ void expect_params_bitwise_equal(graph::Network& a, graph::Network& b) {
 /// One single-device step of `net` on samples [begin, begin + n) of `batch`.
 void solo_step(graph::Network& net, const data::Batch& batch,
                std::int64_t begin, std::int64_t n, optim::SGD& opt) {
+  exec::ExecContext ctx(1);
   const Shape& s = batch.images.shape();
   const std::int64_t len = s[1] * s[2] * s[3];
   Tensor images({n, s[1], s[2], s[3]});
@@ -100,10 +99,10 @@ void solo_step(graph::Network& net, const data::Batch& batch,
   std::vector<std::int64_t> labels(batch.labels.begin() + begin,
                                    batch.labels.begin() + begin + n);
   nn::SoftmaxCrossEntropy loss;
-  Tensor out = net.forward(images, true);
+  Tensor out = net.forward(ctx, images, true);
   loss.forward(out, labels);
   net.zero_grad();
-  net.backward(loss.backward());
+  net.backward(ctx, loss.backward());
   opt.step(net.params());
 }
 
@@ -164,6 +163,7 @@ TEST(Cluster, RejectsMismatchedCommSpec) {
 TEST(Cluster, StepMatchesSingleDeviceTraining) {
   // 4-way data parallelism on a divisible batch must produce the same
   // weights as one device with the full batch.
+  exec::ExecContext ctx(1);
   ElasticCluster cluster = make_elastic(4, 7);
   graph::Network solo = make_bnfree_net(7);
   data::Batch batch = make_batch(16, 3);
@@ -171,7 +171,7 @@ TEST(Cluster, StepMatchesSingleDeviceTraining) {
   optim::SGD opt_cluster(0.1f, 0.9f);
   optim::SGD opt_solo(0.1f, 0.9f);
   for (int step = 0; step < 3; ++step) {
-    cluster.step(serial(), batch, opt_cluster);
+    cluster.step(ctx, batch, opt_cluster);
     solo_step(solo, batch, 0, batch.size(), opt_solo);
   }
   auto pc = cluster.replica(0).params();
@@ -186,11 +186,12 @@ TEST(Cluster, StepMatchesSingleDeviceTraining) {
 }
 
 TEST(Cluster, ReplicasStayIdentical) {
+  exec::ExecContext ctx(1);
   ElasticCluster cluster = make_elastic(3, 9);
   optim::SGD opt(0.05f, 0.9f);
   for (int step = 0; step < 4; ++step) {
     // Uneven shards too.
-    cluster.step(serial(), make_batch(9 + step, 100 + step), opt);
+    cluster.step(ctx, make_batch(9 + step, 100 + step), opt);
   }
   for (int r = 1; r < cluster.size(); ++r) {
     expect_params_bitwise_equal(cluster.replica(0), cluster.replica(r));
@@ -198,6 +199,7 @@ TEST(Cluster, ReplicasStayIdentical) {
 }
 
 TEST(Cluster, AllreduceAveragesGradients) {
+  exec::ExecContext ctx(1);
   ElasticCluster cluster = make_elastic(2, 11);
   auto p0 = cluster.replica(0).params();
   auto p1 = cluster.replica(1).params();
@@ -205,12 +207,13 @@ TEST(Cluster, AllreduceAveragesGradients) {
   p1[0]->grad.fill(3.f);
   exchange_gradients(cluster.codec(),
                      {&cluster.replica(0), &cluster.replica(1)}, {1.0, 1.0},
-                     serial());
+                     ctx);
   EXPECT_FLOAT_EQ(p0[0]->grad.data()[0], 2.f);
   EXPECT_FLOAT_EQ(p1[0]->grad.data()[0], 2.f);
 }
 
 TEST(Cluster, AllreduceWeightsByShardSize) {
+  exec::ExecContext ctx(1);
   ElasticCluster cluster = make_elastic(2, 12);
   auto p0 = cluster.replica(0).params();
   auto p1 = cluster.replica(1).params();
@@ -219,28 +222,30 @@ TEST(Cluster, AllreduceWeightsByShardSize) {
   // (3*1 + 1*4) / 4 = 1.75
   exchange_gradients(cluster.codec(),
                      {&cluster.replica(0), &cluster.replica(1)}, {3.0, 1.0},
-                     serial());
+                     ctx);
   EXPECT_FLOAT_EQ(p0[0]->grad.data()[0], 1.75f);
 }
 
 TEST(Cluster, RejectsEmptyBatch) {
+  exec::ExecContext ctx(1);
   ElasticCluster cluster = make_elastic(4, 13);
   optim::SGD opt(0.1f);
   data::Batch empty;
-  EXPECT_THROW(cluster.step(serial(), empty, opt), std::invalid_argument);
+  EXPECT_THROW(cluster.step(ctx, empty, opt), std::invalid_argument);
 }
 
 TEST(Cluster, TinyBatchDegradesGracefully) {
   // A batch smaller than the replica count used to throw; now the empty
   // shards simply carry zero allreduce weight, and the step is equivalent
   // to single-device training on the populated samples.
+  exec::ExecContext ctx(1);
   ElasticCluster cluster = make_elastic(4, 13);
   graph::Network solo = make_bnfree_net(13);
   data::Batch batch = make_batch(2, 1);
 
   optim::SGD opt_cluster(0.1f, 0.9f);
   optim::SGD opt_solo(0.1f, 0.9f);
-  const auto result = cluster.step(serial(), batch, opt_cluster);
+  const auto result = cluster.step(ctx, batch, opt_cluster);
   EXPECT_EQ(result.processed, 2);
   EXPECT_EQ(result.dropped_replicas, 0);
   solo_step(solo, batch, 0, batch.size(), opt_solo);
@@ -260,11 +265,12 @@ TEST(Cluster, TinyBatchDegradesGracefully) {
 TEST(Cluster, DropRetrySucceedsOnSecondAttempt) {
   // count defaults to 1: the first attempt of replica 0 fails, the retry
   // succeeds, and no samples are lost.
+  exec::ExecContext ctx(1);
   ElasticCluster cluster = make_elastic(2, 21);
   cluster.set_fault_injector(
       robust::FaultInjector::from_string("drop-replica:replica=0", 99));
   optim::SGD opt(0.1f, 0.9f);
-  const auto result = cluster.step(serial(), make_batch(8, 4), opt);
+  const auto result = cluster.step(ctx, make_batch(8, 4), opt);
   EXPECT_EQ(result.retries, 1);
   EXPECT_EQ(result.dropped_replicas, 0);
   EXPECT_EQ(result.processed, 8);
@@ -277,6 +283,7 @@ TEST(Cluster, PersistentDropReweightsShardOntoSurvivors) {
   // and the dropped replica still ends the step bit-identical (it receives
   // the broadcast and the common optimizer step) without leaving the
   // membership.
+  exec::ExecContext ctx(1);
   ElasticCluster cluster = make_elastic(2, 22);
   graph::Network solo = make_bnfree_net(22);
   cluster.set_fault_injector(
@@ -284,7 +291,7 @@ TEST(Cluster, PersistentDropReweightsShardOntoSurvivors) {
   data::Batch batch = make_batch(8, 4);
   optim::SGD opt_cluster(0.1f, 0.9f);
   optim::SGD opt_solo(0.1f, 0.9f);
-  const auto result = cluster.step(serial(), batch, opt_cluster);
+  const auto result = cluster.step(ctx, batch, opt_cluster);
   EXPECT_EQ(result.dropped_replicas, 1);
   EXPECT_EQ(result.retries, kDropRetries);
   EXPECT_EQ(result.processed, 4);
@@ -311,11 +318,12 @@ TEST(Cluster, PersistentDropReweightsShardOntoSurvivors) {
 
 TEST(Cluster, DelayWithinTimeoutIsChargedNotRetried) {
   // A delay is straggler time, never a failed attempt.
+  exec::ExecContext ctx(1);
   ElasticCluster cluster = make_elastic(2, 23);
   cluster.set_fault_injector(robust::FaultInjector::from_string(
       "delay-replica:replica=1,delay=0.3", 5));
   optim::SGD opt(0.1f);
-  const auto result = cluster.step(serial(), make_batch(8, 6), opt);
+  const auto result = cluster.step(ctx, make_batch(8, 6), opt);
   EXPECT_EQ(result.retries, 0);
   EXPECT_EQ(result.dropped_replicas, 0);
   EXPECT_DOUBLE_EQ(result.fault_wait_seconds, 0.3);
@@ -323,31 +331,33 @@ TEST(Cluster, DelayWithinTimeoutIsChargedNotRetried) {
 }
 
 TEST(Cluster, EveryReplicaDownThrows) {
+  exec::ExecContext ctx(1);
   ElasticCluster cluster = make_elastic(2, 25);
   cluster.set_fault_injector(
       robust::FaultInjector::from_string("drop-replica:count=0", 5));
   optim::SGD opt(0.1f);
-  EXPECT_THROW(cluster.step(serial(), make_batch(8, 6), opt),
-               ClusterDegraded);
+  EXPECT_THROW(cluster.step(ctx, make_batch(8, 6), opt), ClusterDegraded);
 }
 
 TEST(Cluster, ReplicaTargetedGradientFaultKeepsReplicasIdentical) {
   // Gradient corruption on one replica flows through the allreduce into
   // everyone — replicas stay bit-identical (flagging the damage is the
   // HealthMonitor's job, not the cluster's).
+  exec::ExecContext ctx(1);
   ElasticCluster cluster = make_elastic(2, 26);
   cluster.set_fault_injector(robust::FaultInjector::from_string(
       "scale-grad:replica=1,scale=100", 5));
   optim::SGD opt(0.1f, 0.9f);
-  cluster.step(serial(), make_batch(8, 6), opt);
+  cluster.step(ctx, make_batch(8, 6), opt);
   EXPECT_EQ(cluster.fault_injector().total_fires(), 1);
   expect_params_bitwise_equal(cluster.replica(0), cluster.replica(1));
 }
 
 TEST(Cluster, CommBytesMatchRingFormula) {
+  exec::ExecContext ctx(1);
   ElasticCluster cluster = make_elastic(4, 14);
   optim::SGD opt(0.1f);
-  const auto result = cluster.step(serial(), make_batch(8, 2), opt);
+  const auto result = cluster.step(ctx, make_batch(8, 2), opt);
   const double model_bytes =
       static_cast<double>(cluster.replica(0).num_params()) * 4.0;
   EXPECT_DOUBLE_EQ(result.comm_bytes_per_gpu, 2.0 * 3.0 / 4.0 * model_bytes);
@@ -356,12 +366,13 @@ TEST(Cluster, CommBytesMatchRingFormula) {
 }
 
 TEST(Cluster, LossDecreasesOverSteps) {
+  exec::ExecContext ctx(1);
   ElasticCluster cluster = make_elastic(2, 15);
   optim::SGD opt(0.1f, 0.9f);
   data::Batch batch = make_batch(12, 5);
   double first = 0, last = 0;
   for (int step = 0; step < 15; ++step) {
-    const auto r = cluster.step(serial(), batch, opt);
+    const auto r = cluster.step(ctx, batch, opt);
     if (step == 0) first = r.loss;
     last = r.loss;
   }
@@ -372,6 +383,7 @@ TEST(Cluster, ReconfigurationKeepsReplicasConsistent) {
   // Data-parallel PruneTrain: every replica prunes deterministically from
   // identical weights, so reconfiguring each replica independently leaves
   // the cluster consistent and training proceeds on the smaller model.
+  exec::ExecContext ctx(1);
   std::vector<graph::Network> nets;
   for (int i = 0; i < 2; ++i) {
     nets.push_back(models::build_resnet_basic(8, small_resnet_cfg()));
@@ -389,7 +401,7 @@ TEST(Cluster, ReconfigurationKeepsReplicasConsistent) {
   // Replica structures must agree, and training must still work.
   EXPECT_EQ(cluster.replica(0).num_params(), cluster.replica(1).num_params());
   optim::SGD opt(0.05f, 0.9f);
-  const auto result = cluster.step(serial(), make_resnet_batch(77), opt);
+  const auto result = cluster.step(ctx, make_resnet_batch(77), opt);
   EXPECT_TRUE(std::isfinite(result.loss));
   expect_params_bitwise_equal(cluster.replica(0), cluster.replica(1));
 }
@@ -508,6 +520,7 @@ TEST(ElasticCluster, AllHealthyMatchesFixedClusterBitwise) {
   // With nobody failing, the elastic step is the fixed-membership
   // reference step written out by hand: same contiguous shards, same
   // weighted rank-order allreduce, same update — bit for bit.
+  exec::ExecContext ctx(1);
   std::vector<graph::Network> fixed;
   for (int r = 0; r < 3; ++r) fixed.push_back(make_bnfree_net(42));
   ElasticCluster elastic = make_elastic(3, 42);
@@ -516,7 +529,7 @@ TEST(ElasticCluster, AllHealthyMatchesFixedClusterBitwise) {
   for (int step = 0; step < 4; ++step) {
     data::Batch batch = make_batch(9 + step, 40 + step);
     const auto ref = bench::reference_step(fixed, batch, opt_a);
-    const auto rb = elastic.step(serial(), batch, opt_b);
+    const auto rb = elastic.step(ctx, batch, opt_b);
     EXPECT_DOUBLE_EQ(ref.loss, rb.loss);
     EXPECT_EQ(ref.correct, rb.correct);
     EXPECT_EQ(rb.live_replicas, 3);
@@ -532,6 +545,7 @@ TEST(ElasticCluster, InjectedKillAtStepNMatchesStaticScheduleBitwise) {
   // is killed by an injected fault at step 5 (detection machinery and all)
   // is bitwise identical to a run whose membership schedule had that
   // departure fixed from step 0.
+  exec::ExecContext ctx(1);
   ElasticCluster injected = make_elastic(4, 42);
   injected.set_fault_injector(
       robust::FaultInjector::from_string("kill-replica:replica=2,step=5", 99));
@@ -542,8 +556,8 @@ TEST(ElasticCluster, InjectedKillAtStepNMatchesStaticScheduleBitwise) {
   optim::SGD opt_b(0.05f, 0.9f);
   for (int step = 0; step < 10; ++step) {
     data::Batch batch = make_batch(13, 300 + step);  // uneven shards too
-    const auto ra = injected.step(serial(), batch, opt_a);
-    const auto rb = scheduled.step(serial(), batch, opt_b);
+    const auto ra = injected.step(ctx, batch, opt_a);
+    const auto rb = scheduled.step(ctx, batch, opt_b);
     EXPECT_EQ(ra.live_replicas, rb.live_replicas);
     EXPECT_EQ(ra.processed, rb.processed);
     EXPECT_DOUBLE_EQ(ra.loss, rb.loss);
@@ -561,6 +575,7 @@ TEST(ElasticCluster, InjectedKillAtStepNMatchesStaticScheduleBitwise) {
 }
 
 TEST(ElasticCluster, FlakyFaultsAreDeterministicGivenSeed) {
+  exec::ExecContext ctx(1);
   MembershipConfig mc;
   mc.min_live_fraction = 0.25;
   auto build = [&]() {
@@ -579,14 +594,14 @@ TEST(ElasticCluster, FlakyFaultsAreDeterministicGivenSeed) {
     data::Batch batch = make_batch(12, 700 + step);
     if (!degraded_a) {
       try {
-        a.step(serial(), batch, opt_a);
+        a.step(ctx, batch, opt_a);
       } catch (const ClusterDegraded&) {
         degraded_a = true;
       }
     }
     if (!degraded_b) {
       try {
-        b.step(serial(), batch, opt_b);
+        b.step(ctx, batch, opt_b);
       } catch (const ClusterDegraded&) {
         degraded_b = true;
       }
@@ -602,15 +617,16 @@ TEST(ElasticCluster, FlakyFaultsAreDeterministicGivenSeed) {
 }
 
 TEST(ElasticCluster, QuorumLossRaisesClusterDegraded) {
+  exec::ExecContext ctx(1);
   MembershipConfig mc;
   mc.min_live_fraction = 0.75;  // quorum = 3 of 4
   ElasticCluster cluster = make_elastic(4, 42, mc);
   cluster.schedule_departure(1, 1);
   cluster.schedule_departure(2, 1);
   optim::SGD opt(0.05f, 0.9f);
-  cluster.step(serial(), make_batch(8, 1), opt);  // 4 live: fine
+  cluster.step(ctx, make_batch(8, 1), opt);  // 4 live: fine
   try {
-    cluster.step(serial(), make_batch(8, 2), opt);
+    cluster.step(ctx, make_batch(8, 2), opt);
     FAIL() << "expected ClusterDegraded";
   } catch (const ClusterDegraded& e) {
     EXPECT_EQ(e.event().type, robust::EventType::kQuorumLoss);
@@ -624,6 +640,7 @@ TEST(ElasticCluster, QuorumLossRaisesClusterDegraded) {
 }
 
 TEST(ElasticCluster, EveryReplicaDeadIsDegradedEvenAtMinimalQuorum) {
+  exec::ExecContext ctx(1);
   MembershipConfig mc;
   mc.min_live_fraction = 0.25;  // quorum = 1 — but zero participants is
                                 // always degraded
@@ -631,17 +648,18 @@ TEST(ElasticCluster, EveryReplicaDeadIsDegradedEvenAtMinimalQuorum) {
   cluster.schedule_departure(0, 1);
   cluster.schedule_departure(1, 1);
   optim::SGD opt(0.05f, 0.9f);
-  cluster.step(serial(), make_batch(6, 1), opt);
-  EXPECT_THROW(cluster.step(serial(), make_batch(6, 2), opt),
+  cluster.step(ctx, make_batch(6, 1), opt);
+  EXPECT_THROW(cluster.step(ctx, make_batch(6, 2), opt),
                ClusterDegraded);
 }
 
 TEST(ElasticCluster, DegenerateRingChargesNoComm) {
+  exec::ExecContext ctx(1);
   ElasticCluster cluster = make_elastic(2, 42);  // quorum = 1 of 2
   cluster.schedule_departure(1, 1);
   optim::SGD opt(0.05f, 0.9f);
-  cluster.step(serial(), make_batch(6, 1), opt);
-  const auto r = cluster.step(serial(), make_batch(6, 2), opt);
+  cluster.step(ctx, make_batch(6, 1), opt);
+  const auto r = cluster.step(ctx, make_batch(6, 2), opt);
   EXPECT_EQ(r.live_replicas, 1);
   EXPECT_DOUBLE_EQ(r.comm_bytes_per_gpu, 0.0);
   EXPECT_DOUBLE_EQ(r.comm_time_modeled, 0.0);
@@ -650,11 +668,12 @@ TEST(ElasticCluster, DegenerateRingChargesNoComm) {
 }
 
 TEST(ElasticCluster, StragglerDelayFeedsModeledStepTime) {
+  exec::ExecContext ctx(1);
   ElasticCluster cluster = make_elastic(2, 42);
   cluster.set_fault_injector(robust::FaultInjector::from_string(
       "delay-replica:replica=1,delay=3.5,count=0", 5));
   optim::SGD opt(0.05f, 0.9f);
-  const auto r = cluster.step(serial(), make_batch(8, 9), opt);
+  const auto r = cluster.step(ctx, make_batch(8, 9), opt);
   EXPECT_DOUBLE_EQ(r.fault_wait_seconds, 3.5);
   EXPECT_GT(cluster.member(1).ewma_step_seconds, 3.5);
   EXPECT_GE(r.step_time_modeled, 3.5 + r.comm_time_modeled);
@@ -664,6 +683,7 @@ TEST(ElasticCluster, StragglerDelayFeedsModeledStepTime) {
 }
 
 TEST(ElasticCluster, RejoinerReplaysTopologyFromCheckpointAndSyncsBitwise) {
+  exec::ExecContext ctx(1);
   const fs::path dir = scratch_dir("rejoin");
   MembershipConfig mc;
   mc.suspect_threshold = 1;  // dead on the first missed ack
@@ -677,19 +697,19 @@ TEST(ElasticCluster, RejoinerReplaysTopologyFromCheckpointAndSyncsBitwise) {
 
   optim::SGD opt(0.05f, 0.9f);
   for (int step = 0; step < 3; ++step) {
-    cluster.step(serial(), make_batch(9, 900 + step), opt);
+    cluster.step(ctx, make_batch(9, 900 + step), opt);
   }
   EXPECT_EQ(cluster.member(1).state, ReplicaState::kDead);
 
   // Step 3: the rejoiner is fenced (2 participants) and resynced at the end.
-  const auto fence = cluster.step(serial(), make_batch(9, 903), opt);
+  const auto fence = cluster.step(ctx, make_batch(9, 903), opt);
   EXPECT_EQ(fence.live_replicas, 2);
   EXPECT_GT(fence.resync_bytes, 0);
   EXPECT_EQ(cluster.member(1).state, ReplicaState::kRejoining);
   EXPECT_EQ(cluster.resync_bytes_total(), fence.resync_bytes);
 
   // Step 4: first synced step — a full participant, bitwise identical.
-  const auto synced = cluster.step(serial(), make_batch(9, 904), opt);
+  const auto synced = cluster.step(ctx, make_batch(9, 904), opt);
   EXPECT_EQ(synced.live_replicas, 3);
   EXPECT_EQ(cluster.member(1).rejoined_at, 4);
   expect_params_bitwise_equal(cluster.replica(0), cluster.replica(1));
@@ -705,6 +725,7 @@ TEST(ElasticCluster, KillStraddlingReconfigurationKeepsSurvivorsConsistent) {
   // One replica dies before the reconfiguration boundary, another after it;
   // the survivors must agree bitwise throughout, and the pre-boundary
   // corpse keeps its stale (unpruned) topology.
+  exec::ExecContext ctx(1);
   models::ModelConfig mcfg = small_resnet_cfg();
   std::vector<graph::Network> nets;
   for (int i = 0; i < 4; ++i) nets.push_back(models::build_resnet_basic(8, mcfg));
@@ -717,7 +738,7 @@ TEST(ElasticCluster, KillStraddlingReconfigurationKeepsSurvivorsConsistent) {
   optim::SGD opt(0.05f, 0.9f);
   auto run_step = [&](int step) {
     return cluster.step(
-        serial(), make_resnet_batch(500 + static_cast<std::uint64_t>(step)),
+        ctx, make_resnet_batch(500 + static_cast<std::uint64_t>(step)),
         opt);
   };
   run_step(0);
@@ -748,6 +769,7 @@ TEST(ElasticCluster, RejoinWithStaleTopologyFallsBackToSurvivorClone) {
   // The checkpoint on disk predates a reconfiguration, so its shapes are
   // stale; the rejoiner must detect that during topology replay and clone
   // the survivor's structure instead, ending bitwise-synced.
+  exec::ExecContext ctx(1);
   const fs::path dir = scratch_dir("stale");
   models::ModelConfig mcfg = small_resnet_cfg();
   std::vector<graph::Network> nets;
@@ -765,7 +787,7 @@ TEST(ElasticCluster, RejoinWithStaleTopologyFallsBackToSurvivorClone) {
 
   optim::SGD opt(0.05f, 0.9f);
   for (int step = 0; step < 3; ++step) {
-    cluster.step(serial(),
+    cluster.step(ctx,
                  make_resnet_batch(600 + static_cast<std::uint64_t>(step)),
                  opt);
   }
@@ -781,11 +803,11 @@ TEST(ElasticCluster, RejoinWithStaleTopologyFallsBackToSurvivorClone) {
   EXPECT_GT(cluster.replica(2).num_params(), cluster.replica(0).num_params());
 
   cluster.schedule_rejoin(2, 4);
-  cluster.step(serial(), make_resnet_batch(603), opt);  // step 3: 2 live
+  cluster.step(ctx, make_resnet_batch(603), opt);  // step 3: 2 live
   const auto fence =
-      cluster.step(serial(), make_resnet_batch(604), opt);  // fence
+      cluster.step(ctx, make_resnet_batch(604), opt);  // fence
   EXPECT_GT(fence.resync_bytes, 0);
-  const auto synced = cluster.step(serial(), make_resnet_batch(605), opt);
+  const auto synced = cluster.step(ctx, make_resnet_batch(605), opt);
   EXPECT_EQ(synced.live_replicas, 3);
   EXPECT_EQ(cluster.replica(2).num_params(), cluster.replica(0).num_params());
   expect_params_bitwise_equal(cluster.replica(0), cluster.replica(2));
@@ -794,6 +816,7 @@ TEST(ElasticCluster, RejoinWithStaleTopologyFallsBackToSurvivorClone) {
 }
 
 TEST(AllreduceDivergence, NamesTheOffendingReplica) {
+  exec::ExecContext ctx(1);
   graph::Network a = make_bnfree_net(1);
   // A structurally different replica: its parameter table cannot match.
   graph::Network b;
@@ -809,7 +832,7 @@ TEST(AllreduceDivergence, NamesTheOffendingReplica) {
   DenseCodec codec;
   codec.bind(a, 2);
   try {
-    exchange_gradients(codec, nets, {1.0, 1.0}, exec::ExecContext::serial());
+    exchange_gradients(codec, nets, {1.0, 1.0}, ctx);
     FAIL() << "expected ReplicaDivergence";
   } catch (const ReplicaDivergence& e) {
     EXPECT_EQ(e.replica(), 1);
@@ -824,7 +847,7 @@ TEST(AllreduceDivergence, NamesTheOffendingReplica) {
   // With an explicit rank map the true cluster rank is reported, not the
   // dense index into the participant list.
   try {
-    exchange_gradients(codec, nets, {1.0, 1.0}, exec::ExecContext::serial(),
+    exchange_gradients(codec, nets, {1.0, 1.0}, ctx,
                        {0, 3});
     FAIL() << "expected ReplicaDivergence";
   } catch (const ReplicaDivergence& e) {
@@ -868,8 +891,9 @@ core::TrainConfig elastic_cfg(const std::string& dir) {
   cfg.base_lr = 0.1f;
   cfg.weight_decay = 1e-4f;
   cfg.lr_milestones = {3};
-  cfg.lasso_ratio = 0.3f;
-  cfg.lasso_boost = 2000.f;  // proxy time compression; prunes by epoch 2
+  cfg.strategy_params["ratio"] = "0.3";
+  // Proxy time compression; prunes by epoch 2.
+  cfg.strategy_params["boost"] = "2000";
   cfg.reconfig_interval = 2;
   cfg.eval_interval = 2;
   cfg.checkpoint_dir = dir;
@@ -892,7 +916,7 @@ TEST(ElasticTrainer, ValidatesElasticFields) {
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg = {};
   cfg.replicas = 2;
-  cfg.proximal_update = false;
+  cfg.strategy_params["proximal"] = "false";
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg = {};
   cfg.replicas = 2;

@@ -274,8 +274,9 @@ core::TrainConfig pruning_run_cfg(std::int64_t threads) {
   cfg.weight_decay = 1e-4f;
   cfg.policy = core::PrunePolicy::kPruneTrain;
   cfg.reconfig_interval = 2;
-  cfg.lasso_ratio = 0.3f;
-  cfg.lasso_boost = 200.f;  // proxy time compression so pruning fires fast
+  cfg.strategy_params["ratio"] = "0.3";
+  // Proxy time compression so pruning fires fast.
+  cfg.strategy_params["boost"] = "200";
   cfg.num_threads = threads;
   return cfg;
 }
@@ -361,7 +362,8 @@ TEST(ExecContext, RebuildWorkspaceResetsArenaAndContextStaysUsable) {
   EXPECT_EQ(ctx.num_threads(), 3);
   auto net_ref = models::build_resnet_basic(8, tiny_model());
   Tensor y = net.forward(ctx, x, true);
-  Tensor y_ref = net_ref.forward(ExecContext::serial(), x, true);
+  ExecContext serial(1);
+  Tensor y_ref = net_ref.forward(serial, x, true);
   EXPECT_TRUE(bitwise_equal(y, y_ref));
   EXPECT_GT(ctx.workspace().bytes_reserved(), 0u);
 }

@@ -48,7 +48,7 @@ TEST(FineTune, AddsEpochsWithoutRegularizationOrPruning) {
   cfg.epochs = 6;
   cfg.batch_size = 48;
   cfg.policy = core::PrunePolicy::kPruneTrain;
-  cfg.lasso_boost = 100.f;
+  cfg.strategy_params["boost"] = "100";
   cfg.reconfig_interval = 3;
   cfg.fine_tune_epochs = 4;
   core::PruneTrainer trainer(net, ds, cfg);
@@ -181,10 +181,10 @@ TEST(SizeNormalizedPenalty, TrainerWiresTheFlag) {
   cfg.epochs = 2;
   cfg.batch_size = 48;
   cfg.policy = core::PrunePolicy::kPruneTrain;
-  cfg.lasso_boost = 50.f;
+  cfg.strategy_params["boost"] = "50";
   core::PruneTrainer ta(a, ds, cfg);
   const auto ra = ta.run();
-  cfg.size_normalized_penalty = true;
+  cfg.strategy_params["size_normalized"] = "true";
   core::PruneTrainer tb(b, ds, cfg);
   const auto rb = tb.run();
   // Different penalty structure must produce different trajectories

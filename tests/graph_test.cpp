@@ -56,14 +56,16 @@ TEST(Network, InputMustBeFirst) {
 }
 
 TEST(Network, ForwardShapes) {
+  exec::ExecContext ctx(1);
   Rng rng(1);
   Network net = make_tiny_resnet(rng);
   Tensor x = Tensor::randn({2, 2, 6, 6}, rng);
-  Tensor y = net.forward(x, false);
+  Tensor y = net.forward(ctx, x, false);
   EXPECT_EQ(y.shape(), (Shape{2, 3}));
 }
 
 TEST(Network, AddRequiresMatchingShapes) {
+  exec::ExecContext ctx(1);
   Rng rng(2);
   Network net;
   const int input = net.add_input();
@@ -74,10 +76,11 @@ TEST(Network, AddRequiresMatchingShapes) {
   const int add = net.add_add(a, b);
   net.set_output(add);
   Tensor x({1, 1, 2, 2});
-  EXPECT_THROW(net.forward(x, false), std::logic_error);
+  EXPECT_THROW(net.forward(ctx, x, false), std::logic_error);
 }
 
 TEST(Network, ResidualAddIsElementwiseSum) {
+  exec::ExecContext ctx(1);
   Rng rng(3);
   Network net;
   const int input = net.add_input();
@@ -91,11 +94,12 @@ TEST(Network, ResidualAddIsElementwiseSum) {
   const int add = net.add_add(a, b);
   net.set_output(add);
   Tensor x = Tensor::full({1, 1, 2, 2}, 1.f);
-  Tensor y = net.forward(x, false);
+  Tensor y = net.forward(ctx, x, false);
   EXPECT_FLOAT_EQ(y.at(0, 0, 0, 0), 5.f);
 }
 
 TEST(Network, WholeNetGradientCheck) {
+  exec::ExecContext ctx(1);
   Rng rng(4);
   Network net = make_tiny_resnet(rng);
   Tensor x = Tensor::randn({2, 2, 5, 5}, rng);
@@ -105,15 +109,15 @@ TEST(Network, WholeNetGradientCheck) {
   // Training-mode forward so the FD surface matches what backward
   // differentiates (batch norm uses batch statistics in training).
   auto loss_of = [&](const Tensor& input) {
-    Tensor out = net.forward(input, true);
+    Tensor out = net.forward(ctx, input, true);
     nn::SoftmaxCrossEntropy l;
     return l.forward(out, labels);
   };
 
-  Tensor out = net.forward(x, true);
+  Tensor out = net.forward(ctx, x, true);
   loss.forward(out, labels);
   net.zero_grad();
-  Tensor dx = net.backward(loss.backward());
+  Tensor dx = net.backward(ctx, loss.backward());
 
   const float eps = 1e-2f;
   for (std::int64_t i = 0; i < x.numel(); i += 7) {
@@ -130,15 +134,16 @@ TEST(Network, WholeNetGradientCheck) {
 }
 
 TEST(Network, ParamGradientCheckThroughResidual) {
+  exec::ExecContext ctx(1);
   Rng rng(5);
   Network net = make_tiny_resnet(rng);
   Tensor x = Tensor::randn({2, 2, 5, 5}, rng);
   std::vector<std::int64_t> labels = {1, 0};
   nn::SoftmaxCrossEntropy loss;
-  Tensor out = net.forward(x, true);
+  Tensor out = net.forward(ctx, x, true);
   loss.forward(out, labels);
   net.zero_grad();
-  net.backward(loss.backward());
+  net.backward(ctx, loss.backward());
 
   const float eps = 1e-2f;
   for (nn::Param* p : net.params()) {
@@ -148,11 +153,11 @@ TEST(Network, ParamGradientCheckThroughResidual) {
       // batch statistics, which is what backward differentiates.
       const float orig = p->value.data()[i];
       p->value.data()[i] = orig + eps;
-      Tensor o1 = net.forward(x, true);
+      Tensor o1 = net.forward(ctx, x, true);
       nn::SoftmaxCrossEntropy l1;
       const double lp = l1.forward(o1, labels);
       p->value.data()[i] = orig - eps;
-      Tensor o2 = net.forward(x, true);
+      Tensor o2 = net.forward(ctx, x, true);
       nn::SoftmaxCrossEntropy l2;
       const double lm = l2.forward(o2, labels);
       p->value.data()[i] = orig;
@@ -164,14 +169,16 @@ TEST(Network, ParamGradientCheckThroughResidual) {
 }
 
 TEST(Network, BackwardWithoutTrainingForwardThrows) {
+  exec::ExecContext ctx(1);
   Rng rng(6);
   Network net = make_tiny_resnet(rng);
   Tensor x = Tensor::randn({1, 2, 5, 5}, rng);
-  net.forward(x, false);
-  EXPECT_THROW(net.backward(Tensor({1, 3})), std::logic_error);
+  net.forward(ctx, x, false);
+  EXPECT_THROW(net.backward(ctx, Tensor({1, 3})), std::logic_error);
 }
 
 TEST(Network, BypassAddRewiresConsumersAndKillsNodes) {
+  exec::ExecContext ctx(1);
   Rng rng(7);
   Network net = make_tiny_resnet(rng);
   const ResidualBlockInfo& blk = net.info.blocks[0];
@@ -184,7 +191,7 @@ TEST(Network, BypassAddRewiresConsumersAndKillsNodes) {
   EXPECT_FALSE(net.is_live(blk.add_node));
 
   Tensor x = Tensor::randn({1, 2, 5, 5}, rng);
-  Tensor y = net.forward(x, false);  // must still run
+  Tensor y = net.forward(ctx, x, false);  // must still run
   EXPECT_EQ(y.shape(), (Shape{1, 3}));
   // Conv1's params no longer appear.
   for (nn::Param* p : net.params()) {
@@ -193,6 +200,7 @@ TEST(Network, BypassAddRewiresConsumersAndKillsNodes) {
 }
 
 TEST(Network, BypassAddTrainingStillWorks) {
+  exec::ExecContext ctx(1);
   Rng rng(8);
   Network net = make_tiny_resnet(rng);
   const ResidualBlockInfo& blk = net.info.blocks[0];
@@ -200,10 +208,10 @@ TEST(Network, BypassAddTrainingStillWorks) {
   net.bypass_add(blk.add_node, shortcut_src, blk.path_nodes);
   Tensor x = Tensor::randn({2, 2, 5, 5}, rng);
   nn::SoftmaxCrossEntropy loss;
-  Tensor out = net.forward(x, true);
+  Tensor out = net.forward(ctx, x, true);
   loss.forward(out, {0, 1});
   net.zero_grad();
-  Tensor dx = net.backward(loss.backward());
+  Tensor dx = net.backward(ctx, loss.backward());
   EXPECT_EQ(dx.shape(), x.shape());
 }
 
@@ -238,14 +246,15 @@ TEST(Network, NodesOfTypeFindsConvs) {
 TEST(Network, GradientFlowsThroughBothResidualArms) {
   // With y = f(x) + x, dL/dx must include both the identity path and the
   // path through f. Compare against a net with the shortcut removed.
+  exec::ExecContext ctx(1);
   Rng rng(12);
   Network net = make_tiny_resnet(rng);
   Tensor x = Tensor::randn({1, 2, 5, 5}, rng);
   nn::SoftmaxCrossEntropy loss;
-  Tensor out = net.forward(x, true);
+  Tensor out = net.forward(ctx, x, true);
   loss.forward(out, {0});
   net.zero_grad();
-  Tensor dx_res = net.backward(loss.backward());
+  Tensor dx_res = net.backward(ctx, loss.backward());
   double norm = 0;
   for (float v : dx_res.span()) norm += std::fabs(v);
   EXPECT_GT(norm, 0.0);

@@ -39,6 +39,7 @@ TEST(TopoOrder, HandlesNodesAppendedMidGraph) {
   // Simulate what channel gating does: append a node late whose output
   // feeds an *earlier* node id. Execution must follow dependencies, not
   // insertion order.
+  exec::ExecContext ctx(1);
   graph::Network net;
   Rng rng(1);
   const int input = net.add_input();
@@ -63,10 +64,11 @@ TEST(TopoOrder, HandlesNodesAppendedMidGraph) {
   EXPECT_LT(pos_ns, pos_n2);
 
   Tensor x = Tensor::randn({1, 2, 8, 8}, rng);
-  EXPECT_EQ(net.forward(x, false).shape(), (Shape{1, 3, 8, 8}));
+  EXPECT_EQ(net.forward(ctx, x, false).shape(), (Shape{1, 3, 8, 8}));
 }
 
 TEST(TopoOrder, BackwardThroughSplicedGraph) {
+  exec::ExecContext ctx(1);
   graph::Network net;
   Rng rng(2);
   const int input = net.add_input();
@@ -80,11 +82,11 @@ TEST(TopoOrder, BackwardThroughSplicedGraph) {
   net.node(n2).inputs[0] = ns;
 
   Tensor x = Tensor::randn({2, 1, 5, 5}, rng);
-  Tensor y = net.forward(x, true);
+  Tensor y = net.forward(ctx, x, true);
   EXPECT_EQ(y.shape(), (Shape{2, 2}));
   net.zero_grad();
   Tensor dy = Tensor::full({2, 2}, 1.f);
-  Tensor dx = net.backward(dy);
+  Tensor dx = net.backward(ctx, dy);
   EXPECT_EQ(dx.shape(), x.shape());
   double norm = 0;
   for (float v : dx.span()) norm += std::fabs(v);
@@ -222,6 +224,7 @@ TEST(DeviceModel, ReshapeLatencyDominatesSmallTensors) {
 TEST(Cluster, UnevenShardsMatchWeightedFullBatch) {
   // 10 samples over 3 replicas (shards 4/3/3): the weighted allreduce must
   // equal full-batch single-device gradients (BN-free model).
+  exec::ExecContext ctx(1);
   auto make_net = [](std::uint64_t seed) {
     graph::Network net;
     Rng rng(seed);
@@ -249,12 +252,12 @@ TEST(Cluster, UnevenShardsMatchWeightedFullBatch) {
   for (int i = 0; i < 10; ++i) batch.labels.push_back(i % 3);
 
   optim::SGD opt_c(0.1f, 0.f), opt_s(0.1f, 0.f);
-  cluster.step(exec::ExecContext::serial(), batch, opt_c);
+  cluster.step(ctx, batch, opt_c);
   nn::SoftmaxCrossEntropy loss;
-  Tensor out = solo.forward(batch.images, true);
+  Tensor out = solo.forward(ctx, batch.images, true);
   loss.forward(out, batch.labels);
   solo.zero_grad();
-  solo.backward(loss.backward());
+  solo.backward(ctx, loss.backward());
   opt_s.step(solo.params());
 
   auto pc = cluster.replica(0).params();
@@ -296,6 +299,7 @@ TEST(Trainer, EvalIntervalCachesAccuracy) {
 // --- End-to-end: train -> union -> gating deployment -------------------------------
 
 TEST(EndToEnd, TrainedModelSurvivesGatingDeployment) {
+  exec::ExecContext ctx(1);
   data::SyntheticSpec spec;
   spec.classes = 6;
   spec.height = 8;
@@ -314,8 +318,8 @@ TEST(EndToEnd, TrainedModelSurvivesGatingDeployment) {
   cfg.batch_size = 64;
   cfg.base_lr = 0.1f;
   cfg.policy = core::PrunePolicy::kPruneTrain;
-  cfg.lasso_ratio = 0.3f;
-  cfg.lasso_boost = 200.f;
+  cfg.strategy_params["ratio"] = "0.3";
+  cfg.strategy_params["boost"] = "200";
   cfg.reconfig_interval = 4;
   cfg.eval_interval = 4;
   core::PruneTrainer trainer(net, ds, cfg);
@@ -330,7 +334,7 @@ TEST(EndToEnd, TrainedModelSurvivesGatingDeployment) {
   EXPECT_LE(after.inference_flops(), before.inference_flops());
   Rng rng(11);
   Tensor x = Tensor::randn({4, 3, 8, 8}, rng);
-  Tensor y = net.forward(x, false);
+  Tensor y = net.forward(ctx, x, false);
   EXPECT_EQ(y.shape(), (Shape{4, 6}));
   for (float v : y.span()) EXPECT_TRUE(std::isfinite(v));
 }
@@ -352,8 +356,8 @@ TEST(EndToEnd, SslFinalModelIsPruned) {
   cfg.epochs = 12;
   cfg.batch_size = 48;
   cfg.policy = core::PrunePolicy::kSSL;
-  cfg.lasso_ratio = 0.3f;
-  cfg.lasso_boost = 300.f;
+  cfg.strategy_params["ratio"] = "0.3";
+  cfg.strategy_params["boost"] = "300";
   cfg.eval_interval = 4;
   core::PruneTrainer trainer(net, ds, cfg);
   const auto r = trainer.run();
@@ -380,11 +384,11 @@ TEST(EndToEnd, LambdaIncludesBoost) {
   cfg.epochs = 1;
   cfg.batch_size = 32;
   cfg.policy = core::PrunePolicy::kPruneTrain;
-  cfg.lasso_ratio = 0.2f;
-  cfg.lasso_boost = 1.f;
+  cfg.strategy_params["ratio"] = "0.2";
+  cfg.strategy_params["boost"] = "1";
   core::PruneTrainer t1(net1, ds, cfg);
   const float base_lambda = t1.run().lambda;
-  cfg.lasso_boost = 10.f;
+  cfg.strategy_params["boost"] = "10";
   core::PruneTrainer t2(net2, ds, cfg);
   const float boosted = t2.run().lambda;
   EXPECT_NEAR(boosted, 10.f * base_lambda, 1e-5f * boosted);

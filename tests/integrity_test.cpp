@@ -77,8 +77,9 @@ core::TrainConfig integrity_cfg(const std::string& dir) {
   cfg.base_lr = 0.1f;
   cfg.weight_decay = 1e-4f;
   cfg.lr_milestones = {3, 5};
-  cfg.lasso_ratio = 0.3f;
-  cfg.lasso_boost = 2000.f;  // proxy time compression; prunes by epoch 2
+  cfg.strategy_params["ratio"] = "0.3";
+  // Proxy time compression; prunes by epoch 2.
+  cfg.strategy_params["boost"] = "2000";
   cfg.reconfig_interval = 2;
   cfg.eval_interval = 2;
   cfg.checkpoint_dir = dir;
@@ -328,9 +329,9 @@ TEST(FaultSpec, HelpDocumentsTheSdcKinds) {
 
 TEST(FaultSpec, RejectsSdcTargetingANonexistentReplica) {
   const std::string spec = "sdc-param:replica=3,step=1";
-  EXPECT_THROW(robust::validate_training_faults(spec, 3, false),
+  EXPECT_THROW(robust::validate_training_faults(spec, 3, false, 1),
                std::invalid_argument);
-  EXPECT_NO_THROW(robust::validate_training_faults(spec, 4, false));
+  EXPECT_NO_THROW(robust::validate_training_faults(spec, 4, false, 1));
   // The trainer routes --fault-spec through the same check.
   core::TrainConfig cfg;
   cfg.replicas = 2;

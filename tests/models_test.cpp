@@ -54,11 +54,12 @@ TEST(ResNetBasic, RejectsBadDepth) {
 }
 
 TEST(ResNetBasic, ForwardShape) {
+  exec::ExecContext ctx(1);
   auto cfg = tiny_cfg();
   auto net = build_resnet_basic(20, cfg);
   Rng rng(1);
   Tensor x = Tensor::randn({2, 3, cfg.image_h, cfg.image_w}, rng);
-  Tensor y = net.forward(x, false);
+  Tensor y = net.forward(ctx, x, false);
   EXPECT_EQ(y.shape(), (Shape{2, cfg.classes}));
 }
 
@@ -79,6 +80,7 @@ TEST(ResNetBasic, BlockInfoConsistent) {
 }
 
 TEST(ResNet50, StructureAndShape) {
+  exec::ExecContext ctx(1);
   auto cfg = tiny_cfg();
   cfg.width_mult = 0.1f;
   auto net = build_resnet50(cfg, false);
@@ -88,7 +90,7 @@ TEST(ResNet50, StructureAndShape) {
   EXPECT_EQ(count_conv_layers(net), 1 + 48 + 4);
   Rng rng(2);
   Tensor x = Tensor::randn({1, 3, 8, 8}, rng);
-  EXPECT_EQ(net.forward(x, false).shape(), (Shape{1, cfg.classes}));
+  EXPECT_EQ(net.forward(ctx, x, false).shape(), (Shape{1, cfg.classes}));
 }
 
 TEST(ResNet50, BottleneckBlockInfo) {
@@ -108,6 +110,7 @@ TEST(ResNet50, BottleneckBlockInfo) {
 }
 
 TEST(ResNet50, ImageNetStemDownsamples) {
+  exec::ExecContext ctx(1);
   ModelConfig cfg;
   cfg.image_h = 32;
   cfg.image_w = 32;
@@ -116,7 +119,7 @@ TEST(ResNet50, ImageNetStemDownsamples) {
   auto net = build_resnet50(cfg, /*imagenet_stem=*/true);
   Rng rng(3);
   Tensor x = Tensor::randn({1, 3, 32, 32}, rng);
-  EXPECT_EQ(net.forward(x, false).shape(), (Shape{1, 10}));
+  EXPECT_EQ(net.forward(ctx, x, false).shape(), (Shape{1, 10}));
 }
 
 TEST(Vgg, ConvCounts) {
@@ -130,11 +133,12 @@ TEST(Vgg, ConvCounts) {
 }
 
 TEST(Vgg, ForwardShapeSmallInput) {
+  exec::ExecContext ctx(1);
   auto cfg = tiny_cfg();  // 8x8 input: only 3 pools possible
   auto net = build_vgg(11, cfg);
   Rng rng(4);
   Tensor x = Tensor::randn({2, 3, 8, 8}, rng);
-  EXPECT_EQ(net.forward(x, false).shape(), (Shape{2, cfg.classes}));
+  EXPECT_EQ(net.forward(ctx, x, false).shape(), (Shape{2, cfg.classes}));
 }
 
 TEST(BuildByName, DispatchesAll) {
@@ -173,6 +177,7 @@ TEST(Builders, WidthMultScalesParams) {
 
 TEST(Builders, OneTrainingStepReducesLoss) {
   // Integration smoke: a few SGD steps on one batch should reduce loss.
+  exec::ExecContext ctx(1);
   auto cfg = tiny_cfg();
   auto net = build_resnet_basic(8, cfg);
   Rng rng(5);
@@ -182,12 +187,12 @@ TEST(Builders, OneTrainingStepReducesLoss) {
   nn::SoftmaxCrossEntropy loss_fn;
   double first_loss = 0, last_loss = 0;
   for (int step = 0; step < 12; ++step) {
-    Tensor out = net.forward(x, true);
+    Tensor out = net.forward(ctx, x, true);
     const double l = loss_fn.forward(out, labels);
     if (step == 0) first_loss = l;
     last_loss = l;
     net.zero_grad();
-    net.backward(loss_fn.backward());
+    net.backward(ctx, loss_fn.backward());
     for (nn::Param* p : net.params()) {
       for (std::int64_t q = 0; q < p->value.numel(); ++q) {
         p->value.data()[q] -= 0.1f * p->grad.data()[q];

@@ -32,11 +32,12 @@ struct Probe {
 
 /// Central-difference check of dL/dx returned by backward().
 void check_input_grad(Layer& layer, Tensor& x, double tol = 2e-2) {
+  exec::ExecContext ctx(1);
   Rng rng(99);
-  Tensor out = layer.forward(x, true);
+  Tensor out = layer.forward(ctx, x, true);
   Probe probe{Tensor::randn(out.shape(), rng)};
   layer.zero_grad();
-  Tensor dx = layer.backward(probe.w);
+  Tensor dx = layer.backward(ctx, probe.w);
   ASSERT_EQ(dx.shape(), x.shape());
 
   const float eps = 1e-2f;
@@ -48,9 +49,9 @@ void check_input_grad(Layer& layer, Tensor& x, double tol = 2e-2) {
   for (std::int64_t i = 0; i < x.numel(); i += stride) {
     const float orig = x.data()[i];
     x.data()[i] = orig + eps;
-    const double lp = probe.loss(layer.forward(x, true));
+    const double lp = probe.loss(layer.forward(ctx, x, true));
     x.data()[i] = orig - eps;
-    const double lm = probe.loss(layer.forward(x, true));
+    const double lm = probe.loss(layer.forward(ctx, x, true));
     x.data()[i] = orig;
     const double fd = (lp - lm) / (2.0 * eps);
     EXPECT_NEAR(dx.data()[i], fd, tol * std::max(1.0, std::fabs(fd)))
@@ -60,20 +61,21 @@ void check_input_grad(Layer& layer, Tensor& x, double tol = 2e-2) {
 
 /// Central-difference check of every parameter gradient.
 void check_param_grads(Layer& layer, Tensor& x, double tol = 2e-2) {
+  exec::ExecContext ctx(1);
   Rng rng(7);
-  Tensor out = layer.forward(x, true);
+  Tensor out = layer.forward(ctx, x, true);
   Probe probe{Tensor::randn(out.shape(), rng)};
   layer.zero_grad();
-  (void)layer.backward(probe.w);
+  (void)layer.backward(ctx, probe.w);
   const float eps = 1e-2f;
   for (Param* p : layer.params()) {
     const std::int64_t stride = std::max<std::int64_t>(1, p->value.numel() / 48);
     for (std::int64_t i = 0; i < p->value.numel(); i += stride) {
       const float orig = p->value.data()[i];
       p->value.data()[i] = orig + eps;
-      const double lp = probe.loss(layer.forward(x, true));
+      const double lp = probe.loss(layer.forward(ctx, x, true));
       p->value.data()[i] = orig - eps;
-      const double lm = probe.loss(layer.forward(x, true));
+      const double lm = probe.loss(layer.forward(ctx, x, true));
       p->value.data()[i] = orig;
       const double fd = (lp - lm) / (2.0 * eps);
       EXPECT_NEAR(p->grad.data()[i], fd, tol * std::max(1.0, std::fabs(fd)))
@@ -119,13 +121,14 @@ TEST(Conv2d, OutputShape) {
 }
 
 TEST(Conv2d, BiasAddsPerChannel) {
+  exec::ExecContext ctx(1);
   Rng rng(4);
   Conv2d conv(1, 2, 1, 1, 0, rng, /*bias=*/true);
   conv.weight().value.fill(0.f);
   conv.bias().value.at(0) = 1.5f;
   conv.bias().value.at(1) = -2.f;
   Tensor x = Tensor::randn({1, 1, 3, 3}, rng);
-  Tensor y = conv.forward(x, false);
+  Tensor y = conv.forward(ctx, x, false);
   EXPECT_FLOAT_EQ(y.at(0, 0, 1, 1), 1.5f);
   EXPECT_FLOAT_EQ(y.at(0, 1, 2, 2), -2.f);
 }
@@ -138,16 +141,18 @@ TEST(Conv2d, BiasGradCheck) {
 }
 
 TEST(Conv2d, RejectsWrongChannelCount) {
+  exec::ExecContext ctx(1);
   Rng rng(6);
   Conv2d conv(3, 4, 3, 1, 1, rng);
   Tensor x({1, 2, 8, 8});
-  EXPECT_THROW(conv.forward(x, false), std::invalid_argument);
+  EXPECT_THROW(conv.forward(ctx, x, false), std::invalid_argument);
 }
 
 TEST(Conv2d, BackwardWithoutForwardThrows) {
+  exec::ExecContext ctx(1);
   Rng rng(7);
   Conv2d conv(1, 1, 1, 1, 0, rng);
-  EXPECT_THROW(conv.backward(Tensor({1, 1, 1, 1})), std::logic_error);
+  EXPECT_THROW(conv.backward(ctx, Tensor({1, 1, 1, 1})), std::logic_error);
 }
 
 TEST(Conv2d, ChannelMaxAbsGroups) {
@@ -196,6 +201,7 @@ TEST(Conv2d, ShrinkSlicesWeightGradMomentumConsistently) {
 TEST(Conv2d, ShrinkPreservesFunctionOnKeptChannels) {
   // If removed in/out channels have zero weights, the shrunk conv computes
   // exactly the same values on the kept channels.
+  exec::ExecContext ctx(1);
   Rng rng(11);
   Conv2d conv(3, 3, 3, 1, 1, rng);
   // Zero everything touching input channel 1 and output channel 2.
@@ -206,7 +212,7 @@ TEST(Conv2d, ShrinkPreservesFunctionOnKeptChannels) {
     for (std::int64_t q = 0; q < 9; ++q)
       conv.weight().value.data()[(2 * 3 + c) * 9 + q] = 0.f;
   Tensor x = Tensor::randn({2, 3, 5, 5}, rng);
-  Tensor y_full = conv.forward(x, false);
+  Tensor y_full = conv.forward(ctx, x, false);
 
   conv.shrink({0, 2}, {0, 1});
   // Gather kept input channels 0, 2.
@@ -216,7 +222,7 @@ TEST(Conv2d, ShrinkPreservesFunctionOnKeptChannels) {
       xs.data()[(n * 2 + 0) * 25 + q] = x.data()[(n * 3 + 0) * 25 + q];
       xs.data()[(n * 2 + 1) * 25 + q] = x.data()[(n * 3 + 2) * 25 + q];
     }
-  Tensor y_small = conv.forward(xs, false);
+  Tensor y_small = conv.forward(ctx, xs, false);
   for (std::int64_t n = 0; n < 2; ++n)
     for (std::int64_t k = 0; k < 2; ++k)
       for (std::int64_t q = 0; q < 25; ++q) {
@@ -235,10 +241,11 @@ TEST(Conv2d, ShrinkEmptyKeepSetThrows) {
 // --- BatchNorm2d -------------------------------------------------------------
 
 TEST(BatchNorm2d, NormalizesToZeroMeanUnitVar) {
+  exec::ExecContext ctx(1);
   Rng rng(20);
   BatchNorm2d bn(3);
   Tensor x = Tensor::randn({4, 3, 5, 5}, rng, 2.f, 3.f);
-  Tensor y = bn.forward(x, true);
+  Tensor y = bn.forward(ctx, x, true);
   for (std::int64_t c = 0; c < 3; ++c) {
     double mean = 0, var = 0;
     for (std::int64_t n = 0; n < 4; ++n)
@@ -256,6 +263,7 @@ TEST(BatchNorm2d, NormalizesToZeroMeanUnitVar) {
 }
 
 TEST(BatchNorm2d, RunningStatsConvergeToBatchStats) {
+  exec::ExecContext ctx(1);
   Rng rng(21);
   BatchNorm2d bn(2, /*momentum=*/0.5f);
   Tensor x = Tensor::randn({8, 2, 4, 4}, rng, -1.f, 2.f);
@@ -271,18 +279,19 @@ TEST(BatchNorm2d, RunningStatsConvergeToBatchStats) {
       var += d * d;
     }
   var /= 128.0;
-  for (int i = 0; i < 20; ++i) bn.forward(x, true);
+  for (int i = 0; i < 20; ++i) bn.forward(ctx, x, true);
   EXPECT_NEAR(bn.running_mean().at(0), mean, 1e-3);
   EXPECT_NEAR(bn.running_var().at(0), var, 1e-2);
 }
 
 TEST(BatchNorm2d, EvalUsesRunningStats) {
+  exec::ExecContext ctx(1);
   Rng rng(22);
   BatchNorm2d bn(1);
   bn.running_mean().at(0) = 5.f;
   bn.running_var().at(0) = 4.f;
   Tensor x = Tensor::full({1, 1, 2, 2}, 7.f);
-  Tensor y = bn.forward(x, false);
+  Tensor y = bn.forward(ctx, x, false);
   // (7 - 5) / sqrt(4) = 1.
   EXPECT_NEAR(y.at(0, 0, 0, 0), 1.f, 1e-3f);
 }
@@ -329,13 +338,14 @@ TEST(ReLU, GradCheck) {
 }
 
 TEST(MaxPool2d, ForwardPicksMaxAndRoutesGrad) {
+  exec::ExecContext ctx(1);
   MaxPool2d pool(2);
   Tensor x = Tensor::from_values({1, 1, 2, 2}, {1, 4, 3, 2});
-  Tensor y = pool.forward(x, true);
+  Tensor y = pool.forward(ctx, x, true);
   EXPECT_EQ(y.shape(), (Shape{1, 1, 1, 1}));
   EXPECT_EQ(y.at(0, 0, 0, 0), 4.f);
   Tensor dy = Tensor::full({1, 1, 1, 1}, 2.f);
-  Tensor dx = pool.backward(dy);
+  Tensor dx = pool.backward(ctx, dy);
   EXPECT_EQ(dx.at(0, 0, 0, 1), 2.f);  // grad at argmax
   EXPECT_EQ(dx.at(0, 0, 0, 0), 0.f);
 }
@@ -348,15 +358,17 @@ TEST(MaxPool2d, GradCheck) {
 }
 
 TEST(MaxPool2d, RejectsIndivisibleInput) {
+  exec::ExecContext ctx(1);
   MaxPool2d pool(2);
   Tensor x({1, 1, 3, 4});
-  EXPECT_THROW(pool.forward(x, false), std::invalid_argument);
+  EXPECT_THROW(pool.forward(ctx, x, false), std::invalid_argument);
 }
 
 TEST(GlobalAvgPool, ForwardAveragesChannel) {
+  exec::ExecContext ctx(1);
   GlobalAvgPool gap;
   Tensor x = Tensor::from_values({1, 2, 1, 2}, {1, 3, 10, 20});
-  Tensor y = gap.forward(x, false);
+  Tensor y = gap.forward(ctx, x, false);
   EXPECT_EQ(y.shape(), (Shape{1, 2}));
   EXPECT_FLOAT_EQ(y.at(0, 0), 2.f);
   EXPECT_FLOAT_EQ(y.at(0, 1), 15.f);
@@ -382,12 +394,13 @@ TEST(Linear, GradChecks) {
 }
 
 TEST(Linear, KnownValue) {
+  exec::ExecContext ctx(1);
   Rng rng(41);
   Linear fc(2, 1, rng);
   fc.weight().value = Tensor::from_values({1, 2}, {2.f, -1.f});
   fc.bias().value.at(0) = 0.5f;
   Tensor x = Tensor::from_values({1, 2}, {3.f, 4.f});
-  Tensor y = fc.forward(x, false);
+  Tensor y = fc.forward(ctx, x, false);
   EXPECT_FLOAT_EQ(y.at(0, 0), 2 * 3 - 4 + 0.5f);
 }
 
@@ -457,19 +470,21 @@ TEST(SoftmaxCrossEntropy, RejectsBadLabel) {
 // --- ChannelSelect / ChannelScatter ----------------------------------------------
 
 TEST(ChannelIndex, SelectGathersChannels) {
+  exec::ExecContext ctx(1);
   ChannelSelect sel({2, 0}, 3);
   Tensor x({1, 3, 1, 2});
   for (std::int64_t i = 0; i < 6; ++i) x.data()[i] = float(i);
-  Tensor y = sel.forward(x, false);
+  Tensor y = sel.forward(ctx, x, false);
   EXPECT_EQ(y.shape(), (Shape{1, 2, 1, 2}));
   EXPECT_EQ(y.at(0, 0, 0, 0), 4.f);  // channel 2
   EXPECT_EQ(y.at(0, 1, 0, 1), 1.f);  // channel 0
 }
 
 TEST(ChannelIndex, ScatterPlacesChannelsZeroElsewhere) {
+  exec::ExecContext ctx(1);
   ChannelScatter sca({1}, 3);
   Tensor x = Tensor::full({1, 1, 2, 2}, 5.f);
-  Tensor y = sca.forward(x, false);
+  Tensor y = sca.forward(ctx, x, false);
   EXPECT_EQ(y.shape(), (Shape{1, 3, 2, 2}));
   EXPECT_EQ(y.at(0, 0, 0, 0), 0.f);
   EXPECT_EQ(y.at(0, 1, 0, 0), 5.f);
@@ -477,6 +492,7 @@ TEST(ChannelIndex, ScatterPlacesChannelsZeroElsewhere) {
 }
 
 TEST(ChannelIndex, SelectScatterAreAdjoint) {
+  exec::ExecContext ctx(1);
   Rng rng(60);
   std::vector<std::int64_t> idx = {0, 3, 4};
   ChannelSelect sel(idx, 6);
@@ -484,8 +500,8 @@ TEST(ChannelIndex, SelectScatterAreAdjoint) {
   Tensor x = Tensor::randn({2, 6, 3, 3}, rng);
   Tensor y = Tensor::randn({2, 3, 3, 3}, rng);
   // <select(x), y> == <x, scatter(y)>
-  Tensor sx = sel.forward(x, false);
-  Tensor sy = sca.forward(y, false);
+  Tensor sx = sel.forward(ctx, x, false);
+  Tensor sy = sca.forward(ctx, y, false);
   double lhs = 0, rhs = 0;
   for (std::int64_t i = 0; i < sx.numel(); ++i) lhs += double(sx.data()[i]) * y.data()[i];
   for (std::int64_t i = 0; i < x.numel(); ++i) rhs += double(x.data()[i]) * sy.data()[i];

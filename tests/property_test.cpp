@@ -105,6 +105,7 @@ void PrintTo(const PropertyCase& c, std::ostream* os) {
 class FunctionPreservationTest : public ::testing::TestWithParam<PropertyCase> {};
 
 TEST_P(FunctionPreservationTest, UnionReconfigureIsExact) {
+  exec::ExecContext ctx(1);
   const auto [model, seed] = GetParam();
   auto cfg = tiny_cfg();
   cfg.seed = seed;
@@ -113,7 +114,7 @@ TEST_P(FunctionPreservationTest, UnionReconfigureIsExact) {
 
   Rng rng(seed);
   Tensor x = Tensor::randn({2, 3, 8, 8}, rng);
-  Tensor before = net.forward(x, false).clone();
+  Tensor before = net.forward(ctx, x, false).clone();
 
   prune::Reconfigurer rec(net, 1e-4f);
   const auto stats = rec.reconfigure();
@@ -122,7 +123,7 @@ TEST_P(FunctionPreservationTest, UnionReconfigureIsExact) {
     // on both sides of some variable; at 30% kill rate this is certain.
     EXPECT_TRUE(stats.changed);
   }
-  Tensor after = net.forward(x, false);
+  Tensor after = net.forward(ctx, x, false);
   ASSERT_EQ(before.shape(), after.shape());
   for (std::int64_t i = 0; i < before.numel(); ++i) {
     EXPECT_NEAR(before.data()[i], after.data()[i],

@@ -272,6 +272,7 @@ TEST(ChannelAnalysis, EmptyVariableKeepsStrongestChannel) {
 TEST(Reconfigure, FunctionPreservedExactlyWhenChannelsDead) {
   // VGG-style chain: kill a channel on both sides, reconfigure, and the
   // network must compute the *same* outputs (eval mode).
+  exec::ExecContext ctx(1);
   auto cfg = tiny_cfg();
   auto net = models::build_vgg(11, cfg);
   Rng rng(12);
@@ -281,12 +282,12 @@ TEST(Reconfigure, FunctionPreservedExactlyWhenChannelsDead) {
   kill_in_channel(net, convs[1], 1);
 
   Tensor x = Tensor::randn({2, 3, 8, 8}, rng);
-  Tensor before = net.forward(x, false).clone();
+  Tensor before = net.forward(ctx, x, false).clone();
   Reconfigurer rec(net, 1e-4f);
   const auto stats = rec.reconfigure();
   EXPECT_TRUE(stats.changed);
   EXPECT_EQ(stats.channels_after, stats.channels_before - 1);
-  Tensor after = net.forward(x, false);
+  Tensor after = net.forward(ctx, x, false);
   ASSERT_EQ(before.shape(), after.shape());
   for (std::int64_t i = 0; i < before.numel(); ++i) {
     EXPECT_NEAR(before.data()[i], after.data()[i], 1e-4f) << "at " << i;
@@ -294,6 +295,7 @@ TEST(Reconfigure, FunctionPreservedExactlyWhenChannelsDead) {
 }
 
 TEST(Reconfigure, ResidualStageFunctionPreserved) {
+  exec::ExecContext ctx(1);
   auto cfg = tiny_cfg();
   auto net = models::build_resnet_basic(8, cfg);
   Rng rng(13);
@@ -309,11 +311,11 @@ TEST(Reconfigure, ResidualStageFunctionPreserved) {
   kill_in_channel(net, blk1.shortcut_conv, 2);
 
   Tensor x = Tensor::randn({2, 3, 8, 8}, rng);
-  Tensor before = net.forward(x, false).clone();
+  Tensor before = net.forward(ctx, x, false).clone();
   Reconfigurer rec(net, 1e-4f);
   const auto stats = rec.reconfigure();
   EXPECT_TRUE(stats.changed);
-  Tensor after = net.forward(x, false);
+  Tensor after = net.forward(ctx, x, false);
   for (std::int64_t i = 0; i < before.numel(); ++i) {
     EXPECT_NEAR(before.data()[i], after.data()[i], 1e-4f);
   }
@@ -341,6 +343,7 @@ TEST(Reconfigure, MomentumPreservedForSurvivors) {
 }
 
 TEST(Reconfigure, DeadBranchRemovedAndBypassed) {
+  exec::ExecContext ctx(1);
   auto net = models::build_resnet_basic(20, tiny_cfg());
   // Kill every out-channel of block 1's first conv: whole branch dies.
   const auto& blk = net.info.blocks[1];
@@ -356,10 +359,11 @@ TEST(Reconfigure, DeadBranchRemovedAndBypassed) {
   // The network still trains and evaluates.
   Rng rng(14);
   Tensor x = Tensor::randn({2, 3, 8, 8}, rng);
-  EXPECT_EQ(net.forward(x, false).shape(), (Shape{2, 4}));
+  EXPECT_EQ(net.forward(ctx, x, false).shape(), (Shape{2, 4}));
 }
 
 TEST(Reconfigure, DeadBranchFunctionPreservedWithIdentityShortcut) {
+  exec::ExecContext ctx(1);
   auto net = models::build_resnet_basic(8, tiny_cfg());
   const auto& blk = net.info.blocks[0];  // identity shortcut
   // Kill the *last* conv of the branch and neutralize its BN: branch
@@ -373,11 +377,11 @@ TEST(Reconfigure, DeadBranchFunctionPreservedWithIdentityShortcut) {
 
   Rng rng(15);
   Tensor x = Tensor::randn({2, 3, 8, 8}, rng);
-  Tensor before = net.forward(x, false).clone();
+  Tensor before = net.forward(ctx, x, false).clone();
   Reconfigurer rec(net, 1e-4f);
   const auto stats = rec.reconfigure();
   EXPECT_EQ(stats.blocks_removed, 1);
-  Tensor after = net.forward(x, false);
+  Tensor after = net.forward(ctx, x, false);
   for (std::int64_t i = 0; i < before.numel(); ++i) {
     EXPECT_NEAR(before.data()[i], after.data()[i], 1e-4f);
   }
@@ -409,6 +413,7 @@ TEST(Reconfigure, ClassifierInputsFollowLastStage) {
 // --- Channel gating -------------------------------------------------------------
 
 TEST(Gating, InsertsGatesAndPreservesFunction) {
+  exec::ExecContext ctx(1);
   auto net = models::build_resnet_basic(8, tiny_cfg());
   Rng rng(16);
   const auto& blk = net.info.blocks[1];  // stage-1 block (projection shortcut)
@@ -421,14 +426,14 @@ TEST(Gating, InsertsGatesAndPreservesFunction) {
   // Union reconfigure first (gating builds on the union model).
   Reconfigurer rec(net, 1e-4f);
   rec.reconfigure();
-  Tensor union_out = net.forward(x, false).clone();
+  Tensor union_out = net.forward(ctx, x, false).clone();
 
   const auto stats = apply_channel_gating(net, 1e-4f);
   EXPECT_EQ(stats.selects_inserted, 1);
   EXPECT_EQ(stats.scatters_inserted, 1);
   EXPECT_GT(stats.channels_gated_away, 0);
 
-  Tensor gated_out = net.forward(x, false);
+  Tensor gated_out = net.forward(ctx, x, false);
   ASSERT_EQ(union_out.shape(), gated_out.shape());
   for (std::int64_t i = 0; i < union_out.numel(); ++i) {
     EXPECT_NEAR(union_out.data()[i], gated_out.data()[i], 1e-4f) << "at " << i;
@@ -516,17 +521,18 @@ TEST(LayerDensities, ReflectSparsity) {
 // --- Snapshots -------------------------------------------------------------------
 
 TEST(Snapshot, RoundTripRestoresEverything) {
+  exec::ExecContext ctx(1);
   auto net = models::build_resnet_basic(8, tiny_cfg());
   Rng rng(17);
   Tensor x = Tensor::randn({2, 3, 8, 8}, rng);
   // Mutate BN running stats via a training forward.
-  net.forward(x, true);
+  net.forward(ctx, x, true);
   const Snapshot snap = save_state(net);
-  Tensor before = net.forward(x, false).clone();
+  Tensor before = net.forward(ctx, x, false).clone();
   // Scramble all state.
   for (nn::Param* p : net.params()) p->value.fill(0.123f);
   load_state(net, snap);
-  Tensor after = net.forward(x, false);
+  Tensor after = net.forward(ctx, x, false);
   for (std::int64_t i = 0; i < before.numel(); ++i) {
     EXPECT_FLOAT_EQ(before.data()[i], after.data()[i]);
   }

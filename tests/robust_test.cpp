@@ -74,8 +74,9 @@ core::TrainConfig guardian_cfg(const std::string& dir) {
   cfg.base_lr = 0.1f;
   cfg.weight_decay = 1e-4f;
   cfg.lr_milestones = {3, 5};
-  cfg.lasso_ratio = 0.3f;
-  cfg.lasso_boost = 2000.f;  // proxy time compression; prunes by epoch 2
+  cfg.strategy_params["ratio"] = "0.3";
+  // Proxy time compression; prunes by epoch 2.
+  cfg.strategy_params["boost"] = "2000";
   cfg.reconfig_interval = 2;
   cfg.eval_interval = 2;
   cfg.checkpoint_dir = dir;
@@ -602,6 +603,11 @@ TEST(TrainConfigFaults, EveryKindIsRejectedOrFires) {
       {"corrupt-ckpt:step=1", false, false, true},
       {"sdc-param:epoch=0,step=1", false, false, false},
       {"sdc-momentum:replica=0,step=1", false, true, false},
+      // An epoch= past the end of the 1-epoch run: gradient epochs are
+      // 0-based, checkpoints are matched after the epoch counter advances.
+      {"nan-grad:epoch=1,step=1", false, false, false},
+      {"corrupt-ckpt:epoch=1", true, true, true},
+      {"truncate-ckpt:epoch=2", false, false, true},
       {"poison-ckpt", false, false, false},
       {"slow-model", false, false, false},
       {"flaky-output", false, false, false},
@@ -776,7 +782,7 @@ TEST(Guardian, RecoveryDisabledObservesButDoesNotInterrupt) {
   cfg.epochs = 3;
   cfg.batch_size = 64;
   cfg.base_lr = 0.1f;
-  cfg.lasso_ratio = 0.3f;
+  cfg.strategy_params["ratio"] = "0.3";
   cfg.fault_spec = "nan-grad:epoch=1,step=0";
   core::PruneTrainer trainer(net, data, cfg);
   const auto result = trainer.run();
@@ -803,7 +809,7 @@ TEST(Guardian, MinChannelFloorKeepsPrunedNetworkTrainable) {
   cfg.epochs = 2;
   cfg.batch_size = 64;
   cfg.base_lr = 0.1f;
-  cfg.lasso_ratio = 0.3f;
+  cfg.strategy_params["ratio"] = "0.3";
   cfg.reconfig_interval = 1;
   cfg.threshold = 1e9f;  // every channel is "prunable"
   cfg.prune_min_channels = 2;

@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
 
 #include "core/trainer.h"
 #include "cost/flops.h"
@@ -20,6 +21,7 @@
 #include "telemetry/json.h"
 #include "telemetry/metrics.h"
 #include "telemetry/record.h"
+#include "util/fileio.h"
 
 namespace pt::telemetry {
 namespace {
@@ -245,6 +247,44 @@ TEST(RunRecorderTest, ManifestAndRecordsRoundTripThroughDisk) {
   fs::remove_all(dir);
 }
 
+TEST(RunRecorderTest, TornTailIsSkippedOnRead) {
+  const fs::path dir = scratch_dir("torn_read");
+  RunRecorder rec(dir.string(), RunManifest{});
+  rec.append(sample_record());
+  {
+    // A crash mid-append leaves an unterminated half line.
+    std::ofstream f(dir / "epochs.jsonl", std::ios::app | std::ios::binary);
+    f << R"({"schema":"pt-telemetry-epoch","epo)";
+  }
+  const auto records = RunRecorder::read_records(dir.string());
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].epoch, 3);
+  {
+    // A malformed *complete* line is not a torn append: it still throws.
+    std::ofstream f(dir / "epochs.jsonl", std::ios::app | std::ios::binary);
+    f << "\n";
+  }
+  EXPECT_THROW(RunRecorder::read_records(dir.string()), std::runtime_error);
+  fs::remove_all(dir);
+}
+
+TEST(RunRecorderTest, TornTailIsTruncatedBeforeTheNextAppend) {
+  const fs::path dir = scratch_dir("torn_append");
+  RunRecorder rec(dir.string(), RunManifest{});
+  EpochRecord r = sample_record();
+  rec.append(r);
+  const std::string first = r.to_json().dump() + "\n";
+  {
+    std::ofstream f(dir / "epochs.jsonl", std::ios::app | std::ios::binary);
+    f << R"({"schema":"pt-telemetry-epoch","epo)";
+  }
+  r.epoch = 4;
+  rec.append(r);  // the resumed run's next epoch
+  EXPECT_EQ(read_file_text((dir / "epochs.jsonl").string()),
+            first + r.to_json().dump() + "\n");
+  fs::remove_all(dir);
+}
+
 TEST(RunRecorderTest, ReadRecordsOnEmptyDirectoryIsEmpty) {
   const fs::path dir = scratch_dir("empty");
   EXPECT_TRUE(RunRecorder::read_records(dir.string()).empty());
@@ -265,6 +305,7 @@ models::ModelConfig tiny_model() {
 /// cost::FlopsModel analytical values, and the measured profile comes from
 /// real executed passes — before AND after a reconfiguration.
 TEST(LayerRecords, MatchAnalyticalFlopsBeforeAndAfterReconfig) {
+  exec::ExecContext ctx(1);
   auto net = models::build_resnet_basic(8, tiny_model());
   const Shape input{3, 8, 8};
   net.set_profiling(true);
@@ -273,8 +314,8 @@ TEST(LayerRecords, MatchAnalyticalFlopsBeforeAndAfterReconfig) {
   auto run_passes = [&](int n) {
     for (int i = 0; i < n; ++i) {
       Tensor x = Tensor::randn({2, 3, 8, 8}, rng);
-      Tensor y = net.forward(x, true);
-      net.backward(Tensor::full(y.shape(), 1.f / float(y.shape()[0])));
+      Tensor y = net.forward(ctx, x, true);
+      net.backward(ctx, Tensor::full(y.shape(), 1.f / float(y.shape()[0])));
     }
   };
   auto check_against_model = [&](int expected_calls, double* total_out) {
@@ -348,7 +389,7 @@ TEST(TrainerTelemetry, WritesManifestAndOneRecordPerEpoch) {
   cfg.batch_size = 32;
   cfg.base_lr = 0.05f;
   cfg.reconfig_interval = 2;
-  cfg.lasso_ratio = 0.25f;
+  cfg.strategy_params["ratio"] = "0.25";
   cfg.policy = core::PrunePolicy::kPruneTrain;
   cfg.metrics_dir = dir.string();
   cfg.run_name = "unit-train";
@@ -359,6 +400,11 @@ TEST(TrainerTelemetry, WritesManifestAndOneRecordPerEpoch) {
   const RunManifest m = RunRecorder::read_manifest(dir.string());
   EXPECT_EQ(m.run_name, "unit-train");
   EXPECT_EQ(m.config.at("epochs").as_int(), 4);
+  // The manifest records the resolved strategy parameters, defaults
+  // included, not just the keys the config set.
+  const Json& params = m.config.at("strategy_params");
+  EXPECT_EQ(params.at("ratio").as_string(), "0.25");
+  EXPECT_EQ(params.at("boost").as_string(), "1");
 
   const auto records = RunRecorder::read_records(dir.string());
   ASSERT_EQ(records.size(), std::size_t(cfg.epochs));

@@ -130,13 +130,13 @@ struct GemmDims {
 class GemmTest : public ::testing::TestWithParam<GemmDims> {};
 
 TEST_P(GemmTest, NNMatchesNaive) {
+  exec::ExecContext ctx(1);
   const auto [m, n, k] = GetParam();
   Rng rng(m * 100 + n * 10 + k);
   Tensor a = Tensor::randn({m, k}, rng);
   Tensor b = Tensor::randn({k, n}, rng);
   Tensor c({m, n}), ref({m, n});
-  gemm_nn(exec::ExecContext::serial(), m, n, k, 1.f, a.data(), b.data(), 0.f,
-          c.data());
+  gemm_nn(ctx, m, n, k, 1.f, a.data(), b.data(), 0.f, c.data());
   naive_gemm_nn(m, n, k, a.data(), b.data(), ref.data());
   for (std::int64_t i = 0; i < m * n; ++i) {
     EXPECT_NEAR(c.data()[i], ref.data()[i], 1e-3f) << "at " << i;
@@ -144,6 +144,7 @@ TEST_P(GemmTest, NNMatchesNaive) {
 }
 
 TEST_P(GemmTest, NTMatchesNaive) {
+  exec::ExecContext ctx(1);
   const auto [m, n, k] = GetParam();
   Rng rng(m + n + k);
   Tensor a = Tensor::randn({m, k}, rng);
@@ -153,13 +154,13 @@ TEST_P(GemmTest, NTMatchesNaive) {
   for (std::int64_t p = 0; p < k; ++p)
     for (std::int64_t j = 0; j < n; ++j) b.at(p, j) = bt.at(j, p);
   Tensor c({m, n}), ref({m, n});
-  gemm_nt(exec::ExecContext::serial(), m, n, k, 1.f, a.data(), bt.data(), 0.f,
-          c.data());
+  gemm_nt(ctx, m, n, k, 1.f, a.data(), bt.data(), 0.f, c.data());
   naive_gemm_nn(m, n, k, a.data(), b.data(), ref.data());
   for (std::int64_t i = 0; i < m * n; ++i) EXPECT_NEAR(c.data()[i], ref.data()[i], 1e-3f);
 }
 
 TEST_P(GemmTest, TNMatchesNaive) {
+  exec::ExecContext ctx(1);
   const auto [m, n, k] = GetParam();
   Rng rng(3 * m + 5 * n + 7 * k);
   Tensor at = Tensor::randn({k, m}, rng);
@@ -168,13 +169,13 @@ TEST_P(GemmTest, TNMatchesNaive) {
   for (std::int64_t i = 0; i < m; ++i)
     for (std::int64_t p = 0; p < k; ++p) a.at(i, p) = at.at(p, i);
   Tensor c({m, n}), ref({m, n});
-  gemm_tn(exec::ExecContext::serial(), m, n, k, 1.f, at.data(), b.data(), 0.f,
-          c.data());
+  gemm_tn(ctx, m, n, k, 1.f, at.data(), b.data(), 0.f, c.data());
   naive_gemm_nn(m, n, k, a.data(), b.data(), ref.data());
   for (std::int64_t i = 0; i < m * n; ++i) EXPECT_NEAR(c.data()[i], ref.data()[i], 1e-3f);
 }
 
 TEST_P(GemmTest, AccumulateBetaOne) {
+  exec::ExecContext ctx(1);
   const auto [m, n, k] = GetParam();
   Rng rng(9);
   Tensor a = Tensor::randn({m, k}, rng);
@@ -182,8 +183,7 @@ TEST_P(GemmTest, AccumulateBetaOne) {
   Tensor c = Tensor::full({m, n}, 1.f);
   Tensor ref({m, n});
   naive_gemm_nn(m, n, k, a.data(), b.data(), ref.data());
-  gemm_nn(exec::ExecContext::serial(), m, n, k, 1.f, a.data(), b.data(), 1.f,
-          c.data());
+  gemm_nn(ctx, m, n, k, 1.f, a.data(), b.data(), 1.f, c.data());
   for (std::int64_t i = 0; i < m * n; ++i) {
     EXPECT_NEAR(c.data()[i], ref.data()[i] + 1.f, 1e-3f);
   }
