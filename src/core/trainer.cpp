@@ -233,6 +233,10 @@ void TrainConfig::validate() const {
     fail("sdc_check_interval must be >= 0 (got " +
          std::to_string(sdc_check_interval) + ")");
   }
+  if (sdc_check_interval > 0 && replicas == 1) {
+    fail("sdc_check_interval > 0 requires replicas > 1 (a digest vote of one "
+         "replica compares nothing)");
+  }
   if (keep_checkpoints < 0) {
     fail("keep_checkpoints must be >= 0 (got " +
          std::to_string(keep_checkpoints) + ")");
@@ -240,11 +244,9 @@ void TrainConfig::validate() const {
   // Strategy: the name must be registered and the parameters must resolve
   // (unknown keys and unparsable or out-of-range values fail here rather
   // than mid-training).
-  std::map<std::string, std::string> resolved_params;
   try {
     const auto& registry = prune::StrategyRegistry::global();
-    resolved_params = registry.resolve(strategy, strategy_params);
-    (void)registry.make(strategy, resolved_params);
+    (void)registry.make(strategy, registry.resolve(strategy, strategy_params));
   } catch (const std::invalid_argument& e) {
     fail(e.what());
   }
@@ -274,21 +276,14 @@ void TrainConfig::validate() const {
          "\" requires replicas > 1 (gradient compression only applies to "
          "the simulated allreduce)");
   }
-  if (replicas > 1) {
-    if (strategy == "group_lasso" &&
-        !prune::strategy_param_bool(resolved_params, "proximal")) {
-      fail("replicas > 1 requires strategy_params[\"proximal\"] = true (the "
-           "elastic cluster applies group lasso as a per-replica proximal "
-           "hook)");
-    }
-    if (!(min_live_fraction > 0.0 && min_live_fraction <= 1.0)) {
-      fail("min_live_fraction must lie in (0, 1] (got " +
-           std::to_string(min_live_fraction) + ")");
-    }
-    if (suspect_threshold < 1) {
-      fail("suspect_threshold must be >= 1 (got " +
-           std::to_string(suspect_threshold) + ")");
-    }
+  // Every run trains on a cluster, so its membership knobs always apply.
+  if (!(min_live_fraction > 0.0 && min_live_fraction <= 1.0)) {
+    fail("min_live_fraction must lie in (0, 1] (got " +
+         std::to_string(min_live_fraction) + ")");
+  }
+  if (suspect_threshold < 1) {
+    fail("suspect_threshold must be >= 1 (got " +
+         std::to_string(suspect_threshold) + ")");
   }
 }
 
@@ -342,31 +337,19 @@ PruneTrainer::PruneTrainer(graph::Network& net,
   if (cfg_.record_sparsity && !monitor_) {
     monitor_ = std::make_unique<prune::SparsityMonitor>(net);
   }
-  if (cfg_.replicas > 1) rebuild_cluster();
+  rebuild_cluster(
+      robust::FaultInjector::from_string(cfg_.fault_spec, cfg_.fault_seed));
 }
 
-void PruneTrainer::rebuild_cluster() {
-  // Carry the injector's fire-state across the rebuild so already-consumed
-  // faults don't re-arm; the rebuild itself gives every replica a fresh
-  // HEALTHY record ("the failed node was replaced at job restart").
-  robust::FaultInjector injector =
-      cluster_ ? cluster_->take_fault_injector()
-               : robust::FaultInjector::from_string(cfg_.fault_spec,
-                                                    cfg_.fault_seed);
-  ckpt::Checkpoint image = ckpt::Checkpoint::capture(*net_);
-  std::vector<graph::Network> replicas;
-  replicas.reserve(static_cast<std::size_t>(cfg_.replicas));
-  for (std::int64_t r = 0; r < cfg_.replicas; ++r) {
-    replicas.push_back(image.restore_network());
-  }
+void PruneTrainer::rebuild_cluster(robust::FaultInjector injector) {
   cost::CommSpec comm = cfg_.comm;
   comm.gpus = static_cast<int>(cfg_.replicas);
   dist::MembershipConfig membership;
   membership.suspect_threshold = static_cast<int>(cfg_.suspect_threshold);
   membership.min_live_fraction = cfg_.min_live_fraction;
   membership.allow_rejoin = cfg_.allow_rejoin;
-  cluster_ = std::make_unique<dist::ElasticCluster>(std::move(replicas), comm,
-                                                    membership);
+  cluster_ = std::make_unique<dist::ElasticCluster>(
+      *net_, static_cast<int>(cfg_.replicas), comm, membership);
   // Share (not copy) the trainer-owned codec: set_codec re-binds it to the
   // rebuilt replica topology, and shape-compatible residual state — loaded
   // from a checkpoint or carried across a rollback — survives the bind.
@@ -389,7 +372,8 @@ void PruneTrainer::sync_net_from_cluster() {
       break;
     }
   }
-  if (src < 0) return;  // below quorum; the step already threw
+  // Rank 0 is *net_ itself; below quorum (src < 0) the step already threw.
+  if (src <= 0) return;
   graph::Network& rep = cluster_->replica(src);
   std::vector<nn::StateEntry> from = rep.state();
   std::vector<nn::StateEntry> to = net_->state();
@@ -415,9 +399,17 @@ void PruneTrainer::sync_net_from_cluster() {
   }
 }
 
-void PruneTrainer::reconfigure_cluster_replicas(float threshold) {
-  if (!cluster_) return;
-  for (int r = 0; r < cluster_->size(); ++r) {
+prune::ReconfigStats PruneTrainer::reconfigure(TrainResult& result,
+                                               float threshold) {
+  prune::ReconfigStats rstats;
+  {
+    telemetry::ScopedTimer span("reconfigure");
+    rstats = prune::Reconfigurer(*net_, threshold, cfg_.prune_min_channels)
+                 .reconfigure();
+  }
+  result.layers_removed += rstats.convs_removed;
+  // Rank 0 is *net_, which the surgery above already reached.
+  for (int r = 1; r < cluster_->size(); ++r) {
     const dist::MemberStatus& m = cluster_->member(r);
     // Live members are bit-identical to *net_ pre-surgery, so the same
     // deterministic surgery lands them on the same topology. A freshly
@@ -436,7 +428,34 @@ void PruneTrainer::reconfigure_cluster_replicas(float threshold) {
   // rows the surgery could *not* remove (min-channel floors, cross-layer
   // unions) that the proximal step has already zeroed. This runs even when
   // the surgery changed nothing, for exactly that reason.
-  if (codec_) cluster_->codec().bind(*net_, cluster_->size());
+  cluster_->codec().bind(*net_, cluster_->size());
+  if (rstats.changed) {
+    // Surgery may have dropped channels the strategy tracks by index;
+    // give it a chance to rebuild (masks, thresholds, saliency).
+    strategy_->on_reconfigured(*net_);
+    // The arena's buffers are sized for the pre-surgery shapes; drop them
+    // so capacity — and the high-water statistic — re-measures the pruned
+    // hot loop. No leases are live at an epoch boundary.
+    ctx_->rebuild_workspace();
+  }
+  return rstats;
+}
+
+float PruneTrainer::calibrate_lambda(TrainResult& result) {
+  loader_.begin_epoch();
+  data::Batch probe = loader_.next(std::min<std::int64_t>(batch_size_, 32));
+  nn::SoftmaxCrossEntropy loss;
+  Tensor out = net_->forward(*ctx_, probe.images, false);
+  const double class_loss = loss.forward(out, probe.labels);
+  net_->clear_context();
+  result.lambda =
+      strategy_->calibrate(class_loss, strategy_->regularization_loss(*net_));
+  if (cfg_.verbose) {
+    std::ostringstream os;
+    os << to_string(cfg_.policy) << ": calibrated lambda=" << result.lambda;
+    log_info(os.str());
+  }
+  return result.lambda;
 }
 
 double PruneTrainer::evaluate() {
@@ -465,67 +484,6 @@ double PruneTrainer::evaluate() {
 
 void PruneTrainer::train_epoch(EpochStats& stats, float lambda, float lr,
                                bool sparsify) {
-  if (cluster_) {
-    train_epoch_dist(stats, lambda, lr, sparsify);
-    return;
-  }
-  telemetry::ScopedTimer span("sgd");
-  optim::SGD opt(lr, cfg_.momentum, cfg_.weight_decay);
-  nn::SoftmaxCrossEntropy loss;
-  prune::StepInfo info;
-  info.epoch = epoch_counter_;
-  info.lr = lr;
-  info.lambda = lambda;
-  info.sparsify = sparsify;
-  // The topology is fixed within an epoch (reconfiguration happens only at
-  // epoch boundaries), so the named parameter view is built once here
-  // rather than per iteration.
-  const std::vector<nn::NamedParam> named = nn::group_params(net_->state());
-  loader_.begin_epoch();
-  double loss_sum = 0;
-  std::int64_t correct = 0, samples = 0, iteration = 0;
-  while (loader_.has_next()) {
-    data::Batch batch = loader_.next(batch_size_);
-    Tensor out = net_->forward(*ctx_, batch.images, true);
-    const double l = loss.forward(out, batch.labels);
-    loss_sum += l * static_cast<double>(batch.size());
-    correct += loss.correct();
-    samples += batch.size();
-    net_->zero_grad();
-    net_->backward(*ctx_, loss.backward());
-    if (fault_.armed() &&
-        fault_.corrupt_gradients(*net_, epoch_counter_, iteration)) {
-      ++report_.faults_injected;
-    }
-    strategy_->accumulate_gradients(*net_, info);
-    opt.step(named);
-    strategy_->post_step_update(*net_, info);
-    strategy_->post_step(*net_, info);
-    // SDC lands after the update + hooks so nothing overwrites the flipped
-    // bit (single device has no vote to convict it — the digest below
-    // records it for offline comparison, and tests read it directly).
-    if (fault_.armed() && fault_.corrupt_state(*net_, iteration)) {
-      ++report_.faults_injected;
-    }
-    ++iteration;
-    if (integrity_ && integrity_->due(iteration)) {
-      const std::vector<prune::StrategyStateItem> sstate = strategy_->state();
-      const robust::StateDigest digest =
-          robust::compute_state_digest(*net_, *ctx_, &sstate);
-      if (telemetry::enabled()) {
-        telemetry::count("integrity/checks");
-        telemetry::gauge("integrity/state_crc",
-                         static_cast<double>(digest.state));
-      }
-    }
-  }
-  stats.train_loss = loss_sum / static_cast<double>(samples);
-  stats.train_acc = static_cast<double>(correct) / static_cast<double>(samples);
-  stats.lasso_loss = strategy_->regularization_loss(*net_);
-}
-
-void PruneTrainer::train_epoch_dist(EpochStats& stats, float lambda, float lr,
-                                    bool sparsify) {
   telemetry::ScopedTimer span("sgd");
   optim::SGD opt(lr, cfg_.momentum, cfg_.weight_decay);
   prune::StepInfo info;
@@ -533,29 +491,33 @@ void PruneTrainer::train_epoch_dist(EpochStats& stats, float lambda, float lr,
   info.lr = lr;
   info.lambda = lambda;
   info.sparsify = sparsify;
-  // Per-replica hooks run after each replica's optimizer step, in replica
+  // Per-replica hooks run around each replica's optimizer step, in replica
   // order on the stepping thread. Strategy *state* must advance exactly
   // once per optimizer step (replicas hold bit-identical weights after the
   // all-reduce), so post_step_update fires only for the first participant;
-  // the weight-mutating post_step runs for every replica so they stay
-  // bit-identical. The strategy reads each replica's Network fresh — a
+  // the gradient- and weight-mutating hooks run for every replica so they
+  // stay bit-identical. The strategy reads each replica's Network fresh — a
   // rejoin may replace a replica's Network mid-epoch, and a cached view
   // would dangle.
   prune::Strategy* strat = strategy_.get();
-  dist::ElasticCluster::PostUpdateHook hook =
-      [strat, info](graph::Network& net, bool first) {
-        if (first) strat->post_step_update(net, info);
-        strat->post_step(net, info);
-      };
+  dist::ElasticCluster::StepHooks hooks;
+  hooks.before_update = [strat, info](graph::Network& net, bool) {
+    strat->accumulate_gradients(net, info);
+  };
+  hooks.after_update = [strat, info](graph::Network& net, bool first) {
+    if (first) strat->post_step_update(net, info);
+    strat->post_step(net, info);
+  };
 
   loader_.begin_epoch();
   double loss_sum = 0;
   std::int64_t correct = 0, samples = 0;
   try {
-    while (loader_.has_next()) {
+    for (std::int64_t step = 0; loader_.has_next(); ++step) {
       data::Batch batch = loader_.next(batch_size_);
-      const dist::StepResult r = cluster_->step(*ctx_, batch, opt, hook);
-      loss_sum += r.loss * static_cast<double>(r.processed);
+      const dist::StepResult r =
+          cluster_->step(*ctx_, batch, opt, hooks, epoch_counter_, step);
+      loss_sum += r.loss_sum;
       correct += r.correct;
       samples += r.processed;
       stats.comm_bytes_per_gpu += r.comm_bytes_per_gpu;
@@ -691,19 +653,7 @@ void PruneTrainer::run_phase(TrainResult& result, const PhaseSpec& spec,
     // shared shuffle RNG, so skipping it for other strategies keeps their
     // data order undisturbed.
     if (spec.sparsify && lambda < 0.f && strategy_->wants_lambda_calibration()) {
-      loader_.begin_epoch();
-      data::Batch probe = loader_.next(std::min<std::int64_t>(batch_size_, 32));
-      nn::SoftmaxCrossEntropy loss;
-      Tensor out = net_->forward(*ctx_, probe.images, false);
-      const double class_loss = loss.forward(out, probe.labels);
-      lambda = strategy_->calibrate(class_loss,
-                                    strategy_->regularization_loss(*net_));
-      result.lambda = lambda;
-      if (cfg_.verbose) {
-        std::ostringstream os;
-        os << to_string(cfg_.policy) << ": calibrated lambda=" << lambda;
-        log_info(os.str());
-      }
+      lambda = calibrate_lambda(result);
     }
 
     stats.lr = lr;
@@ -751,15 +701,9 @@ void PruneTrainer::run_phase(TrainResult& result, const PhaseSpec& spec,
           log_warn("guardian: " + ev.describe());
         }
       }
-      prune::Reconfigurer reconfigurer(*net_, decision.threshold,
-                                       cfg_.prune_min_channels);
-      prune::ReconfigStats rstats;
-      {
-        telemetry::ScopedTimer reconfig_span("reconfigure");
-        rstats = reconfigurer.reconfigure();
-      }
+      const prune::ReconfigStats rstats =
+          reconfigure(result, decision.threshold);
       stats.reconfigured = rstats.changed;
-      result.layers_removed += rstats.convs_removed;
       reconfig_rec.happened = true;
       reconfig_rec.channels_before = rstats.channels_before;
       reconfig_rec.channels_after = rstats.channels_after;
@@ -776,15 +720,7 @@ void PruneTrainer::run_phase(TrainResult& result, const PhaseSpec& spec,
            << ", blocks removed " << rstats.blocks_removed;
         telemetry::event("prune/reconfigure", os.str());
       }
-      reconfigure_cluster_replicas(decision.threshold);
       if (rstats.changed) {
-        // Surgery may have dropped channels the strategy tracks by index;
-        // give it a chance to rebuild (masks, thresholds, saliency).
-        strategy_->on_reconfigured(*net_);
-        // The arena's buffers are sized for the pre-surgery shapes; drop
-        // them so capacity — and the high-water statistic — re-measures the
-        // pruned hot loop. No leases are live at an epoch boundary.
-        ctx_->rebuild_workspace();
         const auto adj = adjuster.propose(*net_, input_shape_, batch_size_);
         if (adj.changed) {
           if (cfg_.verbose) {
@@ -815,10 +751,10 @@ void PruneTrainer::run_phase(TrainResult& result, const PhaseSpec& spec,
     stats.epoch_bn_traffic =
         mem.bn_traffic_per_sample() * static_cast<double>(samples);
     stats.memory_bytes = mem.training_bytes(batch_size_);
-    if (!cluster_) {
-      // The elastic path accumulated per-step comm cost at the live ring
-      // size already; the static model would overwrite it with full-ring
-      // numbers.
+    if (cfg_.replicas == 1) {
+      // A single-device run stands in for the paper's comm.gpus-GPU job,
+      // and fig11_comm_cost and table4 read this static model. A cluster
+      // run accumulated its per-step cost at the live ring size instead.
       cost::CommQuery q;
       q.model_bytes = model_bytes;
       q.updates = iters;
@@ -1051,7 +987,7 @@ void PruneTrainer::save_checkpoint(const TrainResult& result, std::int64_t phase
     scrubber_->scrub(*ctx_);
   }
   // Rejoining replicas resync their topology from the freshest save.
-  if (cluster_) cluster_->set_resync_checkpoint(latest);
+  cluster_->set_resync_checkpoint(latest);
 }
 
 void PruneTrainer::load_checkpoint_file(const std::string& path) {
@@ -1243,8 +1179,10 @@ void PruneTrainer::rollback(robust::RecoveryPolicy::Decision decision,
   // crash-resume would, just in-process.
   load_checkpoint_file(path);
   // The retry runs on a fresh cluster built from the restored model; the
-  // injector's fire-state survives so consumed faults stay consumed.
-  if (cluster_) rebuild_cluster();
+  // injector's fire-state survives so consumed faults stay consumed, and
+  // every replica gets a fresh HEALTHY record ("the failed node was
+  // replaced at job restart").
+  rebuild_cluster(cluster_->take_fault_injector());
   recovery_lr_scale_ = decision.lr_scale;
   skip_reconfig_until_ = decision.skip_reconfig ? cause.epoch : -1;
   ++report_.rollbacks;
@@ -1318,17 +1256,7 @@ TrainResult PruneTrainer::run_attempt() {
       // the converged classification loss would make lambda ~0. A resumed
       // run restores the calibrated value instead (the probe's RNG draws
       // are already baked into the restored shuffle state).
-      if (!resuming_) {
-        loader_.begin_epoch();
-        data::Batch probe = loader_.next(std::min<std::int64_t>(batch_size_, 32));
-        nn::SoftmaxCrossEntropy loss;
-        Tensor out = net_->forward(*ctx_, probe.images, false);
-        const double class_loss = loss.forward(out, probe.labels);
-        lambda = strategy_->calibrate(class_loss,
-                                      strategy_->regularization_loss(*net_));
-        result.lambda = lambda;
-        net_->clear_context();
-      }
+      if (!resuming_) lambda = calibrate_lambda(result);
       // The rollback anchor is saved *after* the calibration so the probe's
       // RNG draws and lambda are baked in — re-calibrating from a partially
       // trained model would be degenerate (converged loss => lambda ~ 0).
@@ -1340,12 +1268,7 @@ TrainResult PruneTrainer::run_attempt() {
       // checkpoint already reflects it).
       run_phase(result, {cfg_.epochs, true, false, -1}, lambda);
       if (!(resuming_ && resume_phase_ > 1)) {
-        prune::Reconfigurer reconfigurer(*net_, cfg_.threshold,
-                                         cfg_.prune_min_channels);
-        const auto rstats = reconfigurer.reconfigure();
-        result.layers_removed += rstats.convs_removed;
-        reconfigure_cluster_replicas(cfg_.threshold);
-        if (rstats.changed) strategy_->on_reconfigured(*net_);
+        reconfigure(result, cfg_.threshold);
       }
       break;
     }
@@ -1362,12 +1285,7 @@ TrainResult PruneTrainer::run_attempt() {
   const bool resumed_past_main = resuming_ && resume_phase_ >= main_phases;
   if (cfg_.policy != PrunePolicy::kDense && cfg_.final_reconfigure &&
       !resumed_past_main) {
-    prune::Reconfigurer reconfigurer(*net_, cfg_.threshold,
-                                     cfg_.prune_min_channels);
-    const auto rstats = reconfigurer.reconfigure();
-    result.layers_removed += rstats.convs_removed;
-    reconfigure_cluster_replicas(cfg_.threshold);
-    if (rstats.changed) strategy_->on_reconfigured(*net_);
+    reconfigure(result, cfg_.threshold);
   }
 
   // Optional fine-tuning on the pruned architecture: extra epochs without

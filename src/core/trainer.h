@@ -33,6 +33,7 @@
 #include "data/loader.h"
 #include "data/synthetic.h"
 #include "graph/network.h"
+#include "prune/reconfigure.h"
 #include "prune/sparsity_monitor.h"
 #include "prune/strategy.h"
 #include "robust/fault.h"
@@ -66,8 +67,9 @@ struct TrainConfig {
   /// StrategyRegistry::help() for each strategy's keys and defaults). The
   /// group_lasso knobs are "ratio" (Eq. 3 target penalty ratio), "boost"
   /// (proxy-scale lambda multiplier, see DESIGN.md), "proximal" (group
-  /// soft-threshold update; required by replicas > 1) and
-  /// "size_normalized" (the Sec. 4.1 per-group-size penalty ablation).
+  /// soft-threshold update after the optimizer step, instead of a penalty
+  /// gradient before it) and "size_normalized" (the Sec. 4.1
+  /// per-group-size penalty ablation).
   std::map<std::string, std::string> strategy_params;
 
   /// Gradient wire format for the simulated allreduce, by
@@ -166,11 +168,11 @@ struct TrainConfig {
 
   /// > 0 arms the IntegrityMonitor: every this-many steps the trainer
   /// digests the named state (params + momentum + buffers + strategy
-  /// state, CRC-32 per tensor). Under an elastic cluster the per-replica
-  /// digests are majority-voted — a minority replica is healed in place by
-  /// a full state copy from a voted-healthy replica (no rollback burned);
-  /// a vote with no strict majority raises a fatal kSdcNoQuorum event for
-  /// the guardian. Single-device runs record the digest as telemetry.
+  /// state, CRC-32 per tensor). The per-replica digests are
+  /// majority-voted — a minority replica is healed in place by a full
+  /// state copy from a voted-healthy replica (no rollback burned); a vote
+  /// with no strict majority raises a fatal kSdcNoQuorum event for the
+  /// guardian. Requires replicas > 1: a vote of one compares nothing.
   /// 0 (the default) disables the monitor.
   std::int64_t sdc_check_interval = 0;
 
@@ -186,13 +188,13 @@ struct TrainConfig {
 
   // --- Elastic data-parallel training (src/dist) ---
 
-  /// > 1 trains on a simulated elastic cluster of this many in-process
-  /// replicas (dist::ElasticCluster): batches shard over the live set,
-  /// gradients allreduce deterministically, and membership faults
-  /// (kill/flaky/rejoin-replica in fault_spec) exercise permanent failure
-  /// and checkpointed rejoin. 1 (the default) is plain single-device
-  /// training. group_lasso requires strategy_params["proximal"] = true
-  /// here: the group-lasso step runs as a per-replica post-update hook.
+  /// Every run trains on a simulated elastic cluster of this many
+  /// in-process replicas (dist::ElasticCluster): batches shard over the
+  /// live set, gradients allreduce deterministically, and membership
+  /// faults (kill/flaky/rejoin-replica in fault_spec) exercise permanent
+  /// failure and checkpointed rejoin. 1 (the default) is plain
+  /// single-device training: a one-replica cluster whose only replica is
+  /// the trained network itself.
   std::int64_t replicas = 1;
   /// Quorum: a step needs >= ceil(min_live_fraction * replicas) live
   /// members, else the run checkpoints-and-aborts via the guardian
@@ -333,33 +335,36 @@ class PruneTrainer {
   /// With recovery enabled, guarantees a rollback target exists before the
   /// first epoch runs (a fault in epoch 0 must have somewhere to go).
   void ensure_initial_checkpoint(const TrainResult& result, float lambda);
-  /// One full pass over the training set at the current batch size; fills
-  /// loss/acc into `stats`. `lambda` == 0 disables the calibrated penalty;
+  /// One full pass over the training set at the current batch size, for
+  /// every replica count: each batch is one cluster step (sharded over the
+  /// live set), fills loss/acc and the modeled comm cost into `stats`,
+  /// syncs *net_ from the first live replica at the end, and converts
+  /// ReplicaDivergence into the guardian pathway (ClusterDegraded
+  /// propagates to run()). `lambda` == 0 disables the calibrated penalty;
   /// `sparsify` is the phase flag handed to the strategy's step hooks.
-  /// Dispatches to train_epoch_dist when an elastic cluster is attached.
   void train_epoch(EpochStats& stats, float lambda, float lr, bool sparsify);
-  /// The cfg_.replicas > 1 epoch: shards every batch over the cluster's
-  /// live set, accumulates modeled comm cost at the live ring size, syncs
-  /// *net_ from a live replica at the end, and converts ReplicaDivergence
-  /// into the guardian pathway. ClusterDegraded propagates to run().
-  void train_epoch_dist(EpochStats& stats, float lambda, float lr,
-                        bool sparsify);
 
-  /// (Re)creates the elastic cluster as cfg_.replicas bit-exact clones of
-  /// *net_ with fresh membership (all HEALTHY) — construction, resume, and
-  /// rollback all land here; a mid-run reconfiguration must NOT (it would
-  /// resurrect the dead — the surgery is applied in place instead). An
-  /// existing injector is carried over with its fire-state intact.
-  void rebuild_cluster();
-  /// Copies the trained state from the first live replica back into *net_
+  /// (Re)creates the elastic cluster with fresh membership (all HEALTHY):
+  /// rank 0 borrows *net_, ranks 1.. are bit-exact clones of it, and
+  /// `injector` keeps whatever fire-state it carries. Construction and
+  /// rollback land here; a mid-run reconfiguration must NOT (it would
+  /// resurrect the dead — the surgery is applied in place instead).
+  void rebuild_cluster(robust::FaultInjector injector);
+  /// Copies the trained state from the first live replica into *net_
   /// (evaluation, health checks, checkpoints, and cost models all read
-  /// *net_).
+  /// *net_) when that replica is not rank 0 — *net_ itself.
   void sync_net_from_cluster();
-  /// Applies the same reconfiguration surgery just performed on *net_ to
-  /// every replica whose state is current (live members and freshly
-  /// resynced rejoiners); stale (failed) replicas keep their old topology
-  /// until a rejoin resync replays the new one.
-  void reconfigure_cluster_replicas(float threshold);
+  /// The channel-union surgery at `threshold`: on *net_ (rank 0), then on
+  /// every other replica whose state is current (live members and freshly
+  /// resynced rejoiners; stale failed replicas keep their old topology
+  /// until a rejoin resync replays the new one), a codec rebind, and — when
+  /// the topology changed — the strategy's on_reconfigured and a workspace
+  /// rebuild. Adds the removed conv layers to `result`.
+  prune::ReconfigStats reconfigure(TrainResult& result, float threshold);
+  /// Eq. 3: runs a 32-sample probe batch (drawn from the shared shuffle
+  /// RNG) forward without training and sets result.lambda from its
+  /// classification loss and the strategy's regularization sum.
+  float calibrate_lambda(TrainResult& result);
 
   /// Appends one epochs.jsonl line: the epoch's stats, the reconfiguration
   /// outcome, per-layer FLOPs + measured times, sparsity densities, and a
@@ -427,13 +432,16 @@ class PruneTrainer {
   float resume_lambda_ = -1.f;       ///< calibrated lambda at save time
   TrainResult resume_result_;        ///< partial stats accumulated pre-crash
 
-  /// Simulated elastic cluster; null when cfg_.replicas <= 1. The trainer
-  /// keeps its own fault_ for checkpoint-corruption faults; the cluster's
-  /// injector (same spec + seed, independent fire counters) handles the
-  /// replica and gradient kinds.
+  /// The elastic cluster every epoch steps (never null once constructed).
+  /// Its rank 0 is *net_, borrowed: a one-replica cluster holds no second
+  /// copy of the model. The cluster's injector (same spec + seed as
+  /// fault_, independent fire counters) handles the replica, gradient and
+  /// SDC kinds.
   std::unique_ptr<dist::ElasticCluster> cluster_;
   std::int64_t cluster_fault_fires_seen_ = 0;  ///< for report_.faults_injected
-  /// Gradient codec shared with the cluster; null when cfg_.replicas <= 1.
+  /// Gradient codec shared with the cluster; null when cfg_.replicas == 1,
+  /// where the cluster's own dense codec exchanges (and checkpoints carry
+  /// no codec section).
   /// Constructed from the registry before any resume load (like strategy_)
   /// so checkpointed codec state — error-feedback residuals, live-row
   /// masks — lands in the right object, and survives cluster rebuilds so
@@ -441,7 +449,9 @@ class PruneTrainer {
   std::shared_ptr<dist::GradientCodec> codec_;
 
   // Guardian state (src/robust).
-  robust::FaultInjector fault_;                   ///< disarmed when no spec
+  /// Checkpoint-corruption faults only (the cluster owns the rest);
+  /// disarmed when no spec.
+  robust::FaultInjector fault_;
   std::unique_ptr<robust::HealthMonitor> health_; ///< null when checks off
   /// SDC digest-vote monitor; null when sdc_check_interval == 0.
   std::unique_ptr<robust::IntegrityMonitor> integrity_;

@@ -28,18 +28,41 @@ bool same_topology(graph::Network& a, graph::Network& b) {
   return true;
 }
 
+/// `n` bit-exact clones of `net` (params, momentum and buffers).
+std::vector<graph::Network> clones_of(graph::Network& net, int n) {
+  if (n < 0) throw std::invalid_argument("elastic cluster needs >= 1 replica");
+  std::vector<graph::Network> out;
+  if (n == 0) return out;
+  const ckpt::Checkpoint image = ckpt::Checkpoint::capture(net);
+  out.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) out.push_back(image.restore_network());
+  return out;
+}
+
 }  // namespace
 
 ElasticCluster::ElasticCluster(std::vector<graph::Network> replicas,
                                cost::CommSpec comm,
                                MembershipConfig membership)
-    : replicas_(std::move(replicas)),
+    : ElasticCluster(nullptr, std::move(replicas), comm, membership) {}
+
+ElasticCluster::ElasticCluster(graph::Network& rank0, int replicas,
+                               cost::CommSpec comm,
+                               MembershipConfig membership)
+    : ElasticCluster(&rank0, clones_of(rank0, replicas - 1), comm,
+                     membership) {}
+
+ElasticCluster::ElasticCluster(graph::Network* rank0,
+                               std::vector<graph::Network> owned,
+                               cost::CommSpec comm,
+                               MembershipConfig membership)
+    : owned_(std::move(owned)),
       comm_(comm),
-      table_(static_cast<int>(replicas_.size()), membership) {
-  if (replicas_.empty()) {
-    throw std::invalid_argument("elastic cluster needs >= 1 replica");
-  }
-  if (static_cast<int>(replicas_.size()) != comm_.spec().gpus) {
+      table_(static_cast<int>(owned_.size()) + (rank0 != nullptr ? 1 : 0),
+             membership) {
+  if (rank0 != nullptr) replicas_.push_back(rank0);
+  for (graph::Network& net : owned_) replicas_.push_back(&net);
+  if (size() != comm_.spec().gpus) {
     throw std::invalid_argument("comm spec GPU count must match replica count");
   }
   set_codec(std::make_shared<DenseCodec>());
@@ -48,17 +71,17 @@ ElasticCluster::ElasticCluster(std::vector<graph::Network> replicas,
 void ElasticCluster::set_codec(std::shared_ptr<GradientCodec> codec) {
   if (!codec) throw std::invalid_argument("cluster codec must not be null");
   codec_ = std::move(codec);
-  codec_->bind(replicas_.front(), size());
+  codec_->bind(replica(0), size());
 }
 
 void ElasticCluster::rebind_codec_if_stale() {
-  const auto params = replicas_.front().params();
+  const auto params = replica(0).params();
   const auto& sizes = codec_->sizes();
   bool stale = sizes.size() != params.size();
   for (std::size_t i = 0; !stale && i < params.size(); ++i) {
     stale = sizes[i] != params[i]->grad.numel();
   }
-  if (stale) codec_->bind(replicas_.front(), size());
+  if (stale) codec_->bind(replica(0), size());
 }
 
 int ElasticCluster::live_count() const {
@@ -103,7 +126,7 @@ cost::CommCost ElasticCluster::comm_cost(const graph::Network& model,
 }
 
 double ElasticCluster::update_bytes() const {
-  return comm_cost(replicas_.front(), std::max(1, live_count())).wire_bytes;
+  return comm_cost(*replicas_.front(), std::max(1, live_count())).wire_bytes;
 }
 
 std::vector<MembershipTransition> ElasticCluster::drain_transitions() {
@@ -119,8 +142,8 @@ std::vector<robust::HealthEvent> ElasticCluster::drain_health_events() {
 }
 
 std::int64_t ElasticCluster::resync_rejoiner(int r, int root) {
-  graph::Network& survivor = replicas_[static_cast<std::size_t>(root)];
-  graph::Network& joiner = replicas_[static_cast<std::size_t>(r)];
+  graph::Network& survivor = replica(root);
+  graph::Network& joiner = replica(r);
 
   // Phase 1 — topology replay. Prefer the last CRC-valid checkpoint (the
   // replica "restarts from disk"); a missing/corrupt file, or shapes gone
@@ -151,8 +174,8 @@ std::int64_t ElasticCluster::resync_rejoiner(int r, int root) {
 }
 
 std::int64_t ElasticCluster::copy_full_state(int src_rank, int dst_rank) {
-  graph::Network& src_net = replicas_[static_cast<std::size_t>(src_rank)];
-  graph::Network& dst_net = replicas_[static_cast<std::size_t>(dst_rank)];
+  graph::Network& src_net = replica(src_rank);
+  graph::Network& dst_net = replica(dst_rank);
   std::vector<nn::StateEntry> src = src_net.state();
   std::vector<nn::StateEntry> dst = dst_net.state();
   if (src.size() != dst.size()) {
@@ -178,8 +201,8 @@ std::int64_t ElasticCluster::heal_replica(int victim, int root) {
       victim == root) {
     throw std::invalid_argument("heal_replica: bad replica ranks");
   }
-  graph::Network& root_net = replicas_[static_cast<std::size_t>(root)];
-  graph::Network& victim_net = replicas_[static_cast<std::size_t>(victim)];
+  graph::Network& root_net = replica(root);
+  graph::Network& victim_net = replica(victim);
   // Digest voting convicts on matching topology stamps, so the structures
   // normally agree; a victim whose structure itself diverged is rebuilt
   // from a root clone before the copy (the rejoin fallback path).
@@ -212,13 +235,15 @@ ClusterDegraded ElasticCluster::degraded(std::int64_t step_id, int live,
 
 StepResult ElasticCluster::step(exec::ExecContext& ctx,
                                 const data::Batch& batch, optim::SGD& opt,
-                                const PostUpdateHook& post_update) {
+                                const StepHooks& hooks, std::int64_t epoch,
+                                std::int64_t epoch_step) {
   telemetry::ScopedTimer step_span("dist/elastic_step");
   const std::int64_t total = batch.size();
   if (total <= 0) throw std::invalid_argument("empty mini-batch");
   const Shape& s = batch.images.shape();
   const std::int64_t sample_len = s[1] * s[2] * s[3];
   const std::int64_t step_id = step_counter_++;
+  const robust::StepClock clock{epoch, epoch_step, step_id};
 
   // Heartbeat round: latch permanent failures, advance the state machine,
   // promote rejoiners synced last step.
@@ -279,14 +304,14 @@ StepResult ElasticCluster::step(exec::ExecContext& ctx,
                                      batch.labels.begin() + offset + shard);
     offset += shard;
 
-    graph::Network& net = replicas_[static_cast<std::size_t>(r)];
+    graph::Network& net = replica(r);
     net.zero_grad();
     nn::SoftmaxCrossEntropy loss;
     Tensor out = net.forward(ctx, images, true);
-    result.loss += loss.forward(out, labels) * static_cast<double>(shard);
+    result.loss_sum += loss.forward(out, labels) * static_cast<double>(shard);
     result.correct += loss.correct();
     net.backward(ctx, loss.backward());
-    if (injector_.armed()) injector_.corrupt_gradients(net, -1, step_id, r);
+    if (injector_.armed()) injector_.corrupt_gradients(net, clock, r);
     weights[static_cast<std::size_t>(i)] = static_cast<double>(shard);
     result.processed += shard;
 
@@ -307,7 +332,7 @@ StepResult ElasticCluster::step(exec::ExecContext& ctx,
                        std::to_string(total) + ", " +
                        std::to_string(participants.size()) + " participants)");
   }
-  result.loss /= static_cast<double>(result.processed);
+  result.loss = result.loss_sum / static_cast<double>(result.processed);
 
   // Allreduce + update over participants only: dead replicas receive
   // nothing and go stale (that staleness is what rejoin repairs). Dropped
@@ -315,22 +340,19 @@ StepResult ElasticCluster::step(exec::ExecContext& ctx,
   rebind_codec_if_stale();
   std::vector<graph::Network*> nets;
   nets.reserve(participants.size());
-  for (int r : participants) {
-    nets.push_back(&replicas_[static_cast<std::size_t>(r)]);
-  }
+  for (int r : participants) nets.push_back(&replica(r));
   exchange_gradients(*codec_, nets, weights, ctx, participants);
   bool first_participant = true;
   for (int r : participants) {
-    graph::Network& net = replicas_[static_cast<std::size_t>(r)];
+    graph::Network& net = replica(r);
+    if (hooks.before_update) hooks.before_update(net, first_participant);
     opt.step(net.params());
-    if (post_update) post_update(net, first_participant);
+    if (hooks.after_update) hooks.after_update(net, first_participant);
     first_participant = false;
     // Silent-data-corruption injection (sdc-param / sdc-momentum) lands
     // *after* the update and the hooks so nothing overwrites the flipped
     // bit before the next digest check sees it.
-    if (injector_.armed()) {
-      injector_.corrupt_state(net, step_id, r);
-    }
+    if (injector_.armed()) injector_.corrupt_state(net, clock, r);
   }
 
   // Fenced rejoin: replicas that entered REJOINING this step resync from

@@ -9,7 +9,13 @@
 //    participants stay bit-identical. The layout depends only on the
 //    participant set — the same contract pt::exec makes for intra-step
 //    parallelism (membership.h spells it out). Comm volume is accounted
-//    with the ring-allreduce cost model from src/cost.
+//    with the ring-allreduce cost model from src/cost. A one-replica
+//    cluster is plain single-device training: the exchange over one
+//    participant is the identity.
+//
+//  * Rank 0 may be borrowed: PruneTrainer hands in its own model, so the
+//    cluster clones only ranks 1..N-1 and the trainer's model is the one
+//    that trains.
 //
 //  * A MembershipTable heartbeat round runs before every step. Replicas
 //    whose permanent-failure latch is set (kill-replica / flaky-replica
@@ -24,7 +30,7 @@
 //    kDropDetectSeconds and is retried up to kDropRetries times. A shard
 //    still down is dropped from compute and the loss (allreduce weight 0),
 //    but its replica still takes the averaged gradient, the optimizer step
-//    and the post-update hook, so it stays bit-identical. Short batches
+//    and the update hooks, so it stays bit-identical. Short batches
 //    leave trailing shards empty the same way. delay-replica is modeled
 //    straggler time, never a failed attempt.
 //
@@ -61,6 +67,7 @@ namespace pt::dist {
 
 struct StepResult {
   double loss = 0;                ///< mean loss over *processed* samples
+  double loss_sum = 0;            ///< shard-weighted sum behind `loss`
   std::int64_t correct = 0;       ///< correct predictions among processed
   std::int64_t processed = 0;     ///< samples actually trained this step
   int live_replicas = 0;          ///< participants this step
@@ -95,21 +102,35 @@ class ClusterDegraded : public std::runtime_error {
 
 class ElasticCluster {
  public:
-  /// Applied to every participant after its optimizer step (the trainer
-  /// hangs the prune strategy's per-replica weight hook here so dead
-  /// replicas stay untouched). `first` is true only for the first
-  /// participant of the step — strategy *state* updates must run once per
-  /// step, while per-replica weight mutations run for every participant.
-  using PostUpdateHook = std::function<void(graph::Network&, bool first)>;
+  /// The prune strategy's per-step hooks, run on participants only (dead
+  /// replicas stay untouched), in rank order on the stepping thread.
+  /// `before_update` runs after the gradient exchange and before the
+  /// optimizer step; `after_update` runs after it. `first` is true only for
+  /// the first participant of the step — strategy *state* updates must run
+  /// once per step, while per-replica gradient and weight changes run for
+  /// every participant.
+  struct StepHooks {
+    std::function<void(graph::Network&, bool first)> before_update;
+    std::function<void(graph::Network&, bool first)> after_update;
+  };
 
   /// Takes ownership of `replicas` (structurally identical, identically
   /// initialized). `comm.gpus` must match the replica count.
   ElasticCluster(std::vector<graph::Network> replicas, cost::CommSpec comm,
                  MembershipConfig membership = {});
+  /// Borrows `rank0` as replica 0 (it must outlive the cluster, and every
+  /// rejoin or heal of rank 0 rewrites it in place) and clones it into
+  /// ranks 1..replicas-1. `comm.gpus` must equal `replicas`.
+  ElasticCluster(graph::Network& rank0, int replicas, cost::CommSpec comm,
+                 MembershipConfig membership = {});
+  ElasticCluster(const ElasticCluster&) = delete;
+  ElasticCluster& operator=(const ElasticCluster&) = delete;
+  ElasticCluster(ElasticCluster&&) = default;
+  ElasticCluster& operator=(ElasticCluster&&) = default;
 
   int size() const { return static_cast<int>(replicas_.size()); }
   graph::Network& replica(int i) {
-    return replicas_[static_cast<std::size_t>(i)];
+    return *replicas_[static_cast<std::size_t>(i)];
   }
   const MembershipTable& membership() const { return table_; }
   const MemberStatus& member(int r) const { return table_.member(r); }
@@ -147,12 +168,16 @@ class ElasticCluster {
 
   /// One synchronous step: heartbeat poll, quorum check, shard over
   /// participants, forward/backward (dropped shards skipped), weighted
-  /// allreduce, optimizer step + hook on participants only, then fenced
-  /// rejoiner resync. Throws ClusterDegraded below quorum, with zero
-  /// participants, or when every populated shard was dropped, and
-  /// ReplicaDivergence if a participant's param table drifted.
+  /// allreduce, hooks + optimizer step on participants only, then fenced
+  /// rejoiner resync. `epoch` and `epoch_step` place the step on the
+  /// trainer's clock for gradient and SDC clauses that set epoch=
+  /// (robust::StepClock); callers outside a trainer pass -1. Throws
+  /// ClusterDegraded below quorum, with zero participants, or when every
+  /// populated shard was dropped, and ReplicaDivergence if a participant's
+  /// param table drifted.
   StepResult step(exec::ExecContext& ctx, const data::Batch& batch,
-                  optim::SGD& opt, const PostUpdateHook& post_update = {});
+                  optim::SGD& opt, const StepHooks& hooks = {},
+                  std::int64_t epoch = -1, std::int64_t epoch_step = -1);
 
   /// Membership edges since the last call, in occurrence order.
   std::vector<MembershipTransition> drain_transitions();
@@ -199,7 +224,13 @@ class ElasticCluster {
   /// bit-exactly onto `dst_rank`'s. Returns the bytes copied.
   std::int64_t copy_full_state(int src_rank, int dst_rank);
 
-  std::vector<graph::Network> replicas_;
+  /// Both public constructors land here: `rank0` (null when every replica
+  /// is owned) followed by `owned`.
+  ElasticCluster(graph::Network* rank0, std::vector<graph::Network> owned,
+                 cost::CommSpec comm, MembershipConfig membership);
+
+  std::vector<graph::Network> owned_;      ///< the replicas this cluster owns
+  std::vector<graph::Network*> replicas_;  ///< by rank: borrowed or owned_
   cost::CommModel comm_;
   std::shared_ptr<GradientCodec> codec_;
   MembershipTable table_;

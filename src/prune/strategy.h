@@ -103,9 +103,9 @@ class Strategy {
     return 0.0;
   }
 
-  /// Adds regularization gradients after backward, before the optimizer
-  /// step (single-device path only; elastic training requires proximal /
-  /// post-step formulations so dead replicas stay untouched).
+  /// Adds regularization gradients after the gradient exchange, before the
+  /// optimizer step — once per replica. Must be a deterministic function
+  /// of (weights, gradients, strategy state).
   virtual void accumulate_gradients(graph::Network& net, const StepInfo& info) {
     (void)net;
     (void)info;

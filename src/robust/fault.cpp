@@ -51,9 +51,9 @@ std::string fault_spec_help() {
       "  corrupt-ckpt    flip one random byte of checkpoint files  epoch,count\n"
       "  torn-ckpt       truncate checkpoints through the CRC-32   epoch,count\n"
       "                  footer (partial write died mid-save)\n"
-      "  sdc-param       silent corruption: flip one bit of one    step,replica,count\n"
+      "  sdc-param       silent corruption: flip one bit of one    epoch,step,replica,count\n"
       "                  parameter element post-step, kept finite\n"
-      "  sdc-momentum    silent corruption: flip one bit of one    step,replica,count\n"
+      "  sdc-momentum    silent corruption: flip one bit of one    epoch,step,replica,count\n"
       "                  momentum element post-step, kept finite\n"
       "  poison-ckpt     CRC-valid checkpoint, corrupt tensors:    epoch,count,scale\n"
       "                  classifier head goes NaN (or seeded\n"
@@ -65,7 +65,9 @@ std::string fault_spec_help() {
       "\n"
       "  keys (wildcards when omitted):\n"
       "    epoch=<N>    fire only at global epoch N (serve kinds: generation)\n"
-      "    step=<N>     fire only at step/iteration N (serve kinds: batch id)\n"
+      "    step=<N>     fire only at step N: with epoch=, step N of that\n"
+      "                 epoch (grad and sdc kinds); else the cluster's N-th\n"
+      "                 step (serve kinds: batch id)\n"
       "    replica=<N>  fire only for replica N\n"
       "    count=<N>    max firings; 0 = unlimited        (default 1)\n"
       "    scale=<X>    scale-grad multiplier             (default 1e4)\n"
@@ -235,20 +237,12 @@ void validate_training_faults(const std::string& text, int replicas,
       case Kind::kNanGrad:
       case Kind::kBitflipGrad:
       case Kind::kScaleGrad:
-        if (replicas > 1 && s.epoch >= 0) {
-          reject("sets epoch=, but the cluster matches gradient faults on "
-                 "its step clock only");
-        }
+      case Kind::kSdcParam:
+      case Kind::kSdcMomentum:
         if (s.epoch >= run_epochs) {
           reject("sets epoch=" + std::to_string(s.epoch) +
                  ", but the run has " + std::to_string(run_epochs) +
                  " epochs (0-based)");
-        }
-        break;
-      case Kind::kSdcParam:
-      case Kind::kSdcMomentum:
-        if (s.epoch >= 0) {
-          reject("sets epoch=, but SDC faults match on the step clock only");
         }
         break;
     }
@@ -283,8 +277,15 @@ bool FaultInjector::matches(const Armed& a, std::int64_t epoch,
   return true;
 }
 
-bool FaultInjector::corrupt_gradients(graph::Network& net, std::int64_t epoch,
-                                      std::int64_t step, int replica) {
+bool FaultInjector::matches(const Armed& a, const StepClock& clock,
+                            int replica) {
+  return a.spec.epoch >= 0
+             ? matches(a, clock.epoch, clock.epoch_step, replica)
+             : matches(a, -1, clock.step, replica);
+}
+
+bool FaultInjector::corrupt_gradients(graph::Network& net,
+                                      const StepClock& clock, int replica) {
   bool fired = false;
   for (Armed& a : specs_) {
     const auto kind = a.spec.kind;
@@ -293,7 +294,7 @@ bool FaultInjector::corrupt_gradients(graph::Network& net, std::int64_t epoch,
         kind != FaultSpec::Kind::kScaleGrad) {
       continue;
     }
-    if (!matches(a, epoch, step, replica)) continue;
+    if (!matches(a, clock, replica)) continue;
     std::vector<nn::Param*> params = net.params();
     if (params.empty()) continue;
     ++a.fires;
@@ -379,7 +380,7 @@ bool FaultInjector::rejoin_replica(int replica, std::int64_t step) {
   return false;
 }
 
-bool FaultInjector::corrupt_state(graph::Network& net, std::int64_t step,
+bool FaultInjector::corrupt_state(graph::Network& net, const StepClock& clock,
                                   int replica) {
   bool fired = false;
   for (Armed& a : specs_) {
@@ -388,9 +389,7 @@ bool FaultInjector::corrupt_state(graph::Network& net, std::int64_t step,
         kind != FaultSpec::Kind::kSdcMomentum) {
       continue;
     }
-    // epoch = -1: SDC fires on the step clock, like the membership kinds —
-    // an epoch-constrained spec never matches.
-    if (!matches(a, -1, step, replica)) continue;
+    if (!matches(a, clock, replica)) continue;
     std::vector<nn::Param*> params = net.params();
     if (params.empty()) continue;
     ++a.fires;

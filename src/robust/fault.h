@@ -121,16 +121,26 @@ std::string fault_spec_help();
 /// run of `run_epochs` epochs with `replicas` workers (checkpoints written
 /// iff `checkpointing`): replica kinds on a single device, serve kinds (no
 /// trainer consumes them), checkpoint kinds without checkpoints, epoch= on
-/// the kinds matched on a step clock (replica and SDC kinds everywhere,
-/// gradient kinds on the cluster), epoch= past the end of the run (a
-/// gradient epoch is 0-based, a checkpoint is matched after the epoch
-/// counter advances, so 0..run_epochs), step= or replica= on checkpoint
+/// the replica kinds (matched on the cluster's step counter only), epoch=
+/// past the end of the run (a gradient or SDC epoch is 0-based, a
+/// checkpoint is matched after the epoch counter advances, so
+/// 0..run_epochs), step= or replica= on checkpoint
 /// kinds, replica= on a single device, and replica= naming a worker that
 /// does not exist. It does not check that a step key falls inside the run.
 /// Throws std::invalid_argument naming the clause. TrainConfig::validate()
 /// calls this with the configured run shape.
 void validate_training_faults(const std::string& text, int replicas,
                               bool checkpointing, std::int64_t run_epochs);
+
+/// A training step's place on the two clocks a gradient or SDC clause can
+/// name. A clause that sets epoch= matches (epoch, epoch_step): step S of
+/// epoch E. A clause without it matches `step`, the cluster's global step
+/// counter. Callers outside a trainer pass -1 for epoch and epoch_step.
+struct StepClock {
+  std::int64_t epoch = -1;       ///< the trainer's global epoch
+  std::int64_t epoch_step = -1;  ///< the step within that epoch
+  std::int64_t step = -1;        ///< the cluster's global step counter
+};
 
 class FaultInjector {
  public:
@@ -145,12 +155,12 @@ class FaultInjector {
   bool armed() const { return !specs_.empty(); }
 
   /// Applies every matching gradient fault to `net`'s parameter gradients.
-  /// Called between backward() and the optimizer step. `replica` is -1 in
-  /// single-device training; dist::ElasticCluster passes the replica index
-  /// so replica-targeted specs corrupt exactly one worker's local gradients.
-  /// Returns true if at least one fault fired.
-  bool corrupt_gradients(graph::Network& net, std::int64_t epoch,
-                         std::int64_t step, int replica = -1);
+  /// dist::ElasticCluster calls it between backward() and the gradient
+  /// exchange, with the replica index, so replica-targeted specs corrupt
+  /// exactly one worker's local gradients. Returns true if at least one
+  /// fault fired.
+  bool corrupt_gradients(graph::Network& net, const StepClock& clock,
+                         int replica = -1);
 
   /// True when a kDropReplica fault fires for (replica, step). Each query
   /// consumes one firing, so a count=1 drop fails the first attempt and
@@ -180,11 +190,12 @@ class FaultInjector {
   /// Applies matching sdc-param / sdc-momentum faults to `net`: one random
   /// bit of one random element of one random parameter (or its momentum)
   /// is flipped in place, retrying the bit choice until the value stays
-  /// finite — the corruption sails past every NaN/Inf scan. Called *after*
-  /// the optimizer step (single device: the trainer; cluster: after the
-  /// post-update hooks), so nothing overwrites it before the next digest
-  /// check. Returns true if a fault fired.
-  bool corrupt_state(graph::Network& net, std::int64_t step, int replica = -1);
+  /// finite — the corruption sails past every NaN/Inf scan. The cluster
+  /// calls it *after* the optimizer step and the update hooks, so nothing
+  /// overwrites it before the next digest check. Returns true if a fault
+  /// fired.
+  bool corrupt_state(graph::Network& net, const StepClock& clock,
+                     int replica = -1);
 
   /// Applies a matching checkpoint fault to every path in `paths` (they
   /// are one logical save: the numbered file plus ckpt-latest.bin).
@@ -227,6 +238,8 @@ class FaultInjector {
   /// fields are wildcards.
   static bool matches(const Armed& a, std::int64_t epoch, std::int64_t step,
                       int replica);
+  /// matches() on the clock the clause names (see StepClock).
+  static bool matches(const Armed& a, const StepClock& clock, int replica);
 
   std::vector<Armed> specs_;
   Rng rng_{0x0fa1u};

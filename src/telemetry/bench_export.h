@@ -1,7 +1,7 @@
 // Turns a telemetry run directory (manifest.json + epochs.jsonl) into a
 // BENCH_<name>.json summary in the repo's benchmark-artifact format, so an
-// instrumented training run can sit next to the google-benchmark figures
-// in run_bench_suite.sh output.
+// instrumented training run can sit next to the bench artifacts in
+// run_bench_suite.sh output.
 #pragma once
 
 #include <string>

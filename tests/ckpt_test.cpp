@@ -405,6 +405,8 @@ TEST(TrainConfigValidate, RejectsBadFields) {
                    "ratio");
   }
   expect_rejects([](auto& c) { c.fine_tune_epochs = -1; }, "fine_tune_epochs");
+  expect_rejects([](auto& c) { c.sdc_check_interval = 4; },
+                 "sdc_check_interval");
 }
 
 TEST(TrainConfigValidate, TrainerConstructorValidates) {

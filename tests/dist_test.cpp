@@ -667,6 +667,28 @@ TEST(ElasticCluster, DegenerateRingChargesNoComm) {
   EXPECT_TRUE(std::isfinite(r.loss));
 }
 
+TEST(ElasticCluster, BorrowedRankZeroIsTheCallersNetwork) {
+  // The trainer lends its own model as rank 0, so a one-replica cluster
+  // trains that network and holds no second copy of it.
+  exec::ExecContext ctx(1);
+  graph::Network net = make_bnfree_net(42);
+  const graph::Network before = make_bnfree_net(42);
+  ElasticCluster cluster(net, 1, spec_for(1));
+  EXPECT_EQ(cluster.size(), 1);
+  EXPECT_EQ(&cluster.replica(0), &net);
+  optim::SGD opt(0.05f, 0.9f);
+  cluster.step(ctx, make_batch(6, 1), opt);
+  EXPECT_NE(net.params()[0]->value.data()[0],
+            before.params()[0]->value.data()[0]);
+
+  // Ranks past 0 are the cluster's own bit-exact clones.
+  ElasticCluster three(net, 3, spec_for(3));
+  EXPECT_EQ(&three.replica(0), &net);
+  EXPECT_NE(&three.replica(1), &net);
+  expect_params_bitwise_equal(three.replica(1), net);
+  expect_params_bitwise_equal(three.replica(2), net);
+}
+
 TEST(ElasticCluster, StragglerDelayFeedsModeledStepTime) {
   exec::ExecContext ctx(1);
   ElasticCluster cluster = make_elastic(2, 42);
@@ -917,7 +939,7 @@ TEST(ElasticTrainer, ValidatesElasticFields) {
   cfg = {};
   cfg.replicas = 2;
   cfg.strategy_params["proximal"] = "false";
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  EXPECT_NO_THROW(cfg.validate());
   cfg = {};
   cfg.replicas = 2;
   EXPECT_NO_THROW(cfg.validate());
@@ -983,6 +1005,28 @@ TEST(ElasticTrainer, PersistentDropKeepsReplicasIdenticalUnderSdcChecks) {
   for (const auto& ev : trainer.recovery_report().events) {
     EXPECT_NE(ev.type, robust::EventType::kSdcDetected) << ev.describe();
     EXPECT_NE(ev.type, robust::EventType::kSdcNoQuorum) << ev.describe();
+  }
+  fs::remove_all(dir);
+}
+
+TEST(ElasticTrainer, NonProximalLassoKeepsReplicasIdentical) {
+  // The penalty gradient is added on every participant after the
+  // exchange, so non-proximal group lasso keeps the replicas
+  // bit-identical: a digest vote after every step never splits.
+  auto data = data::SyntheticImageDataset(elastic_data());
+  const fs::path dir = scratch_dir("non_proximal");
+  graph::Network net = elastic_net();
+  core::TrainConfig cfg = elastic_cfg(dir.string());
+  cfg.strategy_params["proximal"] = "false";
+  cfg.sdc_check_interval = 1;
+  core::PruneTrainer trainer(net, data, cfg);
+  const auto result = trainer.run();
+
+  EXPECT_EQ(result.epochs.size(), 4u);
+  ASSERT_NE(trainer.integrity_monitor(), nullptr);
+  EXPECT_GT(trainer.integrity_monitor()->checks(), 0);
+  for (const auto& ev : trainer.recovery_report().events) {
+    EXPECT_NE(ev.type, robust::EventType::kSdcDetected) << ev.describe();
   }
   fs::remove_all(dir);
 }

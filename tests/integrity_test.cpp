@@ -353,10 +353,10 @@ TEST(FaultInjector, SdcParamFlipsExactlyOneElementAndStaysFinite) {
   graph::Network ref = small_net();
   auto injector =
       robust::FaultInjector::from_string("sdc-param:replica=1,step=3", 11);
-  EXPECT_FALSE(injector.corrupt_state(net, 2, 1));  // wrong step
-  EXPECT_FALSE(injector.corrupt_state(net, 3, 0));  // wrong replica
-  EXPECT_TRUE(injector.corrupt_state(net, 3, 1));
-  EXPECT_FALSE(injector.corrupt_state(net, 3, 1));  // count=1: spent
+  EXPECT_FALSE(injector.corrupt_state(net, {-1, -1, 2}, 1));  // wrong step
+  EXPECT_FALSE(injector.corrupt_state(net, {-1, -1, 3}, 0));  // wrong replica
+  EXPECT_TRUE(injector.corrupt_state(net, {-1, -1, 3}, 1));
+  EXPECT_FALSE(injector.corrupt_state(net, {-1, -1, 3}, 1));  // count=1: spent
 
   std::int64_t changed = 0;
   auto pn = net.params();
@@ -385,7 +385,7 @@ TEST(FaultInjector, SdcMomentumHitsMomentumNotValues) {
   graph::Network ref = small_net();
   auto injector =
       robust::FaultInjector::from_string("sdc-momentum:step=0", 7);
-  EXPECT_TRUE(injector.corrupt_state(net, 0, 0));
+  EXPECT_TRUE(injector.corrupt_state(net, {-1, -1, 0}, 0));
 
   std::int64_t value_changed = 0, momentum_changed = 0;
   auto pn = net.params();

@@ -236,11 +236,11 @@ TEST(FaultInjector, NanGradPoisonsExactlyOneElement) {
   net.zero_grad();
   auto injector = robust::FaultInjector::from_string("nan-grad:epoch=2", 9);
   EXPECT_TRUE(injector.armed());
-  EXPECT_FALSE(injector.corrupt_gradients(net, 1, 0));  // wrong epoch
+  EXPECT_FALSE(injector.corrupt_gradients(net, {1, 0, 0}));  // wrong epoch
   EXPECT_EQ(count_nonfinite_grads(net), 0);
-  EXPECT_TRUE(injector.corrupt_gradients(net, 2, 0));
+  EXPECT_TRUE(injector.corrupt_gradients(net, {2, 0, 0}));
   EXPECT_EQ(count_nonfinite_grads(net), 1);
-  EXPECT_FALSE(injector.corrupt_gradients(net, 2, 1));  // count=1 spent
+  EXPECT_FALSE(injector.corrupt_gradients(net, {2, 1, 1}));  // count=1 spent
   EXPECT_EQ(injector.total_fires(), 1);
 }
 
@@ -250,7 +250,7 @@ TEST(FaultInjector, BitflipChangesExactlyOneElement) {
   a.zero_grad();
   b.zero_grad();
   auto injector = robust::FaultInjector::from_string("bitflip-grad", 11);
-  EXPECT_TRUE(injector.corrupt_gradients(a, 0, 0));
+  EXPECT_TRUE(injector.corrupt_gradients(a, {0, 0, 0}));
   auto pa = a.params();
   auto pb = b.params();
   std::int64_t diffs = 0;
@@ -269,7 +269,7 @@ TEST(FaultInjector, ScaleGradMultipliesEveryGradient) {
   graph::Network net = small_net();
   for (nn::Param* p : net.params()) p->grad.fill(2.f);
   auto injector = robust::FaultInjector::from_string("scale-grad:scale=10", 3);
-  EXPECT_TRUE(injector.corrupt_gradients(net, 0, 0));
+  EXPECT_TRUE(injector.corrupt_gradients(net, {0, 0, 0}));
   for (nn::Param* p : net.params()) {
     for (std::int64_t i = 0; i < p->grad.numel(); ++i) {
       ASSERT_FLOAT_EQ(p->grad.data()[i], 20.f);
@@ -285,8 +285,8 @@ TEST(FaultInjector, DeterministicGivenSpecAndSeed) {
   auto ia = robust::FaultInjector::from_string("bitflip-grad:count=0", 77);
   auto ib = robust::FaultInjector::from_string("bitflip-grad:count=0", 77);
   for (int step = 0; step < 4; ++step) {
-    ia.corrupt_gradients(a, 0, step);
-    ib.corrupt_gradients(b, 0, step);
+    ia.corrupt_gradients(a, {0, step, step});
+    ib.corrupt_gradients(b, {0, step, step});
   }
   auto pa = a.params();
   auto pb = b.params();
@@ -304,7 +304,7 @@ TEST(FaultInjector, DisarmedInjectorIsANoOp) {
   robust::FaultInjector injector;
   EXPECT_FALSE(injector.armed());
   graph::Network net = small_net();
-  EXPECT_FALSE(injector.corrupt_gradients(net, 0, 0));
+  EXPECT_FALSE(injector.corrupt_gradients(net, {0, 0, 0}));
   EXPECT_FALSE(injector.drop_replica(0, 0));
   EXPECT_DOUBLE_EQ(injector.replica_delay(0, 0), 0.0);
   EXPECT_EQ(injector.total_fires(), 0);
@@ -579,11 +579,11 @@ TEST(TrainConfigFaults, EveryKindIsRejectedOrFires) {
   };
   const std::vector<Row> rows = {
       {"nan-grad:step=1", true, true, false},
-      {"nan-grad:epoch=0,step=1", true, false, false},
+      {"nan-grad:epoch=0,step=1", true, true, false},
       {"bitflip-grad:step=1", true, true, false},
-      {"bitflip-grad:epoch=0,step=1", true, false, false},
+      {"bitflip-grad:epoch=0,step=1", true, true, false},
       {"scale-grad:step=1", true, true, false},
-      {"scale-grad:epoch=0,step=1", true, false, false},
+      {"scale-grad:epoch=0,step=1", true, true, false},
       {"drop-replica:step=1", false, true, false},
       {"delay-replica:step=1", false, true, false},
       {"kill-replica:replica=1,step=1", false, true, false},
@@ -601,7 +601,7 @@ TEST(TrainConfigFaults, EveryKindIsRejectedOrFires) {
       {"flaky-replica:replica=2,prob=1", false, false, false},
       {"nan-grad:replica=1,step=1", false, true, false},
       {"corrupt-ckpt:step=1", false, false, true},
-      {"sdc-param:epoch=0,step=1", false, false, false},
+      {"sdc-param:epoch=0,step=1", true, true, false},
       {"sdc-momentum:replica=0,step=1", false, true, false},
       // An epoch= past the end of the 1-epoch run: gradient epochs are
       // 0-based, checkpoints are matched after the epoch counter advances.
