@@ -1,9 +1,10 @@
 #include "cost/memory.h"
 
+#include <algorithm>
+
 #include "cost/flops.h"
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
-#include "tensor/im2col.h"
 
 namespace pt::cost {
 
@@ -13,11 +14,7 @@ constexpr double kBytes = 4.0;  // float32
 
 MemoryModel::MemoryModel(graph::Network& net, Shape input,
                          const exec::ExecContext* ctx) {
-  // Peak concurrent workspace leases: the forward sample loop holds one
-  // im2col buffer per pool thread; backward holds col + dcol. Whichever is
-  // larger bounds the arena's in-use bytes.
-  const double concurrent_leases =
-      std::max(2.0, ctx != nullptr ? static_cast<double>(ctx->num_threads()) : 1.0);
+  if (ctx != nullptr) threads_ = ctx->num_threads();
   Shape batched({1, input[0], input[1], input[2]});
   const auto shapes = infer_shapes(net, batched);
   for (int id : net.topo_order()) {
@@ -37,20 +34,22 @@ MemoryModel::MemoryModel(graph::Network& net, Shape input,
       const Shape& in = shapes[static_cast<std::size_t>(n.inputs[0])];
       ConvGeom g{conv->in_channels(), in[2], in[3], conv->kernel(), conv->stride(),
                  conv->pad()};
-      const std::size_t col_floats =
-          static_cast<std::size_t>(g.col_rows() * g.col_cols());
-      breakdown_.workspace =
-          std::max(breakdown_.workspace,
-                   concurrent_leases *
-                       static_cast<double>(
-                           exec::Workspace::round_up_capacity(col_floats)) *
-                       kBytes);
+      convs_.push_back({g, conv->out_channels()});
     }
     if (dynamic_cast<const nn::BatchNorm2d*>(n.layer.get()) != nullptr) {
       const Shape& in = shapes[static_cast<std::size_t>(n.inputs[0])];
       bn_traffic_per_sample_ += 7.0 * static_cast<double>(in.numel()) * kBytes;
     }
   }
+}
+
+double MemoryModel::workspace_bytes(std::int64_t batch) const {
+  std::size_t peak = 0;
+  for (const ConvLowering& c : convs_) {
+    peak = std::max(peak, nn::Conv2d::workspace_floats(c.geom, c.out_channels,
+                                                       batch, threads_));
+  }
+  return static_cast<double>(peak) * kBytes;
 }
 
 std::int64_t MemoryModel::max_batch(double capacity_bytes, std::int64_t granularity,

@@ -11,9 +11,11 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "exec/context.h"
 #include "graph/network.h"
+#include "tensor/im2col.h"
 
 namespace pt::cost {
 
@@ -22,31 +24,31 @@ struct MemoryBreakdown {
   double activations_per_sample = 0;  ///< stored forward outputs, bytes/sample
   double parameters = 0;              ///< weight bytes
   double optimizer_state = 0;         ///< gradient + momentum bytes
-  double workspace = 0;  ///< peak conv scratch bytes (exec::Workspace high water)
-
-  double total(std::int64_t batch) const {
-    return activations_per_sample * static_cast<double>(batch) + parameters +
-           optimizer_state + workspace;
-  }
 };
 
 class MemoryModel {
  public:
   /// `input` is the per-sample input shape {C, H, W}. `ctx` is the
   /// execution context the model will run on: the workspace term then
-  /// predicts ctx's exec::Workspace high-water mark *exactly* — per-conv
-  /// scratch rounded up to the arena's power-of-two size classes, times the
-  /// peak concurrent lease count (ctx->num_threads() im2col buffers in the
-  /// forward chunks, col+dcol in backward). Null models a single-threaded
-  /// context. Assumes batch >= thread count (true of any practical config);
-  /// tests/exec_test.cpp asserts model == measured.
+  /// predicts ctx's exec::Workspace high-water mark *exactly* — the largest
+  /// conv's lowering lease (nn::Conv2d::workspace_floats: one lease per
+  /// parallel chunk, size-class rounding included). Null models a
+  /// single-threaded context. tests/exec_test.cpp asserts model == measured.
   MemoryModel(graph::Network& net, Shape input,
               const exec::ExecContext* ctx = nullptr);
 
   const MemoryBreakdown& breakdown() const { return breakdown_; }
 
+  /// Peak conv scratch bytes at a mini-batch of `batch` samples: the
+  /// lowering block, and so the lease, is capped at the batch.
+  double workspace_bytes(std::int64_t batch) const;
+
   /// Training-context bytes for a mini-batch of `batch` samples.
-  double training_bytes(std::int64_t batch) const { return breakdown_.total(batch); }
+  double training_bytes(std::int64_t batch) const {
+    return breakdown_.activations_per_sample * static_cast<double>(batch) +
+           breakdown_.parameters + breakdown_.optimizer_state +
+           workspace_bytes(batch);
+  }
 
   /// Largest batch that fits in `capacity_bytes`, quantized down to a
   /// multiple of `granularity` and clamped to [granularity, max_batch].
@@ -61,7 +63,15 @@ class MemoryModel {
   double bn_traffic_per_sample() const { return bn_traffic_per_sample_; }
 
  private:
+  // One lowered conv: its geometry and output channels.
+  struct ConvLowering {
+    ConvGeom geom;
+    std::int64_t out_channels;
+  };
+
   MemoryBreakdown breakdown_;
+  std::vector<ConvLowering> convs_;
+  int threads_ = 1;
   double bn_traffic_per_sample_ = 0;
 };
 

@@ -40,7 +40,7 @@ namespace pt::exec {
 /// boundaries depend only on (n, threads), never on timing.
 ///
 /// The pool is reentrancy-safe: a parallel_for issued from inside a worker
-/// (e.g. a ctx GEMM nested in a parallelized conv sample loop) runs its
+/// (e.g. the GEMM a conv block issues from its parallel chunk) runs its
 /// chunks inline, serially, on the issuing thread.
 class ThreadPool {
  public:

@@ -1,5 +1,6 @@
 #include "nn/conv2d.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -29,6 +30,73 @@ Shape Conv2d::output_shape(const Shape& in) const {
   return {in[0], out_c_, g.out_h(), g.out_w()};
 }
 
+namespace {
+
+// Lowering blocks of `g` at batch n: samples per block, and block count.
+struct Blocks {
+  std::int64_t samples, count;
+};
+
+Blocks lowering_blocks(const ConvGeom& g, std::int64_t n) {
+  const std::int64_t bs = g.block_samples(n);
+  return {bs, (n + bs - 1) / bs};
+}
+
+// Floats of one chunk's lease: a block's [K, cols] output or gradient
+// followed by its [CRS, cols] lowering.
+std::size_t lease_floats(const ConvGeom& g, std::int64_t out_c, Blocks b) {
+  return static_cast<std::size_t>((out_c + g.col_rows()) * b.samples *
+                                  g.col_cols());
+}
+
+// The dW pass's parallel grain: CRS columns in whole GEMM tiles.
+std::int64_t dw_tiles(const ConvGeom& g) {
+  return (g.col_rows() + kGemmTileCols - 1) / kGemmTileCols;
+}
+
+// One lease per chunk of a parallel_for over `tasks`, acquired before the
+// region so the arena's high-water mark does not depend on timing.
+std::vector<exec::Workspace::Lease> lease_chunks(exec::ExecContext& ctx,
+                                                 std::int64_t tasks,
+                                                 std::size_t floats) {
+  const std::int64_t chunks = std::min<std::int64_t>(ctx.pool().size(), tasks);
+  std::vector<exec::Workspace::Lease> leases;
+  leases.reserve(static_cast<std::size_t>(chunks));
+  for (std::int64_t c = 0; c < chunks; ++c) {
+    leases.push_back(ctx.workspace().acquire(floats));
+  }
+  return leases;
+}
+
+// Copies the [K, HW] planes of `samples` consecutive [K, HW] maps into (or,
+// with to_block = false, out of) one [K, samples*HW] block matrix.
+void block_copy(const float* src, float* dst, std::int64_t samples,
+                std::int64_t k, std::int64_t hw, bool to_block) {
+  for (std::int64_t s = 0; s < samples; ++s) {
+    for (std::int64_t c = 0; c < k; ++c) {
+      const std::int64_t map = (s * k + c) * hw;
+      const std::int64_t blk = (c * samples + s) * hw;
+      if (to_block) {
+        std::copy(src + map, src + map + hw, dst + blk);
+      } else {
+        std::copy(src + blk, src + blk + hw, dst + map);
+      }
+    }
+  }
+}
+
+}  // namespace
+
+std::size_t Conv2d::workspace_floats(const ConvGeom& g,
+                                     std::int64_t out_channels,
+                                     std::int64_t batch, int threads) {
+  const Blocks b = lowering_blocks(g, batch);
+  const std::int64_t chunks =
+      std::min<std::int64_t>(threads, std::max(b.count, dw_tiles(g)));
+  return static_cast<std::size_t>(chunks) *
+         exec::Workspace::round_up_capacity(lease_floats(g, out_channels, b));
+}
+
 Tensor Conv2d::do_forward(exec::ExecContext& ctx, const Tensor& x,
                           bool training) {
   const Shape& s = x.shape();
@@ -44,29 +112,26 @@ Tensor Conv2d::do_forward(exec::ExecContext& ctx, const Tensor& x,
   const std::int64_t hw_out = g.col_cols();
   const std::int64_t in_sample = in_c_ * s[2] * s[3];
   const std::int64_t out_sample = out_c_ * ho * wo;
+  const Blocks blocks = lowering_blocks(g, n);
 
-  // Parallel over samples: each static chunk leases one im2col buffer from
-  // the workspace arena and processes its samples serially. The nested
-  // per-sample GEMM sees a busy pool and runs inline, so every output
-  // sample is computed by the same instruction sequence at any thread
-  // count. Leases are acquired up front (not inside the chunks) so the
-  // arena mutex is out of the hot loop.
-  const int max_chunks =
-      static_cast<int>(std::min<std::int64_t>(ctx.pool().size(), n));
-  std::vector<exec::Workspace::Lease> cols;
-  cols.reserve(static_cast<std::size_t>(max_chunks));
-  for (int t = 0; t < max_chunks; ++t) {
-    cols.push_back(ctx.workspace().acquire(static_cast<std::size_t>(crs * hw_out)));
-  }
-  ctx.pool().parallel_for(n, [&](std::int64_t i0, std::int64_t i1, int chunk) {
-    float* col = cols[static_cast<std::size_t>(chunk)].data();
-    for (std::int64_t i = i0; i < i1; ++i) {
-      im2col(g, x.data() + i * in_sample, col);
-      gemm_nn(ctx, out_c_, hw_out, crs, 1.f, weight_.value.data(), col, 0.f,
-              y.data() + i * out_sample);
-    }
-  });
-  cols.clear();
+  // Parallel over sample blocks: each chunk lowers its blocks into its
+  // lease and runs one GEMM per block (nested, so inline). Every y element
+  // is one FMA chain over CRS whatever the block or thread count.
+  auto leases = lease_chunks(ctx, blocks.count, lease_floats(g, out_c_, blocks));
+  ctx.pool().parallel_for(
+      blocks.count, [&](std::int64_t b0, std::int64_t b1, int chunk) {
+        float* out = leases[static_cast<std::size_t>(chunk)].data();
+        float* col = out + out_c_ * blocks.samples * hw_out;
+        for (std::int64_t b = b0; b < b1; ++b) {
+          const std::int64_t i0 = b * blocks.samples;
+          const std::int64_t ns = std::min(blocks.samples, n - i0);
+          im2col(g, x.data() + i0 * in_sample, ns, 0, crs, col);
+          gemm_nn(ctx, out_c_, ns * hw_out, crs, 1.f, weight_.value.data(), col,
+                  0.f, out);
+          block_copy(out, y.data() + i0 * out_sample, ns, out_c_, hw_out, false);
+        }
+      });
+  leases.clear();
   if (has_bias_) {
     for (std::int64_t i = 0; i < n; ++i) {
       for (std::int64_t k = 0; k < out_c_; ++k) {
@@ -91,27 +156,50 @@ Tensor Conv2d::do_backward(exec::ExecContext& ctx, const Tensor& dy) {
   const std::int64_t hw_out = g.col_cols();
   const std::int64_t in_sample = in_c_ * s[2] * s[3];
   const std::int64_t out_sample = out_c_ * g.out_h() * g.out_w();
+  const Blocks blocks = lowering_blocks(g, n);
+  const std::size_t floats = lease_floats(g, out_c_, blocks);
 
+  // dW[K, CRS] += dy[K, cols] @ col[CRS, cols]^T, split over CRS in whole
+  // GEMM tiles: each chunk lowers only its own rows and walks the blocks in
+  // sample order, so every dW element is one FMA chain over
+  // (sample, position) at any thread count.
+  const std::int64_t tiles = dw_tiles(g);
+  auto leases = lease_chunks(ctx, tiles, floats);
+  ctx.pool().parallel_for(tiles, [&](std::int64_t t0, std::int64_t t1, int chunk) {
+    const std::int64_t j0 = t0 * kGemmTileCols;
+    const std::int64_t j1 = std::min(t1 * kGemmTileCols, crs);
+    float* dyb = leases[static_cast<std::size_t>(chunk)].data();
+    float* col = dyb + out_c_ * blocks.samples * hw_out;
+    for (std::int64_t b = 0; b < blocks.count; ++b) {
+      const std::int64_t i0 = b * blocks.samples;
+      const std::int64_t ns = std::min(blocks.samples, n - i0);
+      const std::int64_t cols = ns * hw_out;
+      block_copy(dy.data() + i0 * out_sample, dyb, ns, out_c_, hw_out, true);
+      im2col(g, input_.data() + i0 * in_sample, ns, j0, j1, col);
+      gemm(ctx, out_c_, j1 - j0, cols, 1.f, {dyb, cols, 1}, {col, 1, cols}, 1.f,
+           weight_.grad.data() + j0, crs);
+    }
+  });
+  leases.clear();
+
+  // dcol[CRS, cols] = W[K, CRS]^T @ dy[K, cols], parallel over sample
+  // blocks; col2im then scatters each sample in turn into its own dx.
   Tensor dx(s);
-  // Recompute im2col per sample (cheaper than caching N column matrices).
-  // Single accumulation region for dW; the batch loop stays serial in the
-  // K-GEMM accumulate to keep determinism, with parallelism inside the
-  // GEMMs (disjoint row blocks — accumulation order per row is unchanged).
-  exec::Workspace::Lease col =
-      ctx.workspace().acquire(static_cast<std::size_t>(crs * hw_out));
-  exec::Workspace::Lease dcol =
-      ctx.workspace().acquire(static_cast<std::size_t>(crs * hw_out));
-  for (std::int64_t i = 0; i < n; ++i) {
-    im2col(g, input_.data() + i * in_sample, col.data());
-    const float* dyp = dy.data() + i * out_sample;
-    // dW[K, CRS] += dy[K, HW] @ col[CRS, HW]^T
-    gemm_nt(ctx, out_c_, crs, hw_out, 1.f, dyp, col.data(), 1.f,
-            weight_.grad.data());
-    // dcol[CRS, HW] = W[K, CRS]^T @ dy[K, HW]
-    gemm_tn(ctx, crs, hw_out, out_c_, 1.f, weight_.value.data(), dyp, 0.f,
-            dcol.data());
-    col2im(g, dcol.data(), dx.data() + i * in_sample);
-  }
+  leases = lease_chunks(ctx, blocks.count, floats);
+  ctx.pool().parallel_for(
+      blocks.count, [&](std::int64_t b0, std::int64_t b1, int chunk) {
+        float* dyb = leases[static_cast<std::size_t>(chunk)].data();
+        float* dcol = dyb + out_c_ * blocks.samples * hw_out;
+        for (std::int64_t b = b0; b < b1; ++b) {
+          const std::int64_t i0 = b * blocks.samples;
+          const std::int64_t ns = std::min(blocks.samples, n - i0);
+          block_copy(dy.data() + i0 * out_sample, dyb, ns, out_c_, hw_out, true);
+          gemm_tn(ctx, crs, ns * hw_out, out_c_, 1.f, weight_.value.data(), dyb,
+                  0.f, dcol);
+          col2im(g, dcol, ns, dx.data() + i0 * in_sample);
+        }
+      });
+  leases.clear();
   if (has_bias_) {
     const std::int64_t hw = g.out_h() * g.out_w();
     for (std::int64_t i = 0; i < n; ++i) {

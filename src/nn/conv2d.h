@@ -7,6 +7,7 @@
 // index sets, preserving optimizer state.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -55,11 +56,19 @@ class Conv2d final : public Layer {
   void shrink(const std::vector<std::int64_t>& keep_in,
               const std::vector<std::int64_t>& keep_out);
 
+  /// Peak workspace floats (size-class rounding included) one forward or
+  /// backward call of a conv with geometry `g` and `out_channels` leases at
+  /// `batch` on a `threads`-thread pool: one lease per parallel chunk.
+  static std::size_t workspace_floats(const ConvGeom& g,
+                                      std::int64_t out_channels,
+                                      std::int64_t batch, int threads);
+
  protected:
-  /// Forward parallelizes over batch samples (one workspace lease per
-  /// chunk); backward runs a serial sample loop with pool-parallel GEMMs.
-  /// All im2col/dcol scratch is leased from ctx's Workspace — no per-call
-  /// heap allocation in steady state.
+  /// Both passes lower blocks of ConvGeom::block_samples() samples at a
+  /// time into one workspace lease per pool chunk and run one GEMM per block
+  /// and pass: forward and dx split the sample blocks across the pool, dW
+  /// splits the CRS columns and walks the blocks in sample order. No
+  /// per-call heap allocation in steady state.
   Tensor do_forward(exec::ExecContext& ctx, const Tensor& x,
                     bool training) override;
   Tensor do_backward(exec::ExecContext& ctx, const Tensor& dy) override;

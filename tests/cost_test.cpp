@@ -112,12 +112,19 @@ TEST(FlopsModel, LayerBreakdownSumsToTotal) {
 TEST(MemoryModel, ActivationsScaleWithBatch) {
   auto net = models::build_resnet_basic(20, tiny_cfg());
   MemoryModel mm(net, {3, 8, 8});
-  const double b1 = mm.training_bytes(1);
-  const double b2 = mm.training_bytes(2);
-  const double b4 = mm.training_bytes(4);
+  // The conv workspace grows with the lowering block until the batch
+  // covers every layer's block (32 samples at the 2x2 stage), then stays.
+  auto rest = [&](std::int64_t batch) {
+    return mm.training_bytes(batch) - mm.workspace_bytes(batch);
+  };
+  const double b1 = rest(1);
+  const double b2 = rest(2);
+  const double b4 = rest(4);
   // Per-sample increments are exactly linear in activations.
   EXPECT_DOUBLE_EQ(b4 - b2, 2.0 * (b2 - b1));
   EXPECT_DOUBLE_EQ(b2 - b1, mm.breakdown().activations_per_sample);
+  EXPECT_LE(mm.workspace_bytes(1), mm.workspace_bytes(4));
+  EXPECT_DOUBLE_EQ(mm.workspace_bytes(32), mm.workspace_bytes(512));
   EXPECT_GT(mm.breakdown().parameters, 0);
   EXPECT_DOUBLE_EQ(mm.breakdown().optimizer_state, 2 * mm.breakdown().parameters);
 }

@@ -370,43 +370,56 @@ TEST(ExecContext, RebuildWorkspaceResetsArenaAndContextStaysUsable) {
 
 // --- MemoryModel <-> Workspace agreement ----------------------------------
 
+// The measured workspace high-water mark of one training step of `net` at
+// batch `n` on `threads` threads, and the model's prediction of it.
+std::pair<double, double> workspace_measured_and_modeled(
+    graph::Network& net, std::int64_t image, std::int64_t n, int threads) {
+  ExecContext ctx(threads);
+  Rng rng(17);
+  Tensor x = Tensor::randn({n, 3, image, image}, rng);
+  net.zero_grad();
+  Tensor y = net.forward(ctx, x, true);
+  Tensor dy(y.shape());
+  for (std::int64_t i = 0; i < dy.numel(); ++i) dy.data()[i] = 0.05f;
+  net.backward(ctx, dy);
+  const cost::MemoryModel model(net, Shape{3, image, image}, &ctx);
+  return {static_cast<double>(ctx.workspace().high_water_bytes()),
+          model.workspace_bytes(n)};
+}
+
 TEST(MemoryModel, WorkspacePredictionMatchesMeasuredHighWater) {
-  // CIFAR-shaped ResNet: the model's workspace term must equal the
-  // measured arena high-water mark *exactly* — size-class rounding and
-  // concurrent-lease count included. Batch >= threads, per the model's
-  // documented assumption.
+  // The model's workspace term must equal the measured arena high-water
+  // mark *exactly*: lowering-block size, size-class rounding and one lease
+  // per parallel chunk included.
   models::ModelConfig mc;
   mc.image_h = 32;
   mc.image_w = 32;
   mc.classes = 10;
   mc.width_mult = 0.25f;
   mc.seed = 3;
-  auto net = models::build_resnet_basic(8, mc);
-  ExecContext ctx(2);
-  Rng rng(17);
-  Tensor x = Tensor::randn({4, 3, 32, 32}, rng);
-
-  net.zero_grad();
-  Tensor y = net.forward(ctx, x, true);
-  Tensor dy(y.shape());
-  for (std::int64_t i = 0; i < dy.numel(); ++i) dy.data()[i] = 0.05f;
-  net.backward(ctx, dy);
-
-  const cost::MemoryModel model(net, Shape{3, 32, 32}, &ctx);
-  ASSERT_GT(ctx.workspace().high_water_bytes(), 0u);
-  EXPECT_DOUBLE_EQ(model.breakdown().workspace,
-                   static_cast<double>(ctx.workspace().high_water_bytes()));
-
-  // A serial context leases less concurrently but is still predicted
-  // exactly (the model floors at the backward pass's col+dcol pair).
-  auto net_s = models::build_resnet_basic(8, mc);
-  ExecContext ctx_s(1);
-  net_s.zero_grad();
-  Tensor ys = net_s.forward(ctx_s, x, true);
-  net_s.backward(ctx_s, dy);
-  const cost::MemoryModel model_s(net_s, Shape{3, 32, 32}, &ctx_s);
-  EXPECT_DOUBLE_EQ(model_s.breakdown().workspace,
-                   static_cast<double>(ctx_s.workspace().high_water_bytes()));
+  // CIFAR-shaped ResNet: one sample a block at 32x32 and 16x16, two at
+  // 8x8. On two threads and on a serial context.
+  for (int threads : {2, 1}) {
+    auto net = models::build_resnet_basic(8, mc);
+    const auto [measured, modeled] = workspace_measured_and_modeled(net, 32, 4, threads);
+    ASSERT_GT(measured, 0.0);
+    EXPECT_DOUBLE_EQ(modeled, measured) << threads << " threads";
+  }
+  // An 8x8 input reaches 2x2 outputs, where one block spans many samples:
+  // at n = 13 the 8x8 stage's two-sample blocks leave a one-sample tail and
+  // the 2x2 stage lowers all 13 samples at once; at n = 40 the 2x2 stage
+  // splits into a 32-sample block and an 8-sample one.
+  mc.image_h = 8;
+  mc.image_w = 8;
+  mc.width_mult = 0.5f;
+  for (const std::int64_t n : {13, 40}) {
+    for (int threads : {1, 3}) {
+      auto net = models::build_resnet_basic(8, mc);
+      const auto [measured, modeled] = workspace_measured_and_modeled(net, 8, n, threads);
+      ASSERT_GT(measured, 0.0);
+      EXPECT_DOUBLE_EQ(modeled, measured) << "n = " << n << ", " << threads << " threads";
+    }
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 
 #include "nn/activations.h"
@@ -113,6 +114,111 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(ConvCase{2, 3, 6, 6, 4, 3, 1, 1}, ConvCase{1, 2, 8, 8, 3, 3, 2, 1},
                       ConvCase{2, 4, 5, 5, 2, 1, 1, 0}, ConvCase{1, 1, 7, 7, 2, 5, 1, 2},
                       ConvCase{3, 2, 4, 4, 2, 3, 1, 1}));
+
+// Conv2d against a direct per-sample reference of the GEMM rule's chains:
+// y[n,k,q] is one FMA chain over (c, r, s) from +0; dW[k,c,r,s] one chain
+// over (sample, position) in order onto the zeroed gradient; dx sums, per
+// input element, the contributions of the rows (c, r, s) in ascending
+// order, each a chain over k from +0. Padding reads as an explicit 0.
+struct ConvReference {
+  Tensor y, dw, dx;
+};
+
+ConvReference conv_reference(const Tensor& x, const Tensor& w, const Tensor& dy,
+                             std::int64_t stride, std::int64_t pad) {
+  const std::int64_t n = x.shape()[0], c = x.shape()[1], h = x.shape()[2],
+                     wd = x.shape()[3];
+  const std::int64_t k = w.shape()[0], ks = w.shape()[2];
+  const std::int64_t ho = dy.shape()[2], wo = dy.shape()[3];
+  auto in = [&](std::int64_t i, std::int64_t ch, std::int64_t ih, std::int64_t iw) {
+    return ih < 0 || ih >= h || iw < 0 || iw >= wd ? 0.f : x.at(i, ch, ih, iw);
+  };
+  ConvReference ref{Tensor({n, k, ho, wo}), Tensor(w.shape()), Tensor(x.shape())};
+  for (std::int64_t i = 0; i < n; ++i)
+    for (std::int64_t o = 0; o < k; ++o)
+      for (std::int64_t oh = 0; oh < ho; ++oh)
+        for (std::int64_t ow = 0; ow < wo; ++ow) {
+          float acc = 0.f;
+          for (std::int64_t ch = 0; ch < c; ++ch)
+            for (std::int64_t r = 0; r < ks; ++r)
+              for (std::int64_t t = 0; t < ks; ++t)
+                acc = std::fma(w.at(o, ch, r, t),
+                               in(i, ch, oh * stride - pad + r, ow * stride - pad + t), acc);
+          ref.y.at(i, o, oh, ow) = acc;
+        }
+  for (std::int64_t o = 0; o < k; ++o)
+    for (std::int64_t ch = 0; ch < c; ++ch)
+      for (std::int64_t r = 0; r < ks; ++r)
+        for (std::int64_t t = 0; t < ks; ++t) {
+          float acc = 0.f;
+          for (std::int64_t i = 0; i < n; ++i)
+            for (std::int64_t oh = 0; oh < ho; ++oh)
+              for (std::int64_t ow = 0; ow < wo; ++ow)
+                acc = std::fma(dy.at(i, o, oh, ow),
+                               in(i, ch, oh * stride - pad + r, ow * stride - pad + t), acc);
+          ref.dw.at(o, ch, r, t) = acc;
+        }
+  for (std::int64_t i = 0; i < n; ++i)
+    for (std::int64_t ch = 0; ch < c; ++ch)
+      for (std::int64_t r = 0; r < ks; ++r)
+        for (std::int64_t t = 0; t < ks; ++t)
+          for (std::int64_t oh = 0; oh < ho; ++oh)
+            for (std::int64_t ow = 0; ow < wo; ++ow) {
+              const std::int64_t ih = oh * stride - pad + r, iw = ow * stride - pad + t;
+              if (ih < 0 || ih >= h || iw < 0 || iw >= wd) continue;
+              float dcol = 0.f;
+              for (std::int64_t o = 0; o < k; ++o)
+                dcol = std::fma(w.at(o, ch, r, t), dy.at(i, o, oh, ow), dcol);
+              ref.dx.at(i, ch, ih, iw) += dcol;
+            }
+  return ref;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+class ConvBitwiseTest : public ::testing::TestWithParam<ConvCase> {};
+
+TEST_P(ConvBitwiseTest, ForwardAndBackwardMatchPerSampleChains) {
+  const auto p = GetParam();
+  Rng rng(p.n * 131 + p.c * 17 + p.kernel);
+  Conv2d conv(p.c, p.k, p.kernel, p.stride, p.pad, rng);
+  // A pruned-looking layer: one zeroed input channel of W, one zeroed
+  // output channel of W, and one all-zero input channel of x.
+  Tensor& w = conv.weight().value;
+  const std::int64_t rs = p.kernel * p.kernel;
+  for (std::int64_t o = 0; o < p.k; ++o)
+    for (std::int64_t q = 0; q < rs; ++q) w.data()[(o * p.c) * rs + q] = 0.f;
+  for (std::int64_t q = 0; q < p.c * rs; ++q) w.data()[(p.k - 1) * p.c * rs + q] = 0.f;
+  Tensor x = Tensor::randn({p.n, p.c, p.h, p.w}, rng);
+  for (std::int64_t i = 0; i < p.n; ++i)
+    for (std::int64_t q = 0; q < p.h * p.w; ++q)
+      x.data()[(i * p.c + p.c - 1) * p.h * p.w + q] = 0.f;
+  const Shape out = conv.output_shape(x.shape());
+  Tensor dy = Tensor::randn(out, rng);
+  const ConvReference ref = conv_reference(x, w, dy, p.stride, p.pad);
+
+  for (int threads : {1, 3}) {
+    exec::ExecContext ctx(threads);
+    conv.zero_grad();
+    Tensor y = conv.forward(ctx, x, true);
+    Tensor dx = conv.backward(ctx, dy);
+    EXPECT_TRUE(same_bits(y, ref.y)) << threads << " threads: y";
+    EXPECT_TRUE(same_bits(conv.weight().grad, ref.dw)) << threads << " threads: dW";
+    EXPECT_TRUE(same_bits(dx, ref.dx)) << threads << " threads: dx";
+  }
+}
+
+// n = 13 and 40 leave a partial last lowering block; 4x4 inputs at stride
+// 2 and 2x2 inputs give 2x2 outputs, where one block spans many samples.
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, ConvBitwiseTest,
+    ::testing::Values(ConvCase{13, 3, 8, 8, 5, 3, 1, 1}, ConvCase{13, 4, 4, 4, 7, 3, 2, 1},
+                      ConvCase{6, 5, 6, 6, 8, 1, 1, 0}, ConvCase{9, 6, 2, 2, 17, 3, 1, 1},
+                      ConvCase{5, 2, 9, 9, 3, 1, 2, 0}, ConvCase{40, 3, 2, 2, 4, 3, 1, 1}));
 
 TEST(Conv2d, OutputShape) {
   Rng rng(3);

@@ -1,10 +1,12 @@
 // Unit and property tests for the tensor substrate: shapes, storage
-// semantics, GEMM vs. a naive reference, and the im2col/col2im adjoint
-// property that pins down conv lowering.
+// semantics, GEMM bit for bit against a naive chain of its arithmetic rule,
+// and the im2col/col2im adjoint property that pins down conv lowering.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <tuple>
 
 #include "tensor/im2col.h"
 #include "tensor/ops.h"
@@ -110,17 +112,36 @@ TEST(Rng, UniformIntBounds) {
   }
 }
 
-// --- GEMM vs naive reference ---------------------------------------------
+// --- GEMM vs the arithmetic rule -------------------------------------------
 
-void naive_gemm_nn(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
-                   const float* b, float* c) {
+// The rule every GEMM follows, written out naively: C[i,j] starts at beta*C
+// (exactly 0 when beta == 0, untouched when beta == 1) and takes one fused
+// multiply-add per k step, in k order, of alpha*A[i,p] and B[p,j]. A and B
+// are strided views; C is row-major with `ldc`.
+void rule_gemm(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
+               MatrixRef a, MatrixRef b, float beta, float* c,
+               std::int64_t ldc) {
   for (std::int64_t i = 0; i < m; ++i) {
     for (std::int64_t j = 0; j < n; ++j) {
-      double acc = 0;
-      for (std::int64_t p = 0; p < k; ++p) acc += double(a[i * k + p]) * b[p * n + j];
-      c[i * n + j] = float(acc);
+      float acc = c[i * ldc + j];
+      if (beta == 0.f) {
+        acc = 0.f;
+      } else if (beta != 1.f) {
+        acc = beta * acc;
+      }
+      for (std::int64_t p = 0; p < k; ++p) {
+        acc = std::fma(alpha * a.p[i * a.row_stride + p * a.col_stride],
+                       b.p[p * b.row_stride + j * b.col_stride], acc);
+      }
+      c[i * ldc + j] = acc;
     }
   }
+}
+
+bool same_bits(const Tensor& x, const Tensor& y) {
+  return x.numel() == y.numel() &&
+         std::memcmp(x.data(), y.data(),
+                     static_cast<std::size_t>(x.numel()) * sizeof(float)) == 0;
 }
 
 struct GemmDims {
@@ -137,10 +158,8 @@ TEST_P(GemmTest, NNMatchesNaive) {
   Tensor b = Tensor::randn({k, n}, rng);
   Tensor c({m, n}), ref({m, n});
   gemm_nn(ctx, m, n, k, 1.f, a.data(), b.data(), 0.f, c.data());
-  naive_gemm_nn(m, n, k, a.data(), b.data(), ref.data());
-  for (std::int64_t i = 0; i < m * n; ++i) {
-    EXPECT_NEAR(c.data()[i], ref.data()[i], 1e-3f) << "at " << i;
-  }
+  rule_gemm(m, n, k, 1.f, {a.data(), k, 1}, {b.data(), n, 1}, 0.f, ref.data(), n);
+  EXPECT_TRUE(same_bits(c, ref));
 }
 
 TEST_P(GemmTest, NTMatchesNaive) {
@@ -149,14 +168,10 @@ TEST_P(GemmTest, NTMatchesNaive) {
   Rng rng(m + n + k);
   Tensor a = Tensor::randn({m, k}, rng);
   Tensor bt = Tensor::randn({n, k}, rng);
-  // Reference: transpose bt then naive NN.
-  Tensor b({k, n});
-  for (std::int64_t p = 0; p < k; ++p)
-    for (std::int64_t j = 0; j < n; ++j) b.at(p, j) = bt.at(j, p);
   Tensor c({m, n}), ref({m, n});
   gemm_nt(ctx, m, n, k, 1.f, a.data(), bt.data(), 0.f, c.data());
-  naive_gemm_nn(m, n, k, a.data(), b.data(), ref.data());
-  for (std::int64_t i = 0; i < m * n; ++i) EXPECT_NEAR(c.data()[i], ref.data()[i], 1e-3f);
+  rule_gemm(m, n, k, 1.f, {a.data(), k, 1}, {bt.data(), 1, k}, 0.f, ref.data(), n);
+  EXPECT_TRUE(same_bits(c, ref));
 }
 
 TEST_P(GemmTest, TNMatchesNaive) {
@@ -165,13 +180,10 @@ TEST_P(GemmTest, TNMatchesNaive) {
   Rng rng(3 * m + 5 * n + 7 * k);
   Tensor at = Tensor::randn({k, m}, rng);
   Tensor b = Tensor::randn({k, n}, rng);
-  Tensor a({m, k});
-  for (std::int64_t i = 0; i < m; ++i)
-    for (std::int64_t p = 0; p < k; ++p) a.at(i, p) = at.at(p, i);
   Tensor c({m, n}), ref({m, n});
   gemm_tn(ctx, m, n, k, 1.f, at.data(), b.data(), 0.f, c.data());
-  naive_gemm_nn(m, n, k, a.data(), b.data(), ref.data());
-  for (std::int64_t i = 0; i < m * n; ++i) EXPECT_NEAR(c.data()[i], ref.data()[i], 1e-3f);
+  rule_gemm(m, n, k, 1.f, {at.data(), 1, m}, {b.data(), n, 1}, 0.f, ref.data(), n);
+  EXPECT_TRUE(same_bits(c, ref));
 }
 
 TEST_P(GemmTest, AccumulateBetaOne) {
@@ -181,12 +193,10 @@ TEST_P(GemmTest, AccumulateBetaOne) {
   Tensor a = Tensor::randn({m, k}, rng);
   Tensor b = Tensor::randn({k, n}, rng);
   Tensor c = Tensor::full({m, n}, 1.f);
-  Tensor ref({m, n});
-  naive_gemm_nn(m, n, k, a.data(), b.data(), ref.data());
+  Tensor ref = Tensor::full({m, n}, 1.f);
   gemm_nn(ctx, m, n, k, 1.f, a.data(), b.data(), 1.f, c.data());
-  for (std::int64_t i = 0; i < m * n; ++i) {
-    EXPECT_NEAR(c.data()[i], ref.data()[i] + 1.f, 1e-3f);
-  }
+  rule_gemm(m, n, k, 1.f, {a.data(), k, 1}, {b.data(), n, 1}, 1.f, ref.data(), n);
+  EXPECT_TRUE(same_bits(c, ref));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, GemmTest,
@@ -194,6 +204,74 @@ INSTANTIATE_TEST_SUITE_P(Sizes, GemmTest,
                                            GemmDims{16, 16, 16}, GemmDims{65, 33, 17},
                                            GemmDims{128, 64, 300},
                                            GemmDims{7, 130, 70}));
+
+// Every entry point and the strided driver, bitwise against the rule, at
+// shapes on both sides of the 6 x 16 register tile and the 48 x 256 macro
+// tile, for each k and beta. C starts from random values (and a NaN when
+// beta == 0, which the rule must discard).
+struct GemmRuleCase {
+  std::int64_t m, n;
+};
+
+class GemmRuleTest
+    : public ::testing::TestWithParam<std::tuple<GemmRuleCase, std::int64_t, float>> {};
+
+TEST_P(GemmRuleTest, EveryEntryPointFollowsTheRule) {
+  const auto [dims, k, beta] = GetParam();
+  const auto [m, n] = dims;
+  exec::ExecContext ctx(1);
+  Rng rng(static_cast<std::uint64_t>(m * 1000 + n * 10 + k));
+  Tensor a = Tensor::randn({m, k}, rng);    // A, row-major
+  Tensor at = Tensor::randn({k, m}, rng);   // A^T, row-major
+  Tensor b = Tensor::randn({k, n}, rng);    // B, row-major
+  Tensor bt = Tensor::randn({n, k}, rng);   // B^T, row-major
+  Tensor c0 = Tensor::randn({m, n}, rng);
+  if (beta == 0.f) c0.data()[0] = std::nanf("");
+
+  auto check = [&](const char* what, MatrixRef av, MatrixRef bv, float alpha,
+                   auto&& run) {
+    Tensor c = c0.clone(), ref = c0.clone();
+    run(c.data());
+    rule_gemm(m, n, k, alpha, av, bv, beta, ref.data(), n);
+    EXPECT_TRUE(same_bits(c, ref)) << what;
+  };
+  check("nn", {a.data(), k, 1}, {b.data(), n, 1}, 1.f, [&](float* c) {
+    gemm_nn(ctx, m, n, k, 1.f, a.data(), b.data(), beta, c);
+  });
+  check("nt", {a.data(), k, 1}, {bt.data(), 1, k}, 1.f, [&](float* c) {
+    gemm_nt(ctx, m, n, k, 1.f, a.data(), bt.data(), beta, c);
+  });
+  check("tn", {at.data(), 1, m}, {b.data(), n, 1}, 1.f, [&](float* c) {
+    gemm_tn(ctx, m, n, k, 1.f, at.data(), b.data(), beta, c);
+  });
+  // The strided driver with both operands transposed and alpha != 1.
+  check("gemm", {at.data(), 1, m}, {bt.data(), 1, k}, 0.75f, [&](float* c) {
+    gemm(ctx, m, n, k, 0.75f, {at.data(), 1, m}, {bt.data(), 1, k}, beta, c, n);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, GemmRuleTest,
+    ::testing::Combine(::testing::Values(GemmRuleCase{1, 1}, GemmRuleCase{5, 15},
+                                         GemmRuleCase{6, 16}, GemmRuleCase{7, 17},
+                                         GemmRuleCase{13, 40}, GemmRuleCase{49, 257}),
+                       ::testing::Values<std::int64_t>(1, 4, 16, 17, 64),
+                       ::testing::Values(0.f, 1.f, 0.5f)));
+
+TEST(Gemm, LongKCrossesTheKBlockAndLdcIsHonoured) {
+  // k = 300 spans two k blocks (C is stored and reloaded in between); C is
+  // a window of a wider matrix whose other columns must stay untouched.
+  exec::ExecContext ctx(1);
+  const std::int64_t m = 9, n = 20, k = 300, ldc = 31;
+  Rng rng(4);
+  Tensor a = Tensor::randn({m, k}, rng);
+  Tensor b = Tensor::randn({k, n}, rng);
+  Tensor c = Tensor::randn({m, ldc}, rng);
+  Tensor ref = c.clone();
+  gemm(ctx, m, n, k, 1.f, {a.data(), k, 1}, {b.data(), n, 1}, 1.f, c.data() + 3, ldc);
+  rule_gemm(m, n, k, 1.f, {a.data(), k, 1}, {b.data(), n, 1}, 1.f, ref.data() + 3, ldc);
+  EXPECT_TRUE(same_bits(c, ref));
+}
 
 // --- BLAS-1 helpers --------------------------------------------------------
 
@@ -268,6 +346,52 @@ TEST(Im2col, PaddingFillsZero) {
   EXPECT_EQ(col.at(0, 0), 0.f);
   // Offset (1,1) of output (0,0) reads input (0,0) -> 1.
   EXPECT_EQ(col.at(4, 0), 1.f);
+}
+
+TEST(Im2col, BlockLoweringMatchesPerSample) {
+  // A block of samples lowers side by side (sample s owns columns
+  // [s*Ho*Wo, (s+1)*Ho*Wo) of every row), a row range lowers just those
+  // rows, and the block's col2im gives each sample its own col2im.
+  for (const ConvGeom g : {ConvGeom{3, 5, 5, 3, 2, 1}, ConvGeom{2, 2, 2, 3, 1, 1},
+                           ConvGeom{4, 3, 4, 1, 1, 0}}) {
+    const std::int64_t samples = 3, rows = g.col_rows(), cols = g.col_cols();
+    const std::int64_t in_sample = g.in_c * g.in_h * g.in_w;
+    Rng rng(static_cast<std::uint64_t>(rows * 10 + cols));
+    Tensor x = Tensor::randn({samples, g.in_c, g.in_h, g.in_w}, rng);
+    Tensor block({rows, samples * cols});
+    im2col(g, x.data(), samples, 0, rows, block.data());
+    Tensor part({rows - 1, samples * cols});
+    im2col(g, x.data(), samples, 1, rows, part.data());
+    Tensor dx_block({samples, g.in_c, g.in_h, g.in_w});
+    col2im(g, block.data(), samples, dx_block.data());
+    for (std::int64_t s = 0; s < samples; ++s) {
+      Tensor one({rows, cols});
+      im2col(g, x.data() + s * in_sample, one.data());
+      Tensor dx_one({g.in_c, g.in_h, g.in_w});
+      col2im(g, one.data(), dx_one.data());
+      for (std::int64_t r = 0; r < rows; ++r) {
+        for (std::int64_t q = 0; q < cols; ++q) {
+          EXPECT_EQ(block.at(r, s * cols + q), one.at(r, q));
+          if (r > 0) {
+            EXPECT_EQ(part.at(r - 1, s * cols + q), one.at(r, q));
+          }
+        }
+      }
+      EXPECT_EQ(std::memcmp(dx_block.data() + s * in_sample, dx_one.data(),
+                            static_cast<std::size_t>(in_sample) * sizeof(float)),
+                0);
+    }
+  }
+}
+
+TEST(Im2col, BlockSamplesReachTheColumnTargetCappedAtTheBatch) {
+  const ConvGeom g8{8, 8, 8, 3, 1, 1};  // 64 columns a sample
+  EXPECT_EQ(g8.block_samples(64), kLoweringColumns / 64);
+  const ConvGeom g2{8, 2, 2, 3, 1, 1};  // 4 columns a sample
+  EXPECT_EQ(g2.block_samples(64), kLoweringColumns / 4);
+  EXPECT_EQ(g2.block_samples(13), 13);
+  const ConvGeom g32{3, 32, 32, 3, 1, 1};  // wider than the target alone
+  EXPECT_EQ(g32.block_samples(64), 1);
 }
 
 struct ConvGeomCase {
