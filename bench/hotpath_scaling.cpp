@@ -83,7 +83,7 @@ bool check_determinism(const Tensor& images,
 }
 
 /// Mean seconds per step over `steps` timed steps (after 2 warm-up steps
-/// that grow the workspace arena to steady state).
+/// that grow the workspace buffer to steady state).
 double time_steps(int threads, std::int64_t steps, const Tensor& images,
                   const std::vector<std::int64_t>& labels) {
   auto net = build_model();

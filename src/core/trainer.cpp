@@ -110,6 +110,31 @@ TrainResult get_result(ckpt::ByteReader& r) {
   return res;
 }
 
+// A strategy's or codec's {name, f32, i64} state items (CodecStateItem is
+// the same type), as one checkpoint section after its owner's name.
+void put_state_items(ckpt::ByteWriter& w,
+                     const std::vector<prune::StrategyStateItem>& items) {
+  w.put<std::uint64_t>(items.size());
+  for (const prune::StrategyStateItem& item : items) {
+    w.put_string(item.name);
+    w.put_vector(item.f32);
+    w.put_vector(item.i64);
+  }
+}
+
+std::vector<prune::StrategyStateItem> get_state_items(ckpt::ByteReader& r) {
+  const auto n = r.get<std::uint64_t>();
+  std::vector<prune::StrategyStateItem> items;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    prune::StrategyStateItem item;
+    item.name = r.get_string();
+    item.f32 = r.get_vector<float>();
+    item.i64 = r.get_vector<std::int64_t>();
+    items.push_back(std::move(item));
+  }
+  return items;
+}
+
 // The manifest's config dump: the fields that shape the run's trajectory
 // (not an exhaustive TrainConfig round-trip — the JSONL records are for
 // humans and plotting scripts, the checkpoint is the machine state).
@@ -433,9 +458,9 @@ prune::ReconfigStats PruneTrainer::reconfigure(TrainResult& result,
     // Surgery may have dropped channels the strategy tracks by index;
     // give it a chance to rebuild (masks, thresholds, saliency).
     strategy_->on_reconfigured(*net_);
-    // The arena's buffers are sized for the pre-surgery shapes; drop them
-    // so capacity — and the high-water statistic — re-measures the pruned
-    // hot loop. No leases are live at an epoch boundary.
+    // The workspace is sized for the pre-surgery shapes; drop it so its
+    // capacity — and the high-water statistic — re-measures the pruned
+    // hot loop.
     ctx_->rebuild_workspace();
   }
   return rstats;
@@ -850,7 +875,7 @@ void PruneTrainer::emit_epoch_record(const EpochStats& stats,
                    static_cast<double>(ws.high_water_bytes));
   telemetry::gauge("exec/workspace_allocations",
                    static_cast<double>(ws.heap_allocations));
-  telemetry::gauge("exec/workspace_leases", static_cast<double>(ws.leases));
+  telemetry::gauge("exec/workspace_reserves", static_cast<double>(ws.reserves));
 
   // Integrity observables: digest checks run, mismatches convicted, heals
   // performed, and the modeled exchange/heal traffic.
@@ -920,13 +945,7 @@ void PruneTrainer::save_checkpoint(const TrainResult& result, std::int64_t phase
   {
     ckpt::ByteWriter sw;
     sw.put_string(cfg_.strategy);
-    const std::vector<prune::StrategyStateItem> items = strategy_->state();
-    sw.put<std::uint64_t>(items.size());
-    for (const prune::StrategyStateItem& item : items) {
-      sw.put_string(item.name);
-      sw.put_vector(item.f32);
-      sw.put_vector(item.i64);
-    }
+    put_state_items(sw, strategy_->state());
     ck.set_section("strategy", sw.take());
   }
 
@@ -938,15 +957,8 @@ void PruneTrainer::save_checkpoint(const TrainResult& result, std::int64_t phase
   if (codec_) {
     ckpt::ByteWriter cw;
     cw.put_string(cfg_.codec);
-    const std::vector<dist::CodecStateItem> items =
-        codec_->stateful() ? codec_->state()
-                           : std::vector<dist::CodecStateItem>{};
-    cw.put<std::uint64_t>(items.size());
-    for (const dist::CodecStateItem& item : items) {
-      cw.put_string(item.name);
-      cw.put_vector(item.f32);
-      cw.put_vector(item.i64);
-    }
+    put_state_items(cw, codec_->stateful() ? codec_->state()
+                                           : dist::CodecState{});
     ck.set_section("codec", cw.take());
   }
 
@@ -996,7 +1008,7 @@ void PruneTrainer::load_checkpoint_file(const std::string& path) {
   // The restored network starts with profiling off; keep instrumenting
   // when this run records telemetry (resume and rollback paths).
   if (recorder_) net_->set_profiling(true);
-  // The restored model's shapes may differ from what the arena was sized
+  // The restored model's shapes may differ from what the workspace was sized
   // for (the checkpoint is post-reconfiguration); re-measure from scratch.
   ctx_->rebuild_workspace();
 
@@ -1033,16 +1045,7 @@ void PruneTrainer::load_checkpoint_file(const std::string& path) {
                                " was written by strategy '" + saved_name +
                                "' but this run uses '" + cfg_.strategy + "'");
     }
-    const auto n_items = sr.get<std::uint64_t>();
-    std::vector<prune::StrategyStateItem> items;
-    for (std::uint64_t i = 0; i < n_items; ++i) {
-      prune::StrategyStateItem item;
-      item.name = sr.get_string();
-      item.f32 = sr.get_vector<float>();
-      item.i64 = sr.get_vector<std::int64_t>();
-      items.push_back(std::move(item));
-    }
-    strategy_->load_state(items);
+    strategy_->load_state(get_state_items(sr));
   }
 
   // Codec state: absent in pre-codec checkpoints (and in single-device
@@ -1057,15 +1060,7 @@ void PruneTrainer::load_checkpoint_file(const std::string& path) {
                                " was written by codec '" + saved_codec +
                                "' but this run uses '" + codec_->name() + "'");
     }
-    const auto n_items = cr.get<std::uint64_t>();
-    std::vector<dist::CodecStateItem> items;
-    for (std::uint64_t i = 0; i < n_items; ++i) {
-      dist::CodecStateItem item;
-      item.name = cr.get_string();
-      item.f32 = cr.get_vector<float>();
-      item.i64 = cr.get_vector<std::int64_t>();
-      items.push_back(std::move(item));
-    }
+    const std::vector<dist::CodecStateItem> items = get_state_items(cr);
     if (codec_ && !items.empty()) codec_->load_state(items);
   }
 

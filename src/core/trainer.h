@@ -297,7 +297,7 @@ class PruneTrainer {
   }
 
   /// The execution context every forward/backward of this trainer runs on
-  /// (TrainConfig::num_threads pool + workspace arena). Exposed so tests
+  /// (TrainConfig::num_threads pool + workspace buffer). Exposed so tests
   /// and tools can read pool/workspace statistics.
   exec::ExecContext& exec_context() { return *ctx_; }
   const exec::ExecContext& exec_context() const { return *ctx_; }
@@ -404,7 +404,7 @@ class PruneTrainer {
   const data::SyntheticImageDataset* dataset_;
   TrainConfig cfg_;
   /// Built from cfg_.num_threads before any network execution; the
-  /// workspace arena is rebuilt whenever the model's shapes change
+  /// workspace buffer is rebuilt whenever the model's shapes change
   /// (reconfiguration, checkpoint restore) so its sizing tracks the
   /// current hot loop. unique_ptr: the context is neither copyable nor
   /// movable (worker threads hold `this`).

@@ -30,17 +30,17 @@ class MemoryModel {
  public:
   /// `input` is the per-sample input shape {C, H, W}. `ctx` is the
   /// execution context the model will run on: the workspace term then
-  /// predicts ctx's exec::Workspace high-water mark *exactly* — the largest
-  /// conv's lowering lease (nn::Conv2d::workspace_floats: one lease per
-  /// parallel chunk, size-class rounding included). Null models a
-  /// single-threaded context. tests/exec_test.cpp asserts model == measured.
+  /// predicts the bytes ctx's exec::Workspace holds *exactly* — the largest
+  /// conv's lowering scratch (nn::Conv2d::workspace_floats: one slice per
+  /// parallel chunk). Null models a single-threaded context.
+  /// tests/exec_test.cpp asserts model == measured.
   MemoryModel(graph::Network& net, Shape input,
               const exec::ExecContext* ctx = nullptr);
 
   const MemoryBreakdown& breakdown() const { return breakdown_; }
 
   /// Peak conv scratch bytes at a mini-batch of `batch` samples: the
-  /// lowering block, and so the lease, is capped at the batch.
+  /// lowering block, and so each chunk's slice, is capped at the batch.
   double workspace_bytes(std::int64_t batch) const;
 
   /// Training-context bytes for a mini-batch of `batch` samples.

@@ -12,12 +12,6 @@ namespace {
 // so a nested kernel can never deadlock waiting for the busy workers.
 thread_local int t_parallel_depth = 0;
 
-std::size_t pow2_class(std::size_t n) {
-  std::size_t k = 0;
-  while ((std::size_t{1} << k) < n) ++k;
-  return k;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -155,93 +149,35 @@ void ThreadPool::parallel_for(
 // ---------------------------------------------------------------------------
 // Workspace
 
-Workspace::Lease& Workspace::Lease::operator=(Lease&& other) noexcept {
-  if (this != &other) {
-    release();
-    owner_ = other.owner_;
-    data_ = other.data_;
-    size_ = other.size_;
-    capacity_ = other.capacity_;
-    other.owner_ = nullptr;
-    other.data_ = nullptr;
-    other.size_ = 0;
-    other.capacity_ = 0;
+float* Workspace::reserve(std::size_t n) {
+  if (t_parallel_depth > 0) {
+    throw std::logic_error(
+        "Workspace::reserve from inside a parallel_for chunk (reserve once, "
+        "before the region, and slice per chunk)");
   }
-  return *this;
-}
-
-void Workspace::Lease::release() {
-  if (owner_ != nullptr) {
-    owner_->give_back(data_, capacity_);
-    owner_ = nullptr;
-    data_ = nullptr;
-    size_ = 0;
-    capacity_ = 0;
+  ++reserves_;
+  if (n > capacity_) {
+    data_ = std::make_unique_for_overwrite<float[]>(n);
+    capacity_ = n;
+    ++heap_allocations_;
   }
-}
-
-std::size_t Workspace::round_up_capacity(std::size_t n) {
-  if (n == 0) n = 1;
-  return std::size_t{1} << pow2_class(n);
-}
-
-Workspace::Lease Workspace::acquire(std::size_t n) {
-  if (n == 0) n = 1;
-  const std::size_t cls = pow2_class(n);
-  const std::size_t capacity = std::size_t{1} << cls;
-  float* data = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++leases_;
-    if (free_lists_.size() <= cls) free_lists_.resize(cls + 1);
-    auto& list = free_lists_[cls];
-    if (!list.empty()) {
-      data = list.back().release();
-      list.pop_back();
-    } else {
-      data = new float[capacity];
-      ++heap_allocations_;
-      bytes_reserved_ += capacity * sizeof(float);
-    }
-    bytes_in_use_ += capacity * sizeof(float);
-    high_water_bytes_ = std::max(high_water_bytes_, bytes_in_use_);
-  }
-  Lease lease;
-  lease.owner_ = this;
-  lease.data_ = data;
-  lease.size_ = n;
-  lease.capacity_ = capacity;
-  return lease;
-}
-
-void Workspace::give_back(float* data, std::size_t capacity) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  bytes_in_use_ -= capacity * sizeof(float);
-  const std::size_t cls = pow2_class(capacity);
-  if (free_lists_.size() <= cls) free_lists_.resize(cls + 1);
-  free_lists_[cls].emplace_back(data);
+  return data_.get();
 }
 
 WorkspaceStats Workspace::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   WorkspaceStats s;
-  s.bytes_reserved = bytes_reserved_;
-  s.high_water_bytes = high_water_bytes_;
+  s.bytes_reserved = capacity_ * sizeof(float);
+  s.high_water_bytes = s.bytes_reserved;
   s.heap_allocations = heap_allocations_;
-  s.leases = leases_;
+  s.reserves = reserves_;
   return s;
 }
 
 void Workspace::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (bytes_in_use_ != 0) {
-    throw std::logic_error("Workspace::clear with outstanding leases");
-  }
-  free_lists_.clear();
-  bytes_reserved_ = 0;
-  high_water_bytes_ = 0;
+  data_.reset();
+  capacity_ = 0;
   heap_allocations_ = 0;
-  leases_ = 0;
+  reserves_ = 0;
 }
 
 // ---------------------------------------------------------------------------

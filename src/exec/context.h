@@ -8,11 +8,11 @@
 //     serial instruction sequence regardless of the thread count. N-thread
 //     results are bitwise-identical to 1-thread results by construction.
 //
-//  2. a size-classed workspace arena that owns the im2col/col2im/dcol
-//     scratch the conv layers used to allocate per call. Buffers are
-//     checked out via RAII leases, grown monotonically, and reused across
-//     steps — a steady-state epoch performs zero workspace heap
-//     allocations (asserted by tests/exec_test.cpp via the stats counters).
+//  2. a workspace: one grow-only float buffer that holds the conv layers'
+//     lowering scratch (im2col/col2im/dcol). It grows to exactly the
+//     largest request and is reused across steps — a steady-state epoch
+//     performs zero workspace heap allocations (asserted by
+//     tests/exec_test.cpp via the stats counters).
 //
 // Layers, Network, PruneTrainer, and dist::ElasticCluster all take an
 // ExecContext&; there is no process-wide default context, so every caller
@@ -92,81 +92,49 @@ class ThreadPool {
   std::atomic<std::uint64_t> tasks_run_{0};
 };
 
-/// Statistics of one Workspace arena. heap_allocations only moves when the
-/// arena grows, so a flat counter across steps proves steady-state reuse.
+/// Statistics of one Workspace. heap_allocations only moves when the
+/// buffer grows, so a flat counter across steps proves steady-state reuse.
+/// The buffer grows to exactly the largest request, so bytes_reserved and
+/// high_water_bytes are the same number.
 struct WorkspaceStats {
-  std::uint64_t bytes_reserved = 0;    ///< total bytes owned by the arena
-  std::uint64_t high_water_bytes = 0;  ///< peak bytes simultaneously leased
+  std::uint64_t bytes_reserved = 0;    ///< bytes the buffer holds
+  std::uint64_t high_water_bytes = 0;  ///< largest reserve() since clear()
   std::uint64_t heap_allocations = 0;  ///< cumulative buffer allocations
-  std::uint64_t leases = 0;            ///< cumulative acquire() calls
+  std::uint64_t reserves = 0;          ///< cumulative reserve() calls
 };
 
-/// Size-classed scratch arena. acquire(n) returns an RAII lease over a
-/// float buffer of capacity >= n, drawn from the free list of the smallest
-/// power-of-two size class that fits (allocating only when the class is
-/// empty). Released buffers return to their class and are reused by later
-/// leases — growth is monotone and capped by the peak concurrent demand.
-/// Thread-safe; leases themselves must be released on the acquiring thread.
+/// One grow-only float scratch buffer. reserve(n) returns a buffer of at
+/// least `n` floats, reallocating (to exactly `n`) only when `n` exceeds
+/// the current capacity; a parallel pass reserves its chunks' slices at
+/// once and hands chunk c the slice at c * slice. The buffer has one
+/// caller at a time: the thread that issues the parallel_for.
 class Workspace {
  public:
   Workspace() = default;
   Workspace(const Workspace&) = delete;
   Workspace& operator=(const Workspace&) = delete;
 
-  class Lease {
-   public:
-    Lease() = default;
-    Lease(Lease&& other) noexcept { *this = std::move(other); }
-    Lease& operator=(Lease&& other) noexcept;
-    ~Lease() { release(); }
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-
-    float* data() { return data_; }
-    const float* data() const { return data_; }
-    std::size_t size() const { return size_; }  ///< requested element count
-    void release();
-
-   private:
-    friend class Workspace;
-    Workspace* owner_ = nullptr;
-    float* data_ = nullptr;
-    std::size_t size_ = 0;      ///< requested floats
-    std::size_t capacity_ = 0;  ///< size-class floats actually held
-  };
-
-  /// Checks out a scratch buffer of at least `n` floats. The contents are
-  /// unspecified (callers overwrite before reading).
-  Lease acquire(std::size_t n);
-
-  /// The capacity (in floats) a lease of `n` floats actually holds: the
-  /// smallest power-of-two size class that fits. Exposed so the cost model
-  /// (cost::MemoryModel) can predict the arena's high-water mark exactly.
-  static std::size_t round_up_capacity(std::size_t n);
+  /// The scratch buffer, at least `n` floats. The contents are unspecified
+  /// (callers overwrite before reading) and the pointer is valid until the
+  /// next reserve() or clear(). Throws std::logic_error when called from
+  /// inside a parallel_for chunk.
+  float* reserve(std::size_t n);
 
   WorkspaceStats stats() const;
   std::uint64_t bytes_reserved() const { return stats().bytes_reserved; }
   std::uint64_t high_water_bytes() const { return stats().high_water_bytes; }
   std::uint64_t heap_allocations() const { return stats().heap_allocations; }
 
-  /// Frees every owned buffer and resets the statistics. Called when the
-  /// model's shapes change (prune/reconfigure) so the arena re-sizes to —
-  /// and the high-water mark re-measures — the new, smaller hot loop.
-  /// Outstanding leases must have been released (reconfiguration happens at
-  /// step boundaries, where none exist).
+  /// Frees the buffer and resets the statistics. Called when the model's
+  /// shapes change (prune/reconfigure) so the buffer re-sizes to — and the
+  /// high-water mark re-measures — the new, smaller hot loop.
   void clear();
 
  private:
-  void give_back(float* data, std::size_t capacity);
-
-  mutable std::mutex mutex_;
-  // free_lists_[k] holds released buffers of capacity 2^k floats.
-  std::vector<std::vector<std::unique_ptr<float[]>>> free_lists_;
-  std::uint64_t bytes_reserved_ = 0;
-  std::uint64_t bytes_in_use_ = 0;
-  std::uint64_t high_water_bytes_ = 0;
+  std::unique_ptr<float[]> data_;
+  std::size_t capacity_ = 0;  ///< floats held by data_
   std::uint64_t heap_allocations_ = 0;
-  std::uint64_t leases_ = 0;
+  std::uint64_t reserves_ = 0;
 };
 
 /// The execution-context handle: one pool + one workspace, owned together.
@@ -183,9 +151,10 @@ class ExecContext {
   const Workspace& workspace() const { return *workspace_; }
   int num_threads() const { return pool_->size(); }
 
-  /// Drops the workspace arena so its sizing (and high-water statistics)
-  /// track the current model shapes; the next step re-leases at the pruned
-  /// sizes. The pool is untouched — worker threads survive reconfiguration.
+  /// Drops the workspace buffer so its sizing (and high-water statistics)
+  /// track the current model shapes; the next step re-reserves at the
+  /// pruned sizes. The pool is untouched — worker threads survive
+  /// reconfiguration.
   void rebuild_workspace();
 
  private:

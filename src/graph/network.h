@@ -66,7 +66,7 @@ class Network {
   void set_output(int id) { output_ = id; }
   int output() const { return output_; }
 
-  /// Runs the DAG on `ctx` (its thread pool and workspace arena execute
+  /// Runs the DAG on `ctx` (its thread pool and workspace buffer execute
   /// every layer). In training mode every layer caches its backward context.
   Tensor forward(exec::ExecContext& ctx, const Tensor& x, bool training);
 

@@ -42,9 +42,9 @@ Blocks lowering_blocks(const ConvGeom& g, std::int64_t n) {
   return {bs, (n + bs - 1) / bs};
 }
 
-// Floats of one chunk's lease: a block's [K, cols] output or gradient
-// followed by its [CRS, cols] lowering.
-std::size_t lease_floats(const ConvGeom& g, std::int64_t out_c, Blocks b) {
+// Floats of one chunk's workspace slice: a block's [K, cols] output or
+// gradient followed by its [CRS, cols] lowering.
+std::size_t slice_floats(const ConvGeom& g, std::int64_t out_c, Blocks b) {
   return static_cast<std::size_t>((out_c + g.col_rows()) * b.samples *
                                   g.col_cols());
 }
@@ -54,18 +54,13 @@ std::int64_t dw_tiles(const ConvGeom& g) {
   return (g.col_rows() + kGemmTileCols - 1) / kGemmTileCols;
 }
 
-// One lease per chunk of a parallel_for over `tasks`, acquired before the
-// region so the arena's high-water mark does not depend on timing.
-std::vector<exec::Workspace::Lease> lease_chunks(exec::ExecContext& ctx,
-                                                 std::int64_t tasks,
-                                                 std::size_t floats) {
+// One slice of `floats` per chunk of a parallel_for over `tasks`, reserved
+// before the region so the workspace's size does not depend on timing.
+// Chunk c's slice starts at c * floats.
+float* reserve_chunks(exec::ExecContext& ctx, std::int64_t tasks,
+                      std::size_t floats) {
   const std::int64_t chunks = std::min<std::int64_t>(ctx.pool().size(), tasks);
-  std::vector<exec::Workspace::Lease> leases;
-  leases.reserve(static_cast<std::size_t>(chunks));
-  for (std::int64_t c = 0; c < chunks; ++c) {
-    leases.push_back(ctx.workspace().acquire(floats));
-  }
-  return leases;
+  return ctx.workspace().reserve(static_cast<std::size_t>(chunks) * floats);
 }
 
 // Copies the [K, HW] planes of `samples` consecutive [K, HW] maps into (or,
@@ -93,8 +88,7 @@ std::size_t Conv2d::workspace_floats(const ConvGeom& g,
   const Blocks b = lowering_blocks(g, batch);
   const std::int64_t chunks =
       std::min<std::int64_t>(threads, std::max(b.count, dw_tiles(g)));
-  return static_cast<std::size_t>(chunks) *
-         exec::Workspace::round_up_capacity(lease_floats(g, out_channels, b));
+  return static_cast<std::size_t>(chunks) * slice_floats(g, out_channels, b);
 }
 
 Tensor Conv2d::do_forward(exec::ExecContext& ctx, const Tensor& x,
@@ -115,12 +109,13 @@ Tensor Conv2d::do_forward(exec::ExecContext& ctx, const Tensor& x,
   const Blocks blocks = lowering_blocks(g, n);
 
   // Parallel over sample blocks: each chunk lowers its blocks into its
-  // lease and runs one GEMM per block (nested, so inline). Every y element
-  // is one FMA chain over CRS whatever the block or thread count.
-  auto leases = lease_chunks(ctx, blocks.count, lease_floats(g, out_c_, blocks));
+  // workspace slice and runs one GEMM per block (nested, so inline). Every
+  // y element is one FMA chain over CRS whatever the block or thread count.
+  const std::size_t floats = slice_floats(g, out_c_, blocks);
+  float* ws = reserve_chunks(ctx, blocks.count, floats);
   ctx.pool().parallel_for(
       blocks.count, [&](std::int64_t b0, std::int64_t b1, int chunk) {
-        float* out = leases[static_cast<std::size_t>(chunk)].data();
+        float* out = ws + static_cast<std::size_t>(chunk) * floats;
         float* col = out + out_c_ * blocks.samples * hw_out;
         for (std::int64_t b = b0; b < b1; ++b) {
           const std::int64_t i0 = b * blocks.samples;
@@ -131,7 +126,6 @@ Tensor Conv2d::do_forward(exec::ExecContext& ctx, const Tensor& x,
           block_copy(out, y.data() + i0 * out_sample, ns, out_c_, hw_out, false);
         }
       });
-  leases.clear();
   if (has_bias_) {
     for (std::int64_t i = 0; i < n; ++i) {
       for (std::int64_t k = 0; k < out_c_; ++k) {
@@ -157,18 +151,18 @@ Tensor Conv2d::do_backward(exec::ExecContext& ctx, const Tensor& dy) {
   const std::int64_t in_sample = in_c_ * s[2] * s[3];
   const std::int64_t out_sample = out_c_ * g.out_h() * g.out_w();
   const Blocks blocks = lowering_blocks(g, n);
-  const std::size_t floats = lease_floats(g, out_c_, blocks);
+  const std::size_t floats = slice_floats(g, out_c_, blocks);
 
   // dW[K, CRS] += dy[K, cols] @ col[CRS, cols]^T, split over CRS in whole
   // GEMM tiles: each chunk lowers only its own rows and walks the blocks in
   // sample order, so every dW element is one FMA chain over
   // (sample, position) at any thread count.
   const std::int64_t tiles = dw_tiles(g);
-  auto leases = lease_chunks(ctx, tiles, floats);
+  float* ws = reserve_chunks(ctx, tiles, floats);
   ctx.pool().parallel_for(tiles, [&](std::int64_t t0, std::int64_t t1, int chunk) {
     const std::int64_t j0 = t0 * kGemmTileCols;
     const std::int64_t j1 = std::min(t1 * kGemmTileCols, crs);
-    float* dyb = leases[static_cast<std::size_t>(chunk)].data();
+    float* dyb = ws + static_cast<std::size_t>(chunk) * floats;
     float* col = dyb + out_c_ * blocks.samples * hw_out;
     for (std::int64_t b = 0; b < blocks.count; ++b) {
       const std::int64_t i0 = b * blocks.samples;
@@ -180,15 +174,14 @@ Tensor Conv2d::do_backward(exec::ExecContext& ctx, const Tensor& dy) {
            weight_.grad.data() + j0, crs);
     }
   });
-  leases.clear();
 
   // dcol[CRS, cols] = W[K, CRS]^T @ dy[K, cols], parallel over sample
   // blocks; col2im then scatters each sample in turn into its own dx.
   Tensor dx(s);
-  leases = lease_chunks(ctx, blocks.count, floats);
+  ws = reserve_chunks(ctx, blocks.count, floats);
   ctx.pool().parallel_for(
       blocks.count, [&](std::int64_t b0, std::int64_t b1, int chunk) {
-        float* dyb = leases[static_cast<std::size_t>(chunk)].data();
+        float* dyb = ws + static_cast<std::size_t>(chunk) * floats;
         float* dcol = dyb + out_c_ * blocks.samples * hw_out;
         for (std::int64_t b = b0; b < b1; ++b) {
           const std::int64_t i0 = b * blocks.samples;
@@ -199,7 +192,6 @@ Tensor Conv2d::do_backward(exec::ExecContext& ctx, const Tensor& dy) {
           col2im(g, dcol, ns, dx.data() + i0 * in_sample);
         }
       });
-  leases.clear();
   if (has_bias_) {
     const std::int64_t hw = g.out_h() * g.out_w();
     for (std::int64_t i = 0; i < n; ++i) {

@@ -56,16 +56,16 @@ class Conv2d final : public Layer {
   void shrink(const std::vector<std::int64_t>& keep_in,
               const std::vector<std::int64_t>& keep_out);
 
-  /// Peak workspace floats (size-class rounding included) one forward or
-  /// backward call of a conv with geometry `g` and `out_channels` leases at
-  /// `batch` on a `threads`-thread pool: one lease per parallel chunk.
+  /// Workspace floats one forward or backward call of a conv with geometry
+  /// `g` and `out_channels` reserves at `batch` on a `threads`-thread pool:
+  /// one slice per parallel chunk of its widest pass.
   static std::size_t workspace_floats(const ConvGeom& g,
                                       std::int64_t out_channels,
                                       std::int64_t batch, int threads);
 
  protected:
   /// Both passes lower blocks of ConvGeom::block_samples() samples at a
-  /// time into one workspace lease per pool chunk and run one GEMM per block
+  /// time into one workspace slice per pool chunk and run one GEMM per block
   /// and pass: forward and dx split the sample blocks across the pool, dW
   /// splits the CRS columns and walks the blocks in sample order. No
   /// per-call heap allocation in steady state.

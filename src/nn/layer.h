@@ -66,7 +66,7 @@ std::vector<NamedParam> group_params(const std::vector<StateEntry>& entries);
 /// parameters for the optimizer and the pruning machinery.
 ///
 /// Execution API: the public forward/backward entry points take an
-/// exec::ExecContext& carrying the thread pool and the workspace arena the
+/// exec::ExecContext& carrying the thread pool and the workspace buffer the
 /// kernels run on; there are no context-free overloads.
 class Layer {
  public:

@@ -33,7 +33,7 @@ struct ConvGeom {
 };
 
 /// Columns a lowering block aims for. Wider blocks time the same on the
-/// 8x8 ResNet shapes and only grow the workspace lease.
+/// 8x8 ResNet shapes and only grow the workspace.
 inline constexpr std::int64_t kLoweringColumns = 128;
 
 /// Lowers `samples` consecutive [C, H, W] inputs into rows

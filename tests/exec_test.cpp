@@ -1,9 +1,9 @@
 // Execution-context tests (`ctest -L exec`): the ThreadPool's static
 // partition and determinism contract (N-thread results bitwise-identical
 // to 1-thread, from a single GEMM up to a full pruning training run), the
-// Workspace arena's steady-state reuse (heap-allocation counter flat once
-// warm), context survival across prune/reconfigure, and the MemoryModel's
-// exact prediction of the workspace high-water mark.
+// Workspace buffer's steady-state reuse (heap-allocation counter flat once
+// warm) and its one-caller rule, context survival across prune/reconfigure,
+// and the MemoryModel's exact prediction of the bytes the workspace holds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -130,53 +130,69 @@ TEST(ThreadPool, ExceptionPropagatesAndPoolSurvives) {
 
 // --- Workspace ------------------------------------------------------------
 
-TEST(Workspace, RoundUpCapacityIsSmallestFittingPowerOfTwo) {
-  EXPECT_EQ(Workspace::round_up_capacity(0), 1u);
-  EXPECT_EQ(Workspace::round_up_capacity(1), 1u);
-  EXPECT_EQ(Workspace::round_up_capacity(3), 4u);
-  EXPECT_EQ(Workspace::round_up_capacity(1024), 1024u);
-  EXPECT_EQ(Workspace::round_up_capacity(1025), 2048u);
-}
-
 TEST(Workspace, SteadyStateLeasesPerformNoHeapAllocations) {
   Workspace ws;
   for (int step = 0; step < 10; ++step) {
-    Workspace::Lease lease = ws.acquire(1000);
-    ASSERT_NE(lease.data(), nullptr);
-    EXPECT_EQ(lease.size(), 1000u);
-    lease.data()[999] = 1.0f;  // the capacity is real, writable memory
+    float* buf = ws.reserve(1000);
+    ASSERT_NE(buf, nullptr);
+    buf[999] = 1.0f;  // the capacity is real, writable memory
   }
   const WorkspaceStats s = ws.stats();
-  EXPECT_EQ(s.heap_allocations, 1u);  // first acquire only; 9 reuses
-  EXPECT_EQ(s.leases, 10u);
-  EXPECT_EQ(s.bytes_reserved, 1024u * sizeof(float));
-  EXPECT_EQ(s.high_water_bytes, 1024u * sizeof(float));
+  EXPECT_EQ(s.heap_allocations, 1u);  // first reserve only; 9 reuses
+  EXPECT_EQ(s.reserves, 10u);
+  EXPECT_EQ(s.bytes_reserved, 1000u * sizeof(float));
+  EXPECT_EQ(s.high_water_bytes, 1000u * sizeof(float));
 }
 
-TEST(Workspace, ConcurrentLeasesRaiseHighWater) {
+TEST(Workspace, GrowsToExactlyTheLargestRequest) {
   Workspace ws;
-  {
-    Workspace::Lease a = ws.acquire(100);
-    Workspace::Lease b = ws.acquire(100);
-    EXPECT_NE(a.data(), b.data());
-  }
-  EXPECT_EQ(ws.high_water_bytes(), 2u * 128u * sizeof(float));
-  // Sequential re-acquire reuses both buffers at unchanged reservation.
-  { Workspace::Lease c = ws.acquire(100); }
+  float* first = ws.reserve(100);
+  EXPECT_EQ(ws.reserve(60), first);  // smaller requests reuse the buffer
+  EXPECT_EQ(ws.bytes_reserved(), 100u * sizeof(float));
+  ws.reserve(130)[129] = 1.0f;
   const WorkspaceStats s = ws.stats();
   EXPECT_EQ(s.heap_allocations, 2u);
-  EXPECT_EQ(s.bytes_reserved, 2u * 128u * sizeof(float));
+  EXPECT_EQ(s.reserves, 3u);
+  EXPECT_EQ(s.bytes_reserved, 130u * sizeof(float));
+  EXPECT_EQ(s.high_water_bytes, s.bytes_reserved);
 }
 
-TEST(Workspace, ClearWithOutstandingLeaseThrows) {
+TEST(Workspace, ClearFreesTheBufferAndTheNextReserveReallocates) {
   Workspace ws;
-  Workspace::Lease lease = ws.acquire(16);
-  EXPECT_THROW(ws.clear(), std::logic_error);
-  lease.release();
-  ws.clear();  // fine once released
-  const WorkspaceStats s = ws.stats();
+  ws.reserve(130);
+  ws.reserve(40);
+  ws.clear();
+  WorkspaceStats s = ws.stats();
   EXPECT_EQ(s.bytes_reserved, 0u);
+  EXPECT_EQ(s.high_water_bytes, 0u);
   EXPECT_EQ(s.heap_allocations, 0u);
+  EXPECT_EQ(s.reserves, 0u);
+
+  // After clear() the buffer re-sizes to the new (smaller) request rather
+  // than the old peak: the pruned model's hot loop is re-measured.
+  ws.reserve(40)[39] = 1.0f;
+  s = ws.stats();
+  EXPECT_EQ(s.heap_allocations, 1u);
+  EXPECT_EQ(s.reserves, 1u);
+  EXPECT_EQ(s.bytes_reserved, 40u * sizeof(float));
+  EXPECT_EQ(s.high_water_bytes, s.bytes_reserved);
+}
+
+TEST(Workspace, ReserveFromInsideAParallelForChunkThrows) {
+  // The buffer has one caller: the thread that issues the parallel_for.
+  // A chunk that reserved would reallocate under its sibling chunks'
+  // slices, so it is refused on workers and on the inline path alike.
+  for (int threads : {1, 3}) {
+    ThreadPool pool(threads);
+    Workspace ws;
+    auto reserve_in_chunk = [&](std::int64_t, std::int64_t, int) {
+      ws.reserve(8);
+    };
+    EXPECT_THROW(pool.parallel_for(3, reserve_in_chunk), std::logic_error)
+        << threads << " threads";
+    EXPECT_EQ(ws.bytes_reserved(), 0u);
+    EXPECT_NE(ws.reserve(8), nullptr);  // the issuing thread may reserve
+  }
 }
 
 // --- Determinism: kernels -> layers -> network -> full run ----------------
@@ -330,17 +346,17 @@ TEST(ExecContext, SteadyStateEpochPerformsZeroWorkspaceAllocations) {
     net.backward(ctx, dy);
   };
 
-  one_pass();  // warm-up grows the arena to its peak
+  one_pass();  // warm-up grows the buffer to its peak
   const WorkspaceStats warm = ctx.workspace().stats();
   EXPECT_GT(warm.heap_allocations, 0u);
-  EXPECT_GT(warm.leases, 0u);
+  EXPECT_GT(warm.reserves, 0u);
 
   for (int step = 0; step < 4; ++step) one_pass();
   const WorkspaceStats after = ctx.workspace().stats();
   EXPECT_EQ(after.heap_allocations, warm.heap_allocations)
       << "steady-state passes must not touch the heap";
   EXPECT_EQ(after.bytes_reserved, warm.bytes_reserved);
-  EXPECT_EQ(after.leases, warm.leases * 5);  // but leases keep flowing
+  EXPECT_EQ(after.reserves, warm.reserves * 5);  // but reserves keep flowing
 }
 
 TEST(ExecContext, RebuildWorkspaceResetsArenaAndContextStaysUsable) {
@@ -357,7 +373,7 @@ TEST(ExecContext, RebuildWorkspaceResetsArenaAndContextStaysUsable) {
   EXPECT_EQ(fresh.heap_allocations, 0u);
   EXPECT_EQ(fresh.high_water_bytes, 0u);
 
-  // Same pool (worker threads survive), workspace re-leases on demand, and
+  // Same pool (worker threads survive), workspace re-reserves on demand, and
   // the results stay bitwise equal to a serial context.
   EXPECT_EQ(ctx.num_threads(), 3);
   auto net_ref = models::build_resnet_basic(8, tiny_model());
@@ -370,10 +386,16 @@ TEST(ExecContext, RebuildWorkspaceResetsArenaAndContextStaysUsable) {
 
 // --- MemoryModel <-> Workspace agreement ----------------------------------
 
-// The measured workspace high-water mark of one training step of `net` at
-// batch `n` on `threads` threads, and the model's prediction of it.
-std::pair<double, double> workspace_measured_and_modeled(
-    graph::Network& net, std::int64_t image, std::int64_t n, int threads) {
+// One training step of `net` at batch `n` on `threads` threads: the bytes
+// its workspace holds afterwards, its high-water mark, and the model's
+// prediction of both.
+struct WorkspaceBytes {
+  double reserved, high_water, modeled;
+};
+
+WorkspaceBytes workspace_measured_and_modeled(graph::Network& net,
+                                              std::int64_t image,
+                                              std::int64_t n, int threads) {
   ExecContext ctx(threads);
   Rng rng(17);
   Tensor x = Tensor::randn({n, 3, image, image}, rng);
@@ -383,13 +405,14 @@ std::pair<double, double> workspace_measured_and_modeled(
   for (std::int64_t i = 0; i < dy.numel(); ++i) dy.data()[i] = 0.05f;
   net.backward(ctx, dy);
   const cost::MemoryModel model(net, Shape{3, image, image}, &ctx);
-  return {static_cast<double>(ctx.workspace().high_water_bytes()),
-          model.workspace_bytes(n)};
+  const WorkspaceStats s = ctx.workspace().stats();
+  return {static_cast<double>(s.bytes_reserved),
+          static_cast<double>(s.high_water_bytes), model.workspace_bytes(n)};
 }
 
 TEST(MemoryModel, WorkspacePredictionMatchesMeasuredHighWater) {
-  // The model's workspace term must equal the measured arena high-water
-  // mark *exactly*: lowering-block size, size-class rounding and one lease
+  // The model's workspace term must equal the bytes the workspace holds
+  // and its high-water mark *exactly*: lowering-block size and one slice
   // per parallel chunk included.
   models::ModelConfig mc;
   mc.image_h = 32;
@@ -401,9 +424,11 @@ TEST(MemoryModel, WorkspacePredictionMatchesMeasuredHighWater) {
   // 8x8. On two threads and on a serial context.
   for (int threads : {2, 1}) {
     auto net = models::build_resnet_basic(8, mc);
-    const auto [measured, modeled] = workspace_measured_and_modeled(net, 32, 4, threads);
-    ASSERT_GT(measured, 0.0);
-    EXPECT_DOUBLE_EQ(modeled, measured) << threads << " threads";
+    const WorkspaceBytes b =
+        workspace_measured_and_modeled(net, 32, 4, threads);
+    ASSERT_GT(b.high_water, 0.0);
+    EXPECT_DOUBLE_EQ(b.modeled, b.high_water) << threads << " threads";
+    EXPECT_DOUBLE_EQ(b.modeled, b.reserved) << threads << " threads";
   }
   // An 8x8 input reaches 2x2 outputs, where one block spans many samples:
   // at n = 13 the 8x8 stage's two-sample blocks leave a one-sample tail and
@@ -415,9 +440,13 @@ TEST(MemoryModel, WorkspacePredictionMatchesMeasuredHighWater) {
   for (const std::int64_t n : {13, 40}) {
     for (int threads : {1, 3}) {
       auto net = models::build_resnet_basic(8, mc);
-      const auto [measured, modeled] = workspace_measured_and_modeled(net, 8, n, threads);
-      ASSERT_GT(measured, 0.0);
-      EXPECT_DOUBLE_EQ(modeled, measured) << "n = " << n << ", " << threads << " threads";
+      const WorkspaceBytes b =
+          workspace_measured_and_modeled(net, 8, n, threads);
+      ASSERT_GT(b.high_water, 0.0);
+      EXPECT_DOUBLE_EQ(b.modeled, b.high_water)
+          << "n = " << n << ", " << threads << " threads";
+      EXPECT_DOUBLE_EQ(b.modeled, b.reserved)
+          << "n = " << n << ", " << threads << " threads";
     }
   }
 }
