@@ -12,7 +12,10 @@
 //     rank order, the same SGD) — membership tracking is bookkeeping, never
 //     numerics. Reported as determinism_bitwise_elastic_vs_reference
 //     (run_bench_suite.sh fails the suite when it is false).
-//  2. Steady state: mean seconds per all-healthy elastic step.
+//  2. Steady state: mean seconds per all-healthy elastic step on 1 and on
+//     2 threads (where the replicas' shards run concurrently on lanes),
+//     and whether the two runs end with bitwise-equal parameters —
+//     determinism_bitwise_threads, also a suite gate.
 //  3. Churn cost: a kill at 1/3 of the run and a rejoin at 2/3 — live-ring
 //     comm bytes before/during/after, plus the resync bytes the rejoiner
 //     pulls (the modeled price of elasticity).
@@ -127,24 +130,34 @@ int main(int argc, char** argv) {
   std::cout << "  all-healthy elastic step bitwise == reference step: "
             << (equivalent ? "yes" : "NO — DETERMINISM VIOLATED") << "\n";
 
-  // Steady state: same replicas, same batches, nobody failing.
-  pt::exec::ExecContext ctx(1);
-  double elastic_s = 0;
-  {
-    pt::dist::ElasticCluster c(build_replicas(replicas), spec_for(replicas));
+  // Steady state: same replicas, same batches, nobody failing, on 1 and 2
+  // threads; returns seconds per step and leaves the trained cluster.
+  auto time_steps = [&](pt::dist::ElasticCluster& c, int threads) {
+    pt::exec::ExecContext tctx(threads);
     pt::optim::SGD opt(0.05f, 0.9f);
-    for (int i = 0; i < 2; ++i) c.step(ctx, make_batch(batch, 7), opt);
+    for (int i = 0; i < 2; ++i) c.step(tctx, make_batch(batch, 7), opt);
     const auto t0 = std::chrono::steady_clock::now();
     for (std::int64_t i = 0; i < steps; ++i) {
-      c.step(ctx, make_batch(batch, 100 + static_cast<std::uint64_t>(i)), opt);
+      c.step(tctx, make_batch(batch, 100 + static_cast<std::uint64_t>(i)), opt);
     }
-    elastic_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count() /
-        static_cast<double>(steps);
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+               .count() /
+           static_cast<double>(steps);
+  };
+  pt::dist::ElasticCluster serial(build_replicas(replicas), spec_for(replicas));
+  pt::dist::ElasticCluster parallel(build_replicas(replicas),
+                                    spec_for(replicas));
+  const double elastic_s = time_steps(serial, 1);
+  const double elastic_s_t2 = time_steps(parallel, 2);
+  bool same_bits = true;
+  for (int r = 0; r < replicas; ++r) {
+    same_bits = same_bits &&
+                params_bitwise_equal(serial.replica(r), parallel.replica(r));
   }
   std::cout << "  elastic cluster: " << pt::fmt(elastic_s * 1e3, 2)
-            << " ms/step\n";
+            << " ms/step on 1 thread, " << pt::fmt(elastic_s_t2 * 1e3, 2)
+            << " ms/step on 2 threads; params bitwise equal: "
+            << (same_bits ? "yes" : "NO — DETERMINISM VIOLATED") << "\n";
 
   // Churn: kill one replica at steps/3, rejoin it at 2*steps/3; track the
   // live-ring comm bytes and the fenced resync traffic.
@@ -155,6 +168,7 @@ int main(int argc, char** argv) {
                                  mc);
   const std::int64_t kill_at = steps / 3;
   const std::int64_t rejoin_at = 2 * steps / 3;
+  pt::exec::ExecContext ctx(1);
   churn.schedule_departure(replicas - 1, kill_at);
   churn.schedule_rejoin(replicas - 1, rejoin_at);
   pt::optim::SGD opt(0.05f, 0.9f);
@@ -184,7 +198,9 @@ int main(int argc, char** argv) {
   j["determinism_bitwise_elastic_vs_reference"] =
       pt::telemetry::Json(equivalent);
   j["skipped"] = pt::telemetry::Json(false);
+  j["determinism_bitwise_threads"] = pt::telemetry::Json(same_bits);
   j["elastic_seconds_per_step"] = pt::telemetry::Json(elastic_s);
+  j["elastic_seconds_per_step_t2"] = pt::telemetry::Json(elastic_s_t2);
   j["churn_kill_step"] = pt::telemetry::Json(kill_at);
   j["churn_rejoin_step"] = pt::telemetry::Json(rejoin_at);
   j["churn_resync_bytes"] = pt::telemetry::Json(
@@ -193,5 +209,5 @@ int main(int argc, char** argv) {
   j["churn_comm_bytes_degraded_ring"] = pt::telemetry::Json(bytes_degraded);
   pt::telemetry::bench_export(j, flags.get("out"));
   std::cout << "  wrote " << flags.get("out") << "\n";
-  return equivalent ? 0 : 1;
+  return equivalent && same_bits ? 0 : 1;
 }

@@ -26,8 +26,8 @@ timeout 900 ./hotpath_scaling --out "$ROOT"/BENCH_hotpath_scaling.json 2>&1
 echo
 echo "===== bench: elastic_overhead ====="
 # Elastic membership: all-healthy elastic steps vs a hand-rolled reference
-# step (bitwise), the per-step cost, and the modeled resync traffic of a
-# kill/rejoin cycle.
+# step (bitwise), the per-step cost on 1 and 2 threads (bitwise equal), and
+# the modeled resync traffic of a kill/rejoin cycle.
 timeout 900 ./elastic_overhead --out "$ROOT"/BENCH_elastic_overhead.json 2>&1
 echo
 echo "===== bench: sdc_overhead ====="
@@ -83,6 +83,7 @@ FAILED_FLAGS=0
 for artifact in "$ROOT"/BENCH_*.json; do
   [ -e "$artifact" ] || continue
   for flag in determinism_bitwise_1_vs_4 determinism_bitwise_elastic_vs_reference \
+              determinism_bitwise_threads \
               flops_monotone_nonincreasing memory_monotone_nonincreasing \
               strategy_resume_bitwise heal_bitwise zero_dropped \
               swap_speedup convergence_within_tol dense_bitwise_reference \

@@ -357,6 +357,8 @@ PruneTrainer::PruneTrainer(graph::Network& net,
     manifest.config = config_json(cfg_);
     recorder_ =
         std::make_unique<telemetry::RunRecorder>(cfg_.metrics_dir, manifest);
+    // Epoch records carry span windows; the first one opens here.
+    telemetry::MetricsRegistry::global().take_span_window();
   }
   if (!cfg_.resume_from.empty()) load_checkpoint_file(cfg_.resume_from);
   if (cfg_.record_sparsity && !monitor_) {
@@ -762,7 +764,7 @@ void PruneTrainer::run_phase(TrainResult& result, const PhaseSpec& spec,
 
     // Cost accounting for this epoch's *actual* model and batch size.
     cost::FlopsModel flops(*net_, input_shape_);
-    cost::MemoryModel mem(*net_, input_shape_, ctx_.get());
+    cost::MemoryModel mem(*net_, input_shape_, ctx_.get(), cfg_.replicas);
     cost::CommModel comm(cfg_.comm);
     cost::DeviceModel device(cfg_.device);
     const std::int64_t samples = dataset_->train_size();
@@ -865,7 +867,7 @@ void PruneTrainer::emit_epoch_record(const EpochStats& stats,
   // Execution-context statistics: pool throughput and workspace sizing.
   // A flat exec/workspace_allocations gauge across steady-state epochs is
   // the "zero hot-path heap allocations" evidence.
-  const exec::WorkspaceStats ws = ctx_->workspace().stats();
+  const exec::WorkspaceStats ws = ctx_->workspace_stats();
   telemetry::gauge("exec/threads", static_cast<double>(ctx_->num_threads()));
   telemetry::gauge("exec/tasks_run",
                    static_cast<double>(ctx_->pool().tasks_run()));
@@ -907,10 +909,13 @@ void PruneTrainer::emit_epoch_record(const EpochStats& stats,
   telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
   rec.counters = reg.counters();
   rec.gauges = reg.gauges();
-  rec.spans = reg.spans();
+  // Spans are this record's window: those closed since the previous
+  // record. train/epoch is still open here, so each epoch's own
+  // train/epoch span lands in the next record.
+  rec.spans = reg.take_span_window();
   recorder_->append(rec);
-  // Per-layer times are per-epoch quantities; the registry's counters and
-  // spans stay cumulative across the run.
+  // Per-layer times are per-epoch quantities too; the registry's counters
+  // stay cumulative across the run.
   net_->reset_profile();
 }
 

@@ -13,7 +13,8 @@ constexpr double kBytes = 4.0;  // float32
 }
 
 MemoryModel::MemoryModel(graph::Network& net, Shape input,
-                         const exec::ExecContext* ctx) {
+                         const exec::ExecContext* ctx, int replicas)
+    : replicas_(std::max(1, replicas)) {
   if (ctx != nullptr) threads_ = ctx->num_threads();
   Shape batched({1, input[0], input[1], input[2]});
   const auto shapes = infer_shapes(net, batched);
@@ -44,12 +45,38 @@ MemoryModel::MemoryModel(graph::Network& net, Shape input,
 }
 
 double MemoryModel::workspace_bytes(std::int64_t batch) const {
-  std::size_t peak = 0;
-  for (const ConvLowering& c : convs_) {
-    peak = std::max(peak, nn::Conv2d::workspace_floats(c.geom, c.out_channels,
-                                                       batch, threads_));
+  // Largest conv scratch of one shard of n samples on `threads` threads.
+  auto peak = [&](std::int64_t n, int threads) {
+    std::size_t floats = 0;
+    for (const ConvLowering& c : convs_) {
+      floats = std::max(floats, nn::Conv2d::workspace_floats(
+                                    c.geom, c.out_channels, n, threads));
+    }
+    return floats;
+  };
+  // The elastic step's shards (dist/elastic.h): participant i of R takes
+  // batch/R + (i < batch%R) samples; empty shards compute nothing.
+  std::vector<std::int64_t> shards;
+  for (int i = 0; i < replicas_; ++i) {
+    const std::int64_t n = batch / replicas_ + (i < batch % replicas_ ? 1 : 0);
+    if (n > 0) shards.push_back(n);
   }
-  return static_cast<double>(peak) * kBytes;
+  const std::int64_t k = static_cast<std::int64_t>(shards.size());
+  const std::int64_t lanes = std::min<std::int64_t>(threads_, k);
+  std::size_t floats = 0;
+  if (lanes < 2) {
+    for (std::int64_t n : shards) floats = std::max(floats, peak(n, threads_));
+  } else {
+    // Lane c runs the shards of pool chunk c: [c*k/L, (c+1)*k/L).
+    for (std::int64_t c = 0; c < lanes; ++c) {
+      std::size_t lane = 0;
+      for (std::int64_t j = c * k / lanes; j < (c + 1) * k / lanes; ++j) {
+        lane = std::max(lane, peak(shards[static_cast<std::size_t>(j)], 1));
+      }
+      floats += lane;
+    }
+  }
+  return static_cast<double>(floats) * kBytes;
 }
 
 std::int64_t MemoryModel::max_batch(double capacity_bytes, std::int64_t granularity,

@@ -29,18 +29,22 @@ struct MemoryBreakdown {
 class MemoryModel {
  public:
   /// `input` is the per-sample input shape {C, H, W}. `ctx` is the
-  /// execution context the model will run on: the workspace term then
-  /// predicts the bytes ctx's exec::Workspace holds *exactly* — the largest
+  /// execution context the model will run on, and `replicas` the elastic
+  /// cluster size (all live) whose step shards each mini-batch: the
+  /// workspace term then predicts the bytes ctx's workspace and its lanes
+  /// hold (exec::ExecContext::workspace_stats) *exactly* — the largest
   /// conv's lowering scratch (nn::Conv2d::workspace_floats: one slice per
-  /// parallel chunk). Null models a single-threaded context.
-  /// tests/exec_test.cpp asserts model == measured.
+  /// parallel chunk) at each shard's size. Null models a single-threaded
+  /// context. tests/exec_test.cpp asserts model == measured.
   MemoryModel(graph::Network& net, Shape input,
-              const exec::ExecContext* ctx = nullptr);
+              const exec::ExecContext* ctx = nullptr, int replicas = 1);
 
   const MemoryBreakdown& breakdown() const { return breakdown_; }
 
-  /// Peak conv scratch bytes at a mini-batch of `batch` samples: the
-  /// lowering block, and so each chunk's slice, is capped at the batch.
+  /// Conv scratch bytes held after a step of `batch` samples: the
+  /// lowering block, and so each chunk's slice, is capped at the shard.
+  /// When two or more lanes run the shards, lane c holds the largest
+  /// scratch of its chunk's shards on one thread, and the lanes add up.
   double workspace_bytes(std::int64_t batch) const;
 
   /// Training-context bytes for a mini-batch of `batch` samples.
@@ -72,6 +76,7 @@ class MemoryModel {
   MemoryBreakdown breakdown_;
   std::vector<ConvLowering> convs_;
   int threads_ = 1;
+  int replicas_ = 1;
   double bn_traffic_per_sample_ = 0;
 };
 

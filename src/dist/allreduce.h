@@ -60,7 +60,10 @@ struct ExchangeStats {
 /// `ranks` maps index -> replica rank for error reporting and per-replica
 /// codec state, and may be empty (identity). The codec must be bound to
 /// the nets' current topology. Throws ReplicaDivergence when a net's param
-/// table size differs from nets[0]'s; a zero total weight is a no-op.
+/// table size differs from nets[0]'s; a zero total weight is a no-op. On a
+/// multi-thread `ctx` the exchange is one region over the tensors, each
+/// chunk on its own lane (exec::ExecContext::lane); the bits do not depend
+/// on the thread count.
 ExchangeStats exchange_gradients(GradientCodec& codec,
                                  const std::vector<graph::Network*>& nets,
                                  const std::vector<double>& weights,

@@ -28,6 +28,43 @@ bool same_topology(graph::Network& a, graph::Network& b) {
   return true;
 }
 
+/// One participant's shard of a step: decided by the serial pre-pass,
+/// filled in by run_shard, summed by the serial post-pass.
+struct Shard {
+  int rank = 0;
+  std::size_t slot = 0;  ///< index among the participants
+  graph::Network* net = nullptr;
+  std::int64_t offset = 0, size = 0;  ///< samples [offset, offset + size)
+  std::int64_t failures = 0;  ///< failed attempts; > kDropRetries = dropped
+  double loss_sum = 0;        ///< shard loss × size
+  std::int64_t correct = 0;
+  double wall_seconds = 0;
+};
+
+/// zero_grad, forward, loss and backward of `sh` on `ctx`. Touches only
+/// the shard's own replica, so shards run concurrently on separate lanes.
+void run_shard(Shard& sh, const data::Batch& batch, exec::ExecContext& ctx) {
+  const auto wall_start = std::chrono::steady_clock::now();
+  const Shape& s = batch.images.shape();
+  const std::int64_t sample_len = s[1] * s[2] * s[3];
+  Tensor images({sh.size, s[1], s[2], s[3]});
+  std::copy(batch.images.data() + sh.offset * sample_len,
+            batch.images.data() + (sh.offset + sh.size) * sample_len,
+            images.data());
+  const std::vector<std::int64_t> labels(
+      batch.labels.begin() + sh.offset,
+      batch.labels.begin() + sh.offset + sh.size);
+  sh.net->zero_grad();
+  nn::SoftmaxCrossEntropy loss;
+  Tensor out = sh.net->forward(ctx, images, true);
+  sh.loss_sum = loss.forward(out, labels) * static_cast<double>(sh.size);
+  sh.correct = loss.correct();
+  sh.net->backward(ctx, loss.backward());
+  sh.wall_seconds = std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - wall_start)
+                        .count();
+}
+
 /// `n` bit-exact clones of `net` (params, momentum and buffers).
 std::vector<graph::Network> clones_of(graph::Network& net, int n) {
   if (n < 0) throw std::invalid_argument("elastic cluster needs >= 1 replica");
@@ -240,8 +277,6 @@ StepResult ElasticCluster::step(exec::ExecContext& ctx,
   telemetry::ScopedTimer step_span("dist/elastic_step");
   const std::int64_t total = batch.size();
   if (total <= 0) throw std::invalid_argument("empty mini-batch");
-  const Shape& s = batch.images.shape();
-  const std::int64_t sample_len = s[1] * s[2] * s[3];
   const std::int64_t step_id = step_counter_++;
   const robust::StepClock clock{epoch, epoch_step, step_id};
 
@@ -266,65 +301,84 @@ StepResult ElasticCluster::step(exec::ExecContext& ctx,
   StepResult result;
   result.live_replicas = static_cast<int>(participants.size());
 
-  // Deterministic re-sharding: contiguous chunks over the participants in
-  // rank order. The layout depends only on the participant set — batches
-  // smaller than the live count leave trailing shards empty (zero weight,
-  // no compute), and so does a dropped shard.
+  // Pre-pass, in rank order. Deterministic re-sharding: contiguous chunks
+  // over the participants in rank order. The layout depends only on the
+  // participant set — batches smaller than the live count leave trailing
+  // shards empty (zero weight, no compute), and so does a dropped shard.
+  // Transient failure: each failed attempt charges kDropDetectSeconds; a
+  // shard still down after kDropRetries retries is dropped.
   const std::int64_t n = static_cast<std::int64_t>(participants.size());
-  std::vector<double> weights(participants.size(), 0.0);
+  std::vector<Shard> shards;
   std::int64_t offset = 0;
   for (std::int64_t i = 0; i < n; ++i) {
     const int r = participants[static_cast<std::size_t>(i)];
-    const std::int64_t shard = total / n + (i < total % n ? 1 : 0);
-    if (shard == 0) continue;
-
-    // Transient failure: each failed attempt charges kDropDetectSeconds; a
-    // shard still down after kDropRetries retries is dropped.
-    std::int64_t failures = 0;
-    while (injector_.armed() && failures <= kDropRetries &&
+    const std::int64_t size = total / n + (i < total % n ? 1 : 0);
+    if (size == 0) continue;
+    Shard sh;
+    sh.rank = r;
+    sh.slot = static_cast<std::size_t>(i);
+    sh.net = &replica(r);
+    sh.offset = offset;
+    sh.size = size;
+    offset += size;
+    while (injector_.armed() && sh.failures <= kDropRetries &&
            injector_.drop_replica(r, step_id)) {
-      ++failures;
+      ++sh.failures;
     }
-    const double drop_wait = static_cast<double>(failures) * kDropDetectSeconds;
-    result.fault_wait_seconds += drop_wait;
-    result.retries += std::min(failures, kDropRetries);
-    if (failures > kDropRetries) {
-      ++result.dropped_replicas;
-      table_.record_step_time(r, drop_wait);
-      offset += shard;
-      continue;
+    shards.push_back(sh);
+  }
+
+  // The shards' forward/backward: one region over the computed shards,
+  // chunk c on lane c, unless fewer than two lanes would be busy — then
+  // they run one after another on ctx, whose kernels split each layer.
+  std::vector<double> weights(participants.size(), 0.0);
+  {
+    telemetry::ScopedTimer span("replicas");
+    std::vector<Shard*> computed;
+    for (Shard& sh : shards) {
+      if (sh.failures <= kDropRetries) computed.push_back(&sh);
+    }
+    const std::int64_t jobs = static_cast<std::int64_t>(computed.size());
+    if (std::min<std::int64_t>(ctx.num_threads(), jobs) < 2) {
+      for (Shard* sh : computed) run_shard(*sh, batch, ctx);
+    } else {
+      ctx.pool().parallel_for(
+          jobs, [&](std::int64_t b, std::int64_t e, int chunk) {
+            exec::ExecContext& lane = ctx.lane(chunk);
+            for (std::int64_t j = b; j < e; ++j) {
+              run_shard(*computed[static_cast<std::size_t>(j)], batch, lane);
+            }
+          });
     }
 
-    const auto wall_start = std::chrono::steady_clock::now();
-    Tensor images({shard, s[1], s[2], s[3]});
-    std::copy(batch.images.data() + offset * sample_len,
-              batch.images.data() + (offset + shard) * sample_len,
-              images.data());
-    std::vector<std::int64_t> labels(batch.labels.begin() + offset,
-                                     batch.labels.begin() + offset + shard);
-    offset += shard;
-
-    graph::Network& net = replica(r);
-    net.zero_grad();
-    nn::SoftmaxCrossEntropy loss;
-    Tensor out = net.forward(ctx, images, true);
-    result.loss_sum += loss.forward(out, labels) * static_cast<double>(shard);
-    result.correct += loss.correct();
-    net.backward(ctx, loss.backward());
-    if (injector_.armed()) injector_.corrupt_gradients(net, clock, r);
-    weights[static_cast<std::size_t>(i)] = static_cast<double>(shard);
-    result.processed += shard;
-
-    // Straggler accounting (bookkeeping only — never numerics): wall time
-    // plus injected delay and drop detection feeds the per-replica EWMA.
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      wall_start)
-            .count();
-    const double delay =
-        injector_.armed() ? injector_.replica_delay(r, step_id) : 0.0;
-    result.fault_wait_seconds += delay;
-    table_.record_step_time(r, wall + delay + drop_wait);
+    // Post-pass, in rank order: sums, gradient corruption, straggler
+    // accounting. Every injector query stays on this thread, in the order
+    // a serial step makes them, so the injector's draws do not depend on
+    // the thread count.
+    for (const Shard& sh : shards) {
+      const double drop_wait =
+          static_cast<double>(sh.failures) * kDropDetectSeconds;
+      result.fault_wait_seconds += drop_wait;
+      result.retries += std::min(sh.failures, kDropRetries);
+      if (sh.failures > kDropRetries) {
+        ++result.dropped_replicas;
+        table_.record_step_time(sh.rank, drop_wait);
+        continue;
+      }
+      result.loss_sum += sh.loss_sum;
+      result.correct += sh.correct;
+      if (injector_.armed()) {
+        injector_.corrupt_gradients(*sh.net, clock, sh.rank);
+      }
+      weights[sh.slot] = static_cast<double>(sh.size);
+      result.processed += sh.size;
+      // Straggler accounting (bookkeeping only — never numerics): wall
+      // time plus injected delay and drop detection feeds the EWMA.
+      const double delay =
+          injector_.armed() ? injector_.replica_delay(sh.rank, step_id) : 0.0;
+      result.fault_wait_seconds += delay;
+      table_.record_step_time(sh.rank, sh.wall_seconds + delay + drop_wait);
+    }
   }
   if (result.processed == 0) {
     throw degraded(step_id, 0,
@@ -337,22 +391,28 @@ StepResult ElasticCluster::step(exec::ExecContext& ctx,
   // Allreduce + update over participants only: dead replicas receive
   // nothing and go stale (that staleness is what rejoin repairs). Dropped
   // shards carry weight 0 but still receive the broadcast and the update.
-  rebind_codec_if_stale();
   std::vector<graph::Network*> nets;
   nets.reserve(participants.size());
   for (int r : participants) nets.push_back(&replica(r));
-  exchange_gradients(*codec_, nets, weights, ctx, participants);
-  bool first_participant = true;
-  for (int r : participants) {
-    graph::Network& net = replica(r);
-    if (hooks.before_update) hooks.before_update(net, first_participant);
-    opt.step(net.params());
-    if (hooks.after_update) hooks.after_update(net, first_participant);
-    first_participant = false;
-    // Silent-data-corruption injection (sdc-param / sdc-momentum) lands
-    // *after* the update and the hooks so nothing overwrites the flipped
-    // bit before the next digest check sees it.
-    if (injector_.armed()) injector_.corrupt_state(net, clock, r);
+  {
+    telemetry::ScopedTimer span("exchange");
+    rebind_codec_if_stale();
+    exchange_gradients(*codec_, nets, weights, ctx, participants);
+  }
+  {
+    telemetry::ScopedTimer span("update");
+    bool first_participant = true;
+    for (int r : participants) {
+      graph::Network& net = replica(r);
+      if (hooks.before_update) hooks.before_update(net, first_participant);
+      opt.step(net.params());
+      if (hooks.after_update) hooks.after_update(net, first_participant);
+      first_participant = false;
+      // Silent-data-corruption injection (sdc-param / sdc-momentum) lands
+      // *after* the update and the hooks so nothing overwrites the flipped
+      // bit before the next digest check sees it.
+      if (injector_.armed()) injector_.corrupt_state(net, clock, r);
+    }
   }
 
   // Fenced rejoin: replicas that entered REJOINING this step resync from

@@ -45,6 +45,14 @@
 //  * Straggler accounting: measured step time plus injected delay and drop
 //    detection feeds a per-replica EWMA; the modeled synchronous step time
 //    is max live EWMA + modeled allreduce time at the live ring size.
+//
+//  * Threads: the step is a serial pre-pass (drop decisions, shard bounds),
+//    one parallel region over the computed shards — chunk c runs its
+//    shards' forward/backward on the context's lane c — and a serial
+//    post-pass in rank order (loss sums, gradient corruption, delay). The
+//    exchange is one region over tensors. With one thread or one computed
+//    shard the shards run on the context itself, whose kernels split each
+//    layer. Every bit is independent of the thread count (DESIGN.md §9).
 #pragma once
 
 #include <cstdint>

@@ -150,7 +150,7 @@ void ThreadPool::parallel_for(
 // Workspace
 
 float* Workspace::reserve(std::size_t n) {
-  if (t_parallel_depth > 0) {
+  if (t_parallel_depth > base_depth_) {
     throw std::logic_error(
         "Workspace::reserve from inside a parallel_for chunk (reserve once, "
         "before the region, and slice per chunk)");
@@ -183,7 +183,9 @@ void Workspace::clear() {
 // ---------------------------------------------------------------------------
 // ExecContext
 
-ExecContext::ExecContext(int num_threads) {
+ExecContext::ExecContext(int num_threads) : ExecContext(num_threads, 0) {}
+
+ExecContext::ExecContext(int num_threads, int workspace_base_depth) {
   if (num_threads < 0) {
     throw std::invalid_argument("ExecContext: num_threads must be >= 0");
   }
@@ -193,9 +195,34 @@ ExecContext::ExecContext(int num_threads) {
     if (threads <= 0) threads = 1;
   }
   pool_ = std::make_unique<ThreadPool>(threads);
-  workspace_ = std::make_unique<Workspace>();
+  workspace_ = std::make_unique<Workspace>(workspace_base_depth);
+  lanes_.resize(static_cast<std::size_t>(threads));
 }
 
-void ExecContext::rebuild_workspace() { workspace_->clear(); }
+ExecContext& ExecContext::lane(int c) {
+  // Slot c is touched only by the thread running chunk c, so lanes made
+  // concurrently by sibling chunks never share a slot.
+  std::unique_ptr<ExecContext>& slot = lanes_.at(static_cast<std::size_t>(c));
+  if (!slot) slot.reset(new ExecContext(1, 1));
+  return *slot;
+}
+
+WorkspaceStats ExecContext::workspace_stats() const {
+  WorkspaceStats total = workspace_->stats();
+  for (const std::unique_ptr<ExecContext>& lane : lanes_) {
+    if (!lane) continue;
+    const WorkspaceStats s = lane->workspace_stats();
+    total.bytes_reserved += s.bytes_reserved;
+    total.high_water_bytes += s.high_water_bytes;
+    total.heap_allocations += s.heap_allocations;
+    total.reserves += s.reserves;
+  }
+  return total;
+}
+
+void ExecContext::rebuild_workspace() {
+  workspace_->clear();
+  for (std::unique_ptr<ExecContext>& lane : lanes_) lane.reset();
+}
 
 }  // namespace pt::exec

@@ -14,6 +14,12 @@
 //     performs zero workspace heap allocations (asserted by
 //     tests/exec_test.cpp via the stats counters).
 //
+//  3. lanes: one-thread child contexts, one per pool chunk, for a region
+//     over independent jobs (the replica shards of an elastic step, the
+//     tensors of a gradient exchange). Chunk c runs its jobs on lane(c), so
+//     each job's kernels run inline and its scratch lives in the lane's
+//     own workspace.
+//
 // Layers, Network, PruneTrainer, and dist::ElasticCluster all take an
 // ExecContext&; there is no process-wide default context, so every caller
 // (tests and benches included) owns one. See DESIGN.md §9 for ownership,
@@ -110,14 +116,18 @@ struct WorkspaceStats {
 /// caller at a time: the thread that issues the parallel_for.
 class Workspace {
  public:
-  Workspace() = default;
+  /// `base_depth` is the parallel_for nesting depth its caller runs at: 0
+  /// for a context's own (or a standalone) workspace, 1 for a lane's,
+  /// whose caller is the thread running one chunk of the parent's region.
+  explicit Workspace(int base_depth = 0) : base_depth_(base_depth) {}
   Workspace(const Workspace&) = delete;
   Workspace& operator=(const Workspace&) = delete;
 
   /// The scratch buffer, at least `n` floats. The contents are unspecified
   /// (callers overwrite before reading) and the pointer is valid until the
   /// next reserve() or clear(). Throws std::logic_error when called from
-  /// inside a parallel_for chunk.
+  /// inside a parallel_for chunk nested deeper than the base depth — a
+  /// region its own caller opened.
   float* reserve(std::size_t n);
 
   WorkspaceStats stats() const;
@@ -131,15 +141,17 @@ class Workspace {
   void clear();
 
  private:
+  int base_depth_;
   std::unique_ptr<float[]> data_;
   std::size_t capacity_ = 0;  ///< floats held by data_
   std::uint64_t heap_allocations_ = 0;
   std::uint64_t reserves_ = 0;
 };
 
-/// The execution-context handle: one pool + one workspace, owned together.
-/// Construct one per training run (PruneTrainer does this from
-/// TrainConfig::num_threads) and pass it down every forward/backward call.
+/// The execution-context handle: one pool + one workspace, owned together,
+/// plus the lanes made from them. Construct one per training run
+/// (PruneTrainer does this from TrainConfig::num_threads) and pass it down
+/// every forward/backward call.
 class ExecContext {
  public:
   /// `num_threads` == 0 uses std::thread::hardware_concurrency().
@@ -151,15 +163,29 @@ class ExecContext {
   const Workspace& workspace() const { return *workspace_; }
   int num_threads() const { return pool_->size(); }
 
-  /// Drops the workspace buffer so its sizing (and high-water statistics)
-  /// track the current model shapes; the next step re-reserves at the
-  /// pruned sizes. The pool is untouched — worker threads survive
-  /// reconfiguration.
+  /// Lane `c` (0 <= c < num_threads()): a one-thread context with no
+  /// workers and its own workspace, made on first use and owned by this
+  /// context. Inside a region of this context's pool, the thread running
+  /// chunk c runs its jobs on lane(c): their kernels run inline, and their
+  /// workspace reserves — legal there, unlike this context's — land in the
+  /// lane's buffer. Only that thread may call lane(c) during the region.
+  ExecContext& lane(int c);
+
+  /// This context's workspace statistics plus every lane's, summed.
+  WorkspaceStats workspace_stats() const;
+
+  /// Drops the workspace buffer and the lanes so their sizing (and
+  /// high-water statistics) track the current model shapes; the next step
+  /// re-reserves at the pruned sizes. The pool is untouched — worker
+  /// threads survive reconfiguration.
   void rebuild_workspace();
 
  private:
+  ExecContext(int num_threads, int workspace_base_depth);
+
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<Workspace> workspace_;
+  std::vector<std::unique_ptr<ExecContext>> lanes_;  ///< one slot per thread
 };
 
 }  // namespace pt::exec

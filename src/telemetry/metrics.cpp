@@ -94,16 +94,17 @@ void MetricsRegistry::observe(const std::string& name, double value) {
 
 void MetricsRegistry::record_span(const std::string& name, double seconds) {
   std::lock_guard<std::mutex> lock(mu_);
-  SpanStats& s = spans_[name];
-  if (s.count == 0) {
-    s.min_seconds = seconds;
-    s.max_seconds = seconds;
-  } else {
-    if (seconds < s.min_seconds) s.min_seconds = seconds;
-    if (seconds > s.max_seconds) s.max_seconds = seconds;
+  for (SpanStats* s : {&spans_[name], &span_window_[name]}) {
+    if (s->count == 0) {
+      s->min_seconds = seconds;
+      s->max_seconds = seconds;
+    } else {
+      if (seconds < s->min_seconds) s->min_seconds = seconds;
+      if (seconds > s->max_seconds) s->max_seconds = seconds;
+    }
+    ++s->count;
+    s->total_seconds += seconds;
   }
-  ++s.count;
-  s.total_seconds += seconds;
 }
 
 void MetricsRegistry::event(const std::string& name,
@@ -147,6 +148,13 @@ std::vector<Event> MetricsRegistry::events() const {
   return events_;
 }
 
+std::map<std::string, SpanStats> MetricsRegistry::take_span_window() {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::map<std::string, SpanStats> window;
+  window.swap(span_window_);
+  return window;
+}
+
 double MetricsRegistry::counter(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = counters_.find(name);
@@ -165,6 +173,7 @@ void MetricsRegistry::reset() {
   gauges_.clear();
   histograms_.clear();
   spans_.clear();
+  span_window_.clear();
   events_.clear();
   next_seq_ = 0;
   epoch_.reset();

@@ -90,6 +90,11 @@ class MetricsRegistry {
   std::map<std::string, SpanStats> spans() const;
   std::vector<Event> events() const;
 
+  /// The spans recorded since the previous call (or reset()), with their
+  /// own count, total, min and max; starts a new window. spans() stays
+  /// cumulative. Per-epoch run records are these windows.
+  std::map<std::string, SpanStats> take_span_window();
+
   double counter(const std::string& name) const;  ///< 0 when absent
   double gauge(const std::string& name) const;    ///< 0 when absent
 
@@ -102,6 +107,7 @@ class MetricsRegistry {
   std::map<std::string, double> gauges_;
   std::map<std::string, HistogramData> histograms_;
   std::map<std::string, SpanStats> spans_;
+  std::map<std::string, SpanStats> span_window_;  ///< since the last take
   std::vector<Event> events_;
   std::int64_t next_seq_ = 0;
   Timer epoch_;  ///< event timestamps are relative to registry creation

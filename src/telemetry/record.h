@@ -13,8 +13,9 @@
 //                    `schema`/`schema_version`, the trainer's EpochStats
 //                    mirror, the reconfiguration outcome, per-layer FLOPs
 //                    and measured wall-time (from graph::NodeProfile),
-//                    per-layer sparsity densities, and a snapshot of the
-//                    cumulative telemetry counters/gauges/spans.
+//                    per-layer sparsity densities, a snapshot of the
+//                    cumulative telemetry counters/gauges, and the spans
+//                    closed since the previous record.
 //
 // Records round-trip: from_json(to_json(r)) == r field-for-field, and
 // RunRecorder::read_records() re-reads a directory a previous process
@@ -98,7 +99,8 @@ struct EpochRecord {
   std::vector<LayerRecord> layers;
   std::vector<SparsityRecord> sparsity;
 
-  // Cumulative telemetry state at the end of the epoch.
+  // Cumulative telemetry counters and gauges at the end of the epoch, and
+  // the spans closed since the previous record (a span window).
   std::map<std::string, double> counters;
   std::map<std::string, double> gauges;
   std::map<std::string, SpanStats> spans;

@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -351,6 +352,73 @@ TEST(Cluster, ReplicaTargetedGradientFaultKeepsReplicasIdentical) {
   cluster.step(ctx, make_batch(8, 6), opt);
   EXPECT_EQ(cluster.fault_injector().total_fires(), 1);
   expect_params_bitwise_equal(cluster.replica(0), cluster.replica(1));
+}
+
+TEST(Cluster, FaultOrderIsTheSameAtEveryThreadCount) {
+  // Drops are decided before the shards' region; gradient corruption and
+  // delay come after it, in rank order. So at 1, 2 and 4 threads the same
+  // clauses fire, the injector makes the same draws (the corrupted
+  // elements land in the same places), and the params match bit for bit.
+  const std::string faults =
+      "drop-replica:replica=1,step=1,count=3;"
+      "nan-grad:replica=2,step=1;"
+      "bitflip-grad:replica=3,step=1;"
+      "bitflip-grad:replica=0,step=1;"
+      "delay-replica:replica=0,step=1,delay=2";
+  struct Outcome {
+    std::vector<StepResult> steps;
+    std::int64_t fires = 0;
+    std::vector<std::uint32_t> bits;  // every replica's params, in order
+    std::size_t nans = 0;
+  };
+  auto run = [&](int threads) {
+    ElasticCluster cluster = make_elastic(4, 31);
+    cluster.set_fault_injector(robust::FaultInjector::from_string(faults, 9));
+    exec::ExecContext ctx(threads);
+    optim::SGD opt(0.1f, 0.9f);
+    Outcome out;
+    for (int step = 0; step < 2; ++step) {
+      out.steps.push_back(cluster.step(ctx, make_batch(12, 40 + step), opt));
+    }
+    out.fires = cluster.fault_injector().total_fires();
+    for (int r = 0; r < 4; ++r) {
+      for (nn::Param* p : cluster.replica(r).params()) {
+        for (std::int64_t q = 0; q < p->value.numel(); ++q) {
+          const float v = p->value.data()[q];
+          std::uint32_t b;
+          std::memcpy(&b, &v, sizeof(b));
+          out.bits.push_back(b);
+          out.nans += std::isnan(v) ? 1 : 0;
+        }
+      }
+    }
+    return out;
+  };
+
+  const Outcome one = run(1);
+  const StepResult& hit = one.steps[1];
+  EXPECT_EQ(one.fires, 3 + 1 + 1 + 1 + 1);
+  EXPECT_EQ(hit.retries, kDropRetries);
+  EXPECT_EQ(hit.dropped_replicas, 1);
+  EXPECT_EQ(hit.processed, 9);
+  EXPECT_DOUBLE_EQ(hit.fault_wait_seconds, 3 * kDropDetectSeconds + 2.0);
+  EXPECT_GE(one.nans, 4u);  // the NaN reached every replica's update
+  for (int threads : {2, 4}) {
+    const Outcome other = run(threads);
+    EXPECT_EQ(other.fires, one.fires) << threads << " threads";
+    for (std::size_t s = 0; s < one.steps.size(); ++s) {
+      const StepResult& a = one.steps[s];
+      const StepResult& b = other.steps[s];
+      EXPECT_DOUBLE_EQ(a.loss, b.loss) << threads << " threads, step " << s;
+      EXPECT_EQ(a.correct, b.correct);
+      EXPECT_EQ(a.processed, b.processed);
+      EXPECT_EQ(a.retries, b.retries);
+      EXPECT_EQ(a.dropped_replicas, b.dropped_replicas);
+      EXPECT_DOUBLE_EQ(a.fault_wait_seconds, b.fault_wait_seconds);
+    }
+    EXPECT_EQ(other.nans, one.nans) << threads << " threads";
+    EXPECT_TRUE(other.bits == one.bits) << threads << " threads";
+  }
 }
 
 TEST(Cluster, CommBytesMatchRingFormula) {

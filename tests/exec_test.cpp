@@ -2,8 +2,10 @@
 // partition and determinism contract (N-thread results bitwise-identical
 // to 1-thread, from a single GEMM up to a full pruning training run), the
 // Workspace buffer's steady-state reuse (heap-allocation counter flat once
-// warm) and its one-caller rule, context survival across prune/reconfigure,
-// and the MemoryModel's exact prediction of the bytes the workspace holds.
+// warm) and its one-caller rule, lanes (one-thread child contexts that may
+// reserve inside their parent's chunk), context survival across
+// prune/reconfigure, and the MemoryModel's exact prediction of the bytes
+// the workspace and its lanes hold.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +19,7 @@
 
 #include "core/trainer.h"
 #include "cost/memory.h"
+#include "dist/elastic.h"
 #include "exec/context.h"
 #include "models/builders.h"
 #include "tensor/ops.h"
@@ -193,6 +196,76 @@ TEST(Workspace, ReserveFromInsideAParallelForChunkThrows) {
     EXPECT_EQ(ws.bytes_reserved(), 0u);
     EXPECT_NE(ws.reserve(8), nullptr);  // the issuing thread may reserve
   }
+}
+
+// --- Lanes ----------------------------------------------------------------
+
+TEST(Lanes, LaneMayReserveInsideItsParentsChunk) {
+  ExecContext ctx(3);
+  ctx.pool().parallel_for(3, [&](std::int64_t, std::int64_t, int chunk) {
+    float* buf = ctx.lane(chunk).workspace().reserve(8 * (chunk + 1));
+    buf[8 * chunk + 7] = 1.0f;
+  });
+  EXPECT_EQ(ctx.workspace().bytes_reserved(), 0u);
+  for (int c = 0; c < 3; ++c) {
+    EXPECT_EQ(ctx.lane(c).workspace().bytes_reserved(),
+              8u * static_cast<unsigned>(c + 1) * sizeof(float));
+    EXPECT_EQ(ctx.lane(c).num_threads(), 1);
+  }
+  EXPECT_EQ(&ctx.lane(1), &ctx.lane(1));  // made once, then reused
+  const WorkspaceStats s = ctx.workspace_stats();
+  EXPECT_EQ(s.bytes_reserved, (8u + 16u + 24u) * sizeof(float));
+  EXPECT_EQ(s.high_water_bytes, s.bytes_reserved);
+  EXPECT_EQ(s.heap_allocations, 3u);
+  EXPECT_EQ(s.reserves, 3u);
+}
+
+TEST(Lanes, ParentWorkspaceStillThrowsInsideTheRegion) {
+  for (int threads : {1, 3}) {
+    ExecContext ctx(threads);
+    EXPECT_THROW(ctx.pool().parallel_for(
+                     3, [&](std::int64_t, std::int64_t, int) {
+                       ctx.workspace().reserve(8);
+                     }),
+                 std::logic_error)
+        << threads << " threads";
+    EXPECT_EQ(ctx.workspace_stats().bytes_reserved, 0u);
+  }
+}
+
+TEST(Lanes, LaneThrowsInsideItsOwnNestedRegion) {
+  ExecContext ctx(2);
+  std::atomic<int> refused{0};
+  ctx.pool().parallel_for(2, [&](std::int64_t, std::int64_t, int chunk) {
+    ExecContext& lane = ctx.lane(chunk);
+    try {
+      lane.pool().parallel_for(2, [&](std::int64_t, std::int64_t, int) {
+        lane.workspace().reserve(8);
+      });
+    } catch (const std::logic_error&) {
+      ++refused;
+    }
+    lane.workspace().reserve(4);  // back in the parent's chunk: allowed
+  });
+  EXPECT_EQ(refused.load(), 2);
+  EXPECT_EQ(ctx.workspace_stats().bytes_reserved, 2u * 4u * sizeof(float));
+}
+
+TEST(Lanes, RebuildWorkspaceFreesTheLanes) {
+  ExecContext ctx(2);
+  ctx.workspace().reserve(16);
+  ctx.pool().parallel_for(2, [&](std::int64_t, std::int64_t, int chunk) {
+    ctx.lane(chunk).workspace().reserve(32);
+  });
+  EXPECT_EQ(ctx.workspace_stats().bytes_reserved, (16u + 64u) * sizeof(float));
+
+  ctx.rebuild_workspace();
+  const WorkspaceStats fresh = ctx.workspace_stats();
+  EXPECT_EQ(fresh.bytes_reserved, 0u);
+  EXPECT_EQ(fresh.high_water_bytes, 0u);
+  EXPECT_EQ(fresh.heap_allocations, 0u);
+  EXPECT_EQ(fresh.reserves, 0u);
+  EXPECT_EQ(ctx.lane(0).workspace().bytes_reserved(), 0u);  // a new lane
 }
 
 // --- Determinism: kernels -> layers -> network -> full run ----------------
@@ -429,6 +502,33 @@ TEST(MemoryModel, WorkspacePredictionMatchesMeasuredHighWater) {
     ASSERT_GT(b.high_water, 0.0);
     EXPECT_DOUBLE_EQ(b.modeled, b.high_water) << threads << " threads";
     EXPECT_DOUBLE_EQ(b.modeled, b.reserved) << threads << " threads";
+  }
+  // A 4-replica elastic step: on two threads, two lanes run two shards
+  // each (batch 13 shards as 4, 3, 3, 3) and the lanes' buffers add up;
+  // on one thread the shards run on the context itself.
+  for (int threads : {2, 1}) {
+    auto net = models::build_resnet_basic(8, mc);
+    ExecContext ctx(threads);
+    cost::CommSpec spec;
+    spec.gpus = 4;
+    dist::ElasticCluster cluster(net, 4, spec);
+    optim::SGD opt(0.05f, 0.9f);
+    Rng rng(19);
+    data::Batch batch;
+    batch.images = Tensor::randn({13, 3, 32, 32}, rng);
+    for (int i = 0; i < 13; ++i) batch.labels.push_back(i % 10);
+    cluster.step(ctx, batch, opt);
+    const cost::MemoryModel model(net, Shape{3, 32, 32}, &ctx, 4);
+    const WorkspaceStats s = ctx.workspace_stats();
+    ASSERT_GT(s.high_water_bytes, 0u);
+    EXPECT_EQ(ctx.workspace().bytes_reserved() == 0, threads == 2)
+        << "the lanes, not the parent, hold the scratch on 2 threads";
+    EXPECT_DOUBLE_EQ(model.workspace_bytes(13),
+                     static_cast<double>(s.high_water_bytes))
+        << threads << " threads";
+    EXPECT_DOUBLE_EQ(model.workspace_bytes(13),
+                     static_cast<double>(s.bytes_reserved))
+        << threads << " threads";
   }
   // An 8x8 input reaches 2x2 outputs, where one block spans many samples:
   // at n = 13 the 8x8 stage's two-sample blocks leave a one-sample tail and

@@ -3,7 +3,8 @@
 // JSONL round-trips, per-layer FLOPs from a real profiled forward pass
 // matching cost::FlopsModel before and after a reconfiguration, and the
 // instrumented trainer's run records (manifest + one line per epoch with a
-// monotonically non-increasing cost trajectory).
+// monotonically non-increasing cost trajectory and that epoch's own span
+// window), and the elastic step's phase spans.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -14,6 +15,7 @@
 #include "core/trainer.h"
 #include "cost/flops.h"
 #include "data/synthetic.h"
+#include "dist/elastic.h"
 #include "models/builders.h"
 #include "nn/conv2d.h"
 #include "prune/reconfigure.h"
@@ -449,6 +451,83 @@ TEST(TrainerTelemetry, WritesManifestAndOneRecordPerEpoch) {
   bench_export(dir.string(), "unit", out.string());
   EXPECT_TRUE(fs::exists(out));
   fs::remove_all(dir);
+}
+
+/// Each epoch record carries the spans closed since the previous record,
+/// not the run's running totals: one sgd span per epoch, one elastic step
+/// span (and one of each step phase) per step of that epoch.
+TEST(TrainerTelemetry, EpochRecordsCarryPerEpochSpanWindows) {
+  const fs::path dir = scratch_dir("windows");
+  MetricsRegistry::global().reset();
+  auto data = data::SyntheticImageDataset(tiny_data());
+  auto net = models::build_resnet_basic(8, tiny_model());
+  core::TrainConfig cfg;
+  cfg.epochs = 3;
+  cfg.batch_size = 32;
+  cfg.base_lr = 0.05f;
+  cfg.policy = core::PrunePolicy::kDense;
+  cfg.replicas = 2;
+  cfg.num_threads = 2;
+  cfg.metrics_dir = dir.string();
+  cfg.run_name = "unit-windows";
+  core::PruneTrainer trainer(net, data, cfg);
+  trainer.run();
+  set_enabled(false);
+
+  const auto records = RunRecorder::read_records(dir.string());
+  ASSERT_EQ(records.size(), std::size_t(cfg.epochs));
+  const std::string step = "train/epoch/sgd/dist/elastic_step";
+  double steps_before = 0;
+  for (std::size_t e = 0; e < records.size(); ++e) {
+    const auto& r = records[e];
+    const double steps = r.counters.at("dist/steps") - steps_before;
+    steps_before = r.counters.at("dist/steps");
+    ASSERT_GT(steps, 0) << "epoch " << e;
+    ASSERT_TRUE(r.spans.count("train/epoch/sgd")) << "epoch " << e;
+    EXPECT_EQ(r.spans.at("train/epoch/sgd").count, 1u) << "epoch " << e;
+    for (const std::string& name :
+         {step, step + "/replicas", step + "/exchange", step + "/update"}) {
+      ASSERT_TRUE(r.spans.count(name)) << name << ", epoch " << e;
+      EXPECT_EQ(double(r.spans.at(name).count), steps)
+          << name << ", epoch " << e;
+    }
+    // The epoch span closes after its own record: epoch e's lands in e+1.
+    EXPECT_EQ(r.spans.count("train/epoch") ? r.spans.at("train/epoch").count
+                                           : 0u,
+              e == 0 ? 0u : 1u)
+        << "epoch " << e;
+  }
+  MetricsRegistry::global().reset();
+  fs::remove_all(dir);
+}
+
+/// The step-phase spans open on the stepping thread only: a two-thread,
+/// four-replica step records exactly one of each per step and nothing from
+/// the lanes' worker thread.
+TEST_F(TelemetryTest, ElasticStepRecordsOnePhaseSpanOfEachPerStep) {
+  auto net = models::build_resnet_basic(8, tiny_model());
+  cost::CommSpec spec;
+  spec.gpus = 4;
+  dist::ElasticCluster cluster(net, 4, spec);
+  exec::ExecContext ctx(2);
+  optim::SGD opt(0.05f, 0.9f);
+  Rng rng(3);
+  data::Batch batch;
+  batch.images = Tensor::randn({16, 3, 8, 8}, rng);
+  for (int i = 0; i < 16; ++i) batch.labels.push_back(i % 4);
+  const std::uint64_t steps = 3;
+  for (std::uint64_t i = 0; i < steps; ++i) cluster.step(ctx, batch, opt);
+
+  const auto spans = MetricsRegistry::global().spans();
+  const std::vector<std::string> expected = {
+      "dist/elastic_step", "dist/elastic_step/exchange",
+      "dist/elastic_step/replicas", "dist/elastic_step/update"};
+  std::vector<std::string> names;
+  for (const auto& [name, stats] : spans) {
+    names.push_back(name);
+    EXPECT_EQ(stats.count, steps) << name;
+  }
+  EXPECT_EQ(names, expected);
 }
 
 TEST(BenchSummary, FlagsNonMonotoneTrajectories) {
