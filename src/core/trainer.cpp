@@ -6,6 +6,7 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "ckpt/checkpoint.h"
 #include "ckpt/serialize.h"
@@ -29,84 +30,38 @@ namespace {
 
 // Trainer-section (de)serialization. The section rides inside the
 // checkpoint as an opaque named blob, so src/ckpt never needs to know
-// these types; both sides must agree on the field sequence.
-
-void put_epoch_stats(ckpt::ByteWriter& w, const EpochStats& s) {
-  w.put<std::int64_t>(s.epoch);
-  w.put<std::int64_t>(s.batch_size);
-  w.put<double>(s.lr);
-  w.put<double>(s.train_loss);
-  w.put<double>(s.train_acc);
-  w.put<double>(s.test_acc);
-  w.put<double>(s.lasso_loss);
-  w.put<double>(s.flops_per_sample_train);
-  w.put<double>(s.flops_per_sample_inf);
-  w.put<double>(s.epoch_train_flops);
-  w.put<double>(s.epoch_bn_traffic);
-  w.put<double>(s.memory_bytes);
-  w.put<double>(s.comm_bytes_per_gpu);
-  w.put<double>(s.comm_time_modeled);
-  w.put<double>(s.gpu_time_modeled);
-  w.put<double>(s.wall_seconds);
-  w.put<std::int64_t>(s.channels_alive);
-  w.put<std::int64_t>(s.conv_layers);
-  w.put<std::uint8_t>(s.reconfigured ? 1 : 0);
-}
-
-EpochStats get_epoch_stats(ckpt::ByteReader& r) {
-  EpochStats s;
-  s.epoch = r.get<std::int64_t>();
-  s.batch_size = r.get<std::int64_t>();
-  s.lr = r.get<double>();
-  s.train_loss = r.get<double>();
-  s.train_acc = r.get<double>();
-  s.test_acc = r.get<double>();
-  s.lasso_loss = r.get<double>();
-  s.flops_per_sample_train = r.get<double>();
-  s.flops_per_sample_inf = r.get<double>();
-  s.epoch_train_flops = r.get<double>();
-  s.epoch_bn_traffic = r.get<double>();
-  s.memory_bytes = r.get<double>();
-  s.comm_bytes_per_gpu = r.get<double>();
-  s.comm_time_modeled = r.get<double>();
-  s.gpu_time_modeled = r.get<double>();
-  s.wall_seconds = r.get<double>();
-  s.channels_alive = r.get<std::int64_t>();
-  s.conv_layers = r.get<std::int64_t>();
-  s.reconfigured = r.get<std::uint8_t>() != 0;
-  return s;
-}
-
+// these types. Both sides walk for_each_field: TrainResult's scalars, the
+// epoch count, then every epoch's stats, each field as its own fixed-width
+// type and flags as one byte.
 void put_result(ckpt::ByteWriter& w, const TrainResult& res) {
-  w.put<double>(res.final_test_acc);
-  w.put<double>(res.total_train_flops);
-  w.put<double>(res.total_bn_traffic);
-  w.put<double>(res.total_comm_bytes);
-  w.put<double>(res.total_gpu_time_modeled);
-  w.put<double>(res.total_wall_seconds);
-  w.put<double>(res.final_inference_flops);
-  w.put<std::int64_t>(res.layers_removed);
-  w.put<std::int64_t>(res.final_channels);
-  w.put<float>(res.lambda);
+  const auto put = [&w](const char*, auto v) {
+    if constexpr (std::is_same_v<decltype(v), bool>) {
+      w.put<std::uint8_t>(v ? 1 : 0);
+    } else {
+      w.put(v);
+    }
+  };
+  for_each_field(res, put);
   w.put<std::uint64_t>(res.epochs.size());
-  for (const EpochStats& s : res.epochs) put_epoch_stats(w, s);
+  for (const EpochStats& s : res.epochs) for_each_field(s, put);
 }
 
 TrainResult get_result(ckpt::ByteReader& r) {
+  const auto get = [&r](const char*, auto& v) {
+    using T = std::remove_reference_t<decltype(v)>;
+    if constexpr (std::is_same_v<T, bool>) {
+      v = r.get<std::uint8_t>() != 0;
+    } else {
+      v = r.get<T>();
+    }
+  };
   TrainResult res;
-  res.final_test_acc = r.get<double>();
-  res.total_train_flops = r.get<double>();
-  res.total_bn_traffic = r.get<double>();
-  res.total_comm_bytes = r.get<double>();
-  res.total_gpu_time_modeled = r.get<double>();
-  res.total_wall_seconds = r.get<double>();
-  res.final_inference_flops = r.get<double>();
-  res.layers_removed = r.get<std::int64_t>();
-  res.final_channels = r.get<std::int64_t>();
-  res.lambda = r.get<float>();
+  for_each_field(res, get);
   const auto n = r.get<std::uint64_t>();
   res.epochs.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) res.epochs.push_back(get_epoch_stats(r));
+  for (std::uint64_t i = 0; i < n; ++i) {
+    for_each_field(res.epochs.emplace_back(), get);
+  }
   return res;
 }
 
@@ -652,180 +607,182 @@ void PruneTrainer::run_phase(TrainResult& result, const PhaseSpec& spec,
   DynamicBatchAdjuster adjuster(cfg_.dynamic_batch);
 
   for (std::int64_t e = start; e < spec.epochs; ++e) {
-    Timer wall;
-    telemetry::ScopedTimer epoch_span("epoch");
     EpochStats stats;
-    stats.epoch = epoch_counter_;
     telemetry::ReconfigRecord reconfig_rec;
+    {
+      // The epoch's span closes before its checkpoint and record, so each
+      // record's span window holds its own train/epoch.
+      Timer wall;
+      telemetry::ScopedTimer epoch_span("epoch");
+      stats.epoch = epoch_counter_;
 
-    const float lr = cfg_.base_lr * lr_scale_ * recovery_lr_scale_ *
-                     static_cast<float>(schedule.multiplier_at(e));
+      const float lr = cfg_.base_lr * lr_scale_ * recovery_lr_scale_ *
+                       static_cast<float>(schedule.multiplier_at(e));
 
-    prune::EpochInfo einfo;
-    einfo.global_epoch = epoch_counter_;
-    einfo.epoch_in_phase = e;
-    einfo.phase_epochs = spec.epochs;
-    einfo.sparsify = spec.sparsify;
-    einfo.periodic_reconfig = spec.periodic_reconfig;
-    einfo.one_shot_at = spec.one_shot_at;
-    einfo.reconfig_interval = cfg_.reconfig_interval;
-    einfo.threshold = cfg_.threshold;
-    einfo.min_channels = cfg_.prune_min_channels;
-    einfo.lr = lr;
-    strategy_->on_epoch_begin(*net_, einfo);
+      prune::EpochInfo einfo;
+      einfo.global_epoch = epoch_counter_;
+      einfo.epoch_in_phase = e;
+      einfo.phase_epochs = spec.epochs;
+      einfo.sparsify = spec.sparsify;
+      einfo.periodic_reconfig = spec.periodic_reconfig;
+      einfo.one_shot_at = spec.one_shot_at;
+      einfo.reconfig_interval = cfg_.reconfig_interval;
+      einfo.threshold = cfg_.threshold;
+      einfo.min_channels = cfg_.prune_min_channels;
+      einfo.lr = lr;
+      strategy_->on_epoch_begin(*net_, einfo);
 
-    // Eq. 3: calibrate lambda at the first regularized iteration using the
-    // initial classification loss and lasso sum. Only strategies that opt
-    // in (group lasso) consume lambda; the probe batch draws from the
-    // shared shuffle RNG, so skipping it for other strategies keeps their
-    // data order undisturbed.
-    if (spec.sparsify && lambda < 0.f && strategy_->wants_lambda_calibration()) {
-      lambda = calibrate_lambda(result);
-    }
-
-    stats.lr = lr;
-    stats.batch_size = batch_size_;
-    train_epoch(stats, (spec.sparsify && lambda > 0.f) ? lambda : 0.f, lr,
-                spec.sparsify);
-    if (monitor_) monitor_->record(epoch_counter_);
-
-    // Guardian: health-check the epoch *before* anything downstream (the
-    // checkpoint save in particular — a poisoned model must never become
-    // the "last good" state). A fatal event with recovery enabled unwinds
-    // to run()'s rollback loop; without recovery it is logged and recorded
-    // but the run is left to its fate, matching historical behavior.
-    if (health_) {
-      const std::vector<robust::HealthEvent> events =
-          health_->check_epoch(epoch_counter_, stats.train_loss, *net_);
-      for (const robust::HealthEvent& ev : events) {
-        report_.events.push_back(ev);
-        if (ev.severity == robust::Severity::kFatal) {
-          log_error("guardian: " + ev.describe());
-        } else {
-          log_warn("guardian: " + ev.describe());
-        }
+      // Eq. 3: calibrate lambda at the first regularized iteration using the
+      // initial classification loss and lasso sum. Only strategies that opt
+      // in (group lasso) consume lambda; the probe batch draws from the
+      // shared shuffle RNG, so skipping it for other strategies keeps their
+      // data order undisturbed.
+      if (spec.sparsify && lambda < 0.f &&
+          strategy_->wants_lambda_calibration()) {
+        lambda = calibrate_lambda(result);
       }
-      const robust::HealthEvent* fatal = robust::HealthMonitor::first_fatal(events);
-      if (fatal != nullptr && cfg_.max_rollbacks > 0) {
-        throw robust::FatalHealthError(*fatal);
-      }
-    }
 
-    // Prune + reconfigure at epoch boundaries, on the strategy's cadence
-    // (the default implementation reproduces the paper's periodic /
-    // one-shot schedule). After a rollback with skip_offending_reconfig,
-    // reconfigurations in the replayed window up to the fault epoch are
-    // suppressed.
-    const bool suppressed = epoch_counter_ <= skip_reconfig_until_;
-    const prune::ReconfigDecision decision =
-        strategy_->propose_reconfigure(einfo);
-    if (decision.reconfigure && !suppressed) {
+      stats.lr = lr;
+      stats.batch_size = batch_size_;
+      train_epoch(stats, (spec.sparsify && lambda > 0.f) ? lambda : 0.f, lr,
+                  spec.sparsify);
+      if (monitor_) monitor_->record(epoch_counter_);
+
+      // Guardian: health-check the epoch *before* anything downstream (the
+      // checkpoint save in particular — a poisoned model must never become
+      // the "last good" state). A fatal event with recovery enabled unwinds
+      // to run()'s rollback loop; without recovery it is logged and recorded
+      // but the run is left to its fate, matching historical behavior.
       if (health_) {
         const std::vector<robust::HealthEvent> events =
-            health_->check_prune(epoch_counter_, *net_, decision.threshold);
+            health_->check_epoch(epoch_counter_, stats.train_loss, *net_);
         for (const robust::HealthEvent& ev : events) {
           report_.events.push_back(ev);
-          log_warn("guardian: " + ev.describe());
-        }
-      }
-      const prune::ReconfigStats rstats =
-          reconfigure(result, decision.threshold);
-      stats.reconfigured = rstats.changed;
-      reconfig_rec.happened = true;
-      reconfig_rec.channels_before = rstats.channels_before;
-      reconfig_rec.channels_after = rstats.channels_after;
-      reconfig_rec.convs_removed = rstats.convs_removed;
-      reconfig_rec.blocks_removed = rstats.blocks_removed;
-      if (telemetry::enabled()) {
-        telemetry::count("prune/reconfigurations");
-        telemetry::gauge("prune/channels_alive",
-                         static_cast<double>(rstats.channels_after));
-        std::ostringstream os;
-        os << "epoch " << epoch_counter_ << ": channels "
-           << rstats.channels_before << " -> " << rstats.channels_after
-           << ", convs removed " << rstats.convs_removed
-           << ", blocks removed " << rstats.blocks_removed;
-        telemetry::event("prune/reconfigure", os.str());
-      }
-      if (rstats.changed) {
-        const auto adj = adjuster.propose(*net_, input_shape_, batch_size_);
-        if (adj.changed) {
-          if (cfg_.verbose) {
-            std::ostringstream os;
-            os << "epoch " << epoch_counter_ << ": batch " << batch_size_
-               << " -> " << adj.new_batch << " (lr x" << adj.lr_scale << ")";
-            log_info(os.str());
+          if (ev.severity == robust::Severity::kFatal) {
+            log_error("guardian: " + ev.describe());
+          } else {
+            log_warn("guardian: " + ev.describe());
           }
-          batch_size_ = adj.new_batch;
-          lr_scale_ *= adj.lr_scale;
+        }
+        const robust::HealthEvent* fatal =
+            robust::HealthMonitor::first_fatal(events);
+        if (fatal != nullptr && cfg_.max_rollbacks > 0) {
+          throw robust::FatalHealthError(*fatal);
         }
       }
-    }
 
-    // Cost accounting for this epoch's *actual* model and batch size.
-    cost::FlopsModel flops(*net_, input_shape_);
-    cost::MemoryModel mem(*net_, input_shape_, ctx_.get(), cfg_.replicas);
-    cost::CommModel comm(cfg_.comm);
-    cost::DeviceModel device(cfg_.device);
-    const std::int64_t samples = dataset_->train_size();
-    const std::int64_t iters = loader_.iterations_per_epoch(batch_size_);
-    const double model_bytes = static_cast<double>(net_->num_params()) * 4.0;
+      // Prune + reconfigure at epoch boundaries, on the strategy's cadence
+      // (the default implementation reproduces the paper's periodic /
+      // one-shot schedule). After a rollback with skip_offending_reconfig,
+      // reconfigurations in the replayed window up to the fault epoch are
+      // suppressed.
+      const bool suppressed = epoch_counter_ <= skip_reconfig_until_;
+      const prune::ReconfigDecision decision =
+          strategy_->propose_reconfigure(einfo);
+      if (decision.reconfigure && !suppressed) {
+        if (health_) {
+          const std::vector<robust::HealthEvent> events =
+              health_->check_prune(epoch_counter_, *net_, decision.threshold);
+          for (const robust::HealthEvent& ev : events) {
+            report_.events.push_back(ev);
+            log_warn("guardian: " + ev.describe());
+          }
+        }
+        const prune::ReconfigStats rstats =
+            reconfigure(result, decision.threshold);
+        stats.reconfigured = rstats.changed;
+        reconfig_rec = {rstats, /*happened=*/true};
+        if (telemetry::enabled()) {
+          telemetry::count("prune/reconfigurations");
+          telemetry::gauge("prune/channels_alive",
+                           static_cast<double>(rstats.channels_after));
+          std::ostringstream os;
+          os << "epoch " << epoch_counter_ << ": channels "
+             << rstats.channels_before << " -> " << rstats.channels_after
+             << ", convs removed " << rstats.convs_removed
+             << ", blocks removed " << rstats.blocks_removed;
+          telemetry::event("prune/reconfigure", os.str());
+        }
+        if (rstats.changed) {
+          const auto adj = adjuster.propose(*net_, input_shape_, batch_size_);
+          if (adj.changed) {
+            if (cfg_.verbose) {
+              std::ostringstream os;
+              os << "epoch " << epoch_counter_ << ": batch " << batch_size_
+                 << " -> " << adj.new_batch << " (lr x" << adj.lr_scale << ")";
+              log_info(os.str());
+            }
+            batch_size_ = adj.new_batch;
+            lr_scale_ *= adj.lr_scale;
+          }
+        }
+      }
 
-    stats.flops_per_sample_train = flops.training_flops();
-    stats.flops_per_sample_inf = flops.inference_flops();
-    stats.epoch_train_flops =
-        flops.training_flops() * static_cast<double>(samples);
-    stats.epoch_bn_traffic =
-        mem.bn_traffic_per_sample() * static_cast<double>(samples);
-    stats.memory_bytes = mem.training_bytes(batch_size_);
-    if (cfg_.replicas == 1) {
-      // A single-device run stands in for the paper's comm.gpus-GPU job,
-      // and fig11_comm_cost and table4 read this static model. A cluster
-      // run accumulated its per-step cost at the live ring size instead.
-      cost::CommQuery q;
-      q.model_bytes = model_bytes;
-      q.updates = iters;
-      const cost::CommCost cc = comm.cost(q);
-      stats.comm_bytes_per_gpu = cc.wire_bytes;
-      stats.comm_time_modeled = cc.hierarchical_time;
-    }
-    stats.gpu_time_modeled =
-        device.training_time(*net_, input_shape_, batch_size_) *
-        static_cast<double>(iters);
-    std::int64_t channels = 0;
-    for (int id : net_->nodes_of_type<nn::Conv2d>()) {
-      channels += net_->layer_as<nn::Conv2d>(id).out_channels();
-    }
-    stats.channels_alive = channels;
-    stats.conv_layers = models::count_conv_layers(*net_);
-    if (cfg_.eval_interval <= 1 || e == spec.epochs - 1 ||
-        epoch_counter_ % cfg_.eval_interval == 0) {
-      last_test_acc_ = evaluate();
-    }
-    stats.test_acc = last_test_acc_;
-    stats.wall_seconds = wall.seconds();
+      // Cost accounting for this epoch's *actual* model and batch size.
+      cost::FlopsModel flops(*net_, input_shape_);
+      cost::MemoryModel mem(*net_, input_shape_, ctx_.get(), cfg_.replicas);
+      cost::CommModel comm(cfg_.comm);
+      cost::DeviceModel device(cfg_.device);
+      const std::int64_t samples = dataset_->train_size();
+      const std::int64_t iters = loader_.iterations_per_epoch(batch_size_);
+      const double model_bytes = static_cast<double>(net_->num_params()) * 4.0;
 
-    result.total_train_flops += stats.epoch_train_flops;
-    result.total_bn_traffic += stats.epoch_bn_traffic;
-    result.total_comm_bytes += stats.comm_bytes_per_gpu;
-    result.total_gpu_time_modeled += stats.gpu_time_modeled;
-    result.total_wall_seconds += stats.wall_seconds;
+      stats.flops_per_sample_train = flops.training_flops();
+      stats.flops_per_sample_inf = flops.inference_flops();
+      stats.epoch_train_flops =
+          flops.training_flops() * static_cast<double>(samples);
+      stats.epoch_bn_traffic =
+          mem.bn_traffic_per_sample() * static_cast<double>(samples);
+      stats.memory_bytes = mem.training_bytes(batch_size_);
+      if (cfg_.replicas == 1) {
+        // A single-device run stands in for the paper's comm.gpus-GPU job,
+        // and fig11_comm_cost and table4 read this static model. A cluster
+        // run accumulated its per-step cost at the live ring size instead.
+        cost::CommQuery q;
+        q.model_bytes = model_bytes;
+        q.updates = iters;
+        const cost::CommCost cc = comm.cost(q);
+        stats.comm_bytes_per_gpu = cc.wire_bytes;
+        stats.comm_time_modeled = cc.hierarchical_time;
+      }
+      stats.gpu_time_modeled =
+          device.training_time(*net_, input_shape_, batch_size_) *
+          static_cast<double>(iters);
+      std::int64_t channels = 0;
+      for (int id : net_->nodes_of_type<nn::Conv2d>()) {
+        channels += net_->layer_as<nn::Conv2d>(id).out_channels();
+      }
+      stats.channels_alive = channels;
+      stats.conv_layers = models::count_conv_layers(*net_);
+      if (cfg_.eval_interval <= 1 || e == spec.epochs - 1 ||
+          epoch_counter_ % cfg_.eval_interval == 0) {
+        last_test_acc_ = evaluate();
+      }
+      stats.test_acc = last_test_acc_;
+      stats.wall_seconds = wall.seconds();
 
-    if (cfg_.verbose) {
-      std::ostringstream os;
-      os << to_string(cfg_.policy) << " epoch " << epoch_counter_ << ": loss "
-         << stats.train_loss << " acc " << stats.train_acc << " test "
-         << stats.test_acc << " ch " << stats.channels_alive;
-      log_info(os.str());
+      result.total_train_flops += stats.epoch_train_flops;
+      result.total_bn_traffic += stats.epoch_bn_traffic;
+      result.total_comm_bytes += stats.comm_bytes_per_gpu;
+      result.total_gpu_time_modeled += stats.gpu_time_modeled;
+      result.total_wall_seconds += stats.wall_seconds;
+
+      if (cfg_.verbose) {
+        std::ostringstream os;
+        os << to_string(cfg_.policy) << " epoch " << epoch_counter_ << ": loss "
+           << stats.train_loss << " acc " << stats.train_acc << " test "
+           << stats.test_acc << " ch " << stats.channels_alive;
+        log_info(os.str());
+      }
+      result.epochs.push_back(stats);
     }
-    result.epochs.push_back(stats);
-    if (recorder_) emit_epoch_record(stats, reconfig_rec);
     ++epoch_counter_;
 
     if (!cfg_.checkpoint_dir.empty() &&
         epoch_counter_ % cfg_.checkpoint_interval == 0) {
       save_checkpoint(result, phase, e + 1, lambda);
     }
+    if (recorder_) emit_epoch_record(stats, reconfig_rec);
   }
   ++phase_index_;
 }
@@ -834,24 +791,7 @@ void PruneTrainer::emit_epoch_record(const EpochStats& stats,
                                      const telemetry::ReconfigRecord& reconfig) {
   telemetry::EpochRecord rec;
   rec.strategy = cfg_.strategy;
-  rec.epoch = stats.epoch;
-  rec.batch_size = stats.batch_size;
-  rec.lr = stats.lr;
-  rec.train_loss = stats.train_loss;
-  rec.train_acc = stats.train_acc;
-  rec.test_acc = stats.test_acc;
-  rec.lasso_loss = stats.lasso_loss;
-  rec.flops_per_sample_train = stats.flops_per_sample_train;
-  rec.flops_per_sample_inf = stats.flops_per_sample_inf;
-  rec.epoch_train_flops = stats.epoch_train_flops;
-  rec.epoch_bn_traffic = stats.epoch_bn_traffic;
-  rec.memory_bytes = stats.memory_bytes;
-  rec.comm_bytes_per_gpu = stats.comm_bytes_per_gpu;
-  rec.comm_time_modeled = stats.comm_time_modeled;
-  rec.gpu_time_modeled = stats.gpu_time_modeled;
-  rec.wall_seconds = stats.wall_seconds;
-  rec.channels_alive = stats.channels_alive;
-  rec.conv_layers = stats.conv_layers;
+  static_cast<EpochStats&>(rec) = stats;
   rec.reconfig = reconfig;
 
   // Per-layer analytical FLOPs are computed on the *current* model, so an
@@ -910,8 +850,7 @@ void PruneTrainer::emit_epoch_record(const EpochStats& stats,
   rec.counters = reg.counters();
   rec.gauges = reg.gauges();
   // Spans are this record's window: those closed since the previous
-  // record. train/epoch is still open here, so each epoch's own
-  // train/epoch span lands in the next record.
+  // record, this epoch's own train/epoch and train/checkpoint included.
   rec.spans = reg.take_span_window();
   recorder_->append(rec);
   // Per-layer times are per-epoch quantities too; the registry's counters

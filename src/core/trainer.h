@@ -19,10 +19,12 @@
 // allreduce volume, modeled GPU time, and wall-clock.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/dynamic_batch.h"
@@ -40,6 +42,7 @@
 #include "robust/health.h"
 #include "robust/integrity.h"
 #include "robust/recovery.h"
+#include "telemetry/epoch_stats.h"
 #include "telemetry/record.h"
 
 namespace pt::core {
@@ -223,27 +226,10 @@ struct TrainConfig {
   void validate() const;
 };
 
-struct EpochStats {
-  std::int64_t epoch = 0;
-  std::int64_t batch_size = 0;
-  double lr = 0;
-  double train_loss = 0;
-  double train_acc = 0;
-  double test_acc = 0;
-  double lasso_loss = 0;             ///< current regularizer sum (no lambda)
-  double flops_per_sample_train = 0; ///< current model, fwd+bwd
-  double flops_per_sample_inf = 0;   ///< current model, fwd only
-  double epoch_train_flops = 0;      ///< flops_per_sample_train * samples
-  double epoch_bn_traffic = 0;       ///< bytes
-  double memory_bytes = 0;           ///< training context at current batch
-  double comm_bytes_per_gpu = 0;     ///< allreduce volume this epoch
-  double comm_time_modeled = 0;      ///< hierarchical allreduce time this epoch
-  double gpu_time_modeled = 0;       ///< roofline training time this epoch
-  double wall_seconds = 0;           ///< actual CPU wall time this epoch
-  std::int64_t channels_alive = 0;   ///< sum of conv out-channels
-  std::int64_t conv_layers = 0;
-  bool reconfigured = false;
-};
+/// Per-epoch statistics; the struct and its field list (for_each_field)
+/// live in telemetry/epoch_stats.h, so an epoch record can be one.
+using EpochStats = telemetry::EpochStats;
+using telemetry::for_each_field;
 
 struct TrainResult {
   std::vector<EpochStats> epochs;
@@ -258,6 +244,23 @@ struct TrainResult {
   std::int64_t final_channels = 0;
   float lambda = 0;                    ///< the calibrated penalty coefficient
 };
+
+/// Calls f(name, field) for TrainResult's scalar fields, in checkpoint
+/// trainer-section order (the per-epoch stats follow them there).
+template <class S, class F>
+  requires std::same_as<std::remove_const_t<S>, TrainResult>
+void for_each_field(S& r, F&& f) {
+  f("final_test_acc", r.final_test_acc);
+  f("total_train_flops", r.total_train_flops);
+  f("total_bn_traffic", r.total_bn_traffic);
+  f("total_comm_bytes", r.total_comm_bytes);
+  f("total_gpu_time_modeled", r.total_gpu_time_modeled);
+  f("total_wall_seconds", r.total_wall_seconds);
+  f("final_inference_flops", r.final_inference_flops);
+  f("layers_removed", r.layers_removed);
+  f("final_channels", r.final_channels);
+  f("lambda", r.lambda);
+}
 
 class PruneTrainer {
  public:
@@ -368,7 +371,8 @@ class PruneTrainer {
 
   /// Appends one epochs.jsonl line: the epoch's stats, the reconfiguration
   /// outcome, per-layer FLOPs + measured times, sparsity densities, and a
-  /// snapshot of the cumulative telemetry state. Resets the network's
+  /// snapshot of the cumulative telemetry state. Runs after the epoch's
+  /// span closed and its checkpoint (if due) was saved. Resets the network's
   /// execution profile afterwards (layer times are per-epoch).
   void emit_epoch_record(const EpochStats& stats,
                          const telemetry::ReconfigRecord& reconfig);

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "cost/flops.h"
 #include "util/fileio.h"
@@ -49,24 +50,9 @@ Json EpochRecord::to_json() const {
   j["schema"] = Json(kEpochSchema);
   j["schema_version"] = Json(kSchemaVersion);
   j["strategy"] = Json(strategy);
-  j["epoch"] = Json(epoch);
-  j["batch_size"] = Json(batch_size);
-  j["lr"] = Json(lr);
-  j["train_loss"] = Json(train_loss);
-  j["train_acc"] = Json(train_acc);
-  j["test_acc"] = Json(test_acc);
-  j["lasso_loss"] = Json(lasso_loss);
-  j["flops_per_sample_train"] = Json(flops_per_sample_train);
-  j["flops_per_sample_inf"] = Json(flops_per_sample_inf);
-  j["epoch_train_flops"] = Json(epoch_train_flops);
-  j["epoch_bn_traffic"] = Json(epoch_bn_traffic);
-  j["memory_bytes"] = Json(memory_bytes);
-  j["comm_bytes_per_gpu"] = Json(comm_bytes_per_gpu);
-  j["comm_time_modeled"] = Json(comm_time_modeled);
-  j["gpu_time_modeled"] = Json(gpu_time_modeled);
-  j["wall_seconds"] = Json(wall_seconds);
-  j["channels_alive"] = Json(channels_alive);
-  j["conv_layers"] = Json(conv_layers);
+  for_each_field(*this, [&j](const char* name, const auto& v) {
+    j[name] = Json(v);
+  });
 
   Json rc = Json::object();
   rc["happened"] = Json(reconfig.happened);
@@ -124,24 +110,18 @@ EpochRecord EpochRecord::from_json(const Json& j) {
   EpochRecord r;
   // Additive field: absent in records written before the strategy API.
   if (const Json* s = j.find("strategy")) r.strategy = s->as_string();
-  r.epoch = j.at("epoch").as_int();
-  r.batch_size = j.at("batch_size").as_int();
-  r.lr = j.at("lr").as_number();
-  r.train_loss = j.at("train_loss").as_number();
-  r.train_acc = j.at("train_acc").as_number();
-  r.test_acc = j.at("test_acc").as_number();
-  r.lasso_loss = j.at("lasso_loss").as_number();
-  r.flops_per_sample_train = j.at("flops_per_sample_train").as_number();
-  r.flops_per_sample_inf = j.at("flops_per_sample_inf").as_number();
-  r.epoch_train_flops = j.at("epoch_train_flops").as_number();
-  r.epoch_bn_traffic = j.at("epoch_bn_traffic").as_number();
-  r.memory_bytes = j.at("memory_bytes").as_number();
-  r.comm_bytes_per_gpu = j.at("comm_bytes_per_gpu").as_number();
-  r.comm_time_modeled = j.at("comm_time_modeled").as_number();
-  r.gpu_time_modeled = j.at("gpu_time_modeled").as_number();
-  r.wall_seconds = j.at("wall_seconds").as_number();
-  r.channels_alive = j.at("channels_alive").as_int();
-  r.conv_layers = j.at("conv_layers").as_int();
+  for_each_field(r, [&j](const char* name, auto& v) {
+    using T = std::remove_reference_t<decltype(v)>;
+    if constexpr (std::is_same_v<T, bool>) {
+      // Flags are additive: the stats' one flag joined the record after
+      // the first records were written, and reads as false there.
+      if (const Json* b = j.find(name)) v = b->as_bool();
+    } else if constexpr (std::is_same_v<T, double>) {
+      v = j.at(name).as_number();
+    } else {
+      v = j.at(name).as_int();
+    }
+  });
 
   const Json& rc = j.at("reconfig");
   r.reconfig.happened = rc.at("happened").as_bool();

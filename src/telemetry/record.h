@@ -11,11 +11,12 @@
 //   epochs.jsonl   — one JSON object per line per epoch, appended with
 //                    an fsync after each epoch. Every line carries
 //                    `schema`/`schema_version`, the trainer's EpochStats
-//                    mirror, the reconfiguration outcome, per-layer FLOPs
-//                    and measured wall-time (from graph::NodeProfile),
-//                    per-layer sparsity densities, a snapshot of the
-//                    cumulative telemetry counters/gauges, and the spans
-//                    closed since the previous record.
+//                    (telemetry/epoch_stats.h), the reconfiguration
+//                    outcome, per-layer FLOPs and measured wall-time (from
+//                    graph::NodeProfile), per-layer sparsity densities, a
+//                    snapshot of the cumulative telemetry counters/gauges,
+//                    and the spans closed since the previous record (the
+//                    epoch's own train/epoch and train/checkpoint).
 //
 // Records round-trip: from_json(to_json(r)) == r field-for-field, and
 // RunRecorder::read_records() re-reads a directory a previous process
@@ -28,6 +29,8 @@
 #include <vector>
 
 #include "graph/network.h"
+#include "prune/reconfigure.h"
+#include "telemetry/epoch_stats.h"
 #include "telemetry/json.h"
 #include "telemetry/metrics.h"
 
@@ -59,41 +62,17 @@ struct SparsityRecord {
   double weight_density = 1.0;
 };
 
-/// prune::ReconfigStats mirror plus a happened flag.
-struct ReconfigRecord {
+/// A reconfiguration's prune::ReconfigStats plus whether one ran this epoch.
+struct ReconfigRecord : prune::ReconfigStats {
   bool happened = false;
-  std::int64_t channels_before = 0;
-  std::int64_t channels_after = 0;
-  std::int64_t convs_removed = 0;
-  std::int64_t blocks_removed = 0;
 };
 
-/// One epochs.jsonl line.
-struct EpochRecord {
+/// One epochs.jsonl line: the epoch's stats (written under their
+/// for_each_field names) and what telemetry adds to them.
+struct EpochRecord : EpochStats {
   // Which prune::Strategy produced the epoch ("" in records written before
   // the strategy field existed).
   std::string strategy;
-
-  // core::EpochStats mirror (kept as plain fields so pt_telemetry does not
-  // depend on pt_core — the dependency points the other way).
-  std::int64_t epoch = 0;
-  std::int64_t batch_size = 0;
-  double lr = 0;
-  double train_loss = 0;
-  double train_acc = 0;
-  double test_acc = 0;
-  double lasso_loss = 0;
-  double flops_per_sample_train = 0;
-  double flops_per_sample_inf = 0;
-  double epoch_train_flops = 0;
-  double epoch_bn_traffic = 0;
-  double memory_bytes = 0;
-  double comm_bytes_per_gpu = 0;
-  double comm_time_modeled = 0;
-  double gpu_time_modeled = 0;
-  double wall_seconds = 0;
-  std::int64_t channels_alive = 0;
-  std::int64_t conv_layers = 0;
 
   ReconfigRecord reconfig;
   std::vector<LayerRecord> layers;

@@ -78,31 +78,23 @@ core::TrainConfig pruning_cfg() {
   return cfg;
 }
 
-void expect_stats_equal(const core::EpochStats& a, const core::EpochStats& b,
+/// `s`'s fields in for_each_field order, as doubles (exact for these values).
+template <class S>
+std::vector<std::pair<std::string, double>> fields_of(const S& s) {
+  std::vector<std::pair<std::string, double>> out;
+  core::for_each_field(s, [&out](const char* name, const auto& v) {
+    out.emplace_back(name, static_cast<double>(v));
+  });
+  return out;
+}
+
+/// Every EpochStats field of `a` and `b` is equal, bitwise.
+void expect_stats_equal(const core::EpochStats& a, core::EpochStats b,
                         bool compare_wall) {
-  EXPECT_EQ(a.epoch, b.epoch);
-  EXPECT_EQ(a.batch_size, b.batch_size);
-  EXPECT_DOUBLE_EQ(a.lr, b.lr);
-  EXPECT_DOUBLE_EQ(a.train_loss, b.train_loss);
-  EXPECT_DOUBLE_EQ(a.train_acc, b.train_acc);
-  EXPECT_DOUBLE_EQ(a.test_acc, b.test_acc);
-  EXPECT_DOUBLE_EQ(a.lasso_loss, b.lasso_loss);
-  EXPECT_DOUBLE_EQ(a.flops_per_sample_train, b.flops_per_sample_train);
-  EXPECT_DOUBLE_EQ(a.flops_per_sample_inf, b.flops_per_sample_inf);
-  EXPECT_DOUBLE_EQ(a.epoch_train_flops, b.epoch_train_flops);
-  EXPECT_DOUBLE_EQ(a.epoch_bn_traffic, b.epoch_bn_traffic);
-  EXPECT_DOUBLE_EQ(a.memory_bytes, b.memory_bytes);
-  EXPECT_DOUBLE_EQ(a.comm_bytes_per_gpu, b.comm_bytes_per_gpu);
-  EXPECT_DOUBLE_EQ(a.comm_time_modeled, b.comm_time_modeled);
-  EXPECT_DOUBLE_EQ(a.gpu_time_modeled, b.gpu_time_modeled);
   // Wall-clock is real elapsed time: identical only when `b`'s entry is a
   // verbatim checkpointed copy of `a`'s, never for re-trained epochs.
-  if (compare_wall) {
-    EXPECT_DOUBLE_EQ(a.wall_seconds, b.wall_seconds);
-  }
-  EXPECT_EQ(a.channels_alive, b.channels_alive);
-  EXPECT_EQ(a.conv_layers, b.conv_layers);
-  EXPECT_EQ(a.reconfigured, b.reconfigured);
+  if (!compare_wall) b.wall_seconds = a.wall_seconds;
+  EXPECT_EQ(fields_of(a), fields_of(b));
 }
 
 // ---------------------------------------------------------------------------
@@ -253,15 +245,10 @@ TEST(Resume, BitwiseIdenticalToUninterruptedRun) {
     // every field except real elapsed time.
     expect_stats_equal(r_full.epochs[e], r_res.epochs[e], e < 3);
   }
-  EXPECT_DOUBLE_EQ(r_res.final_test_acc, r_full.final_test_acc);
-  EXPECT_DOUBLE_EQ(r_res.final_inference_flops, r_full.final_inference_flops);
-  EXPECT_DOUBLE_EQ(r_res.total_train_flops, r_full.total_train_flops);
-  EXPECT_DOUBLE_EQ(r_res.total_bn_traffic, r_full.total_bn_traffic);
-  EXPECT_DOUBLE_EQ(r_res.total_comm_bytes, r_full.total_comm_bytes);
-  EXPECT_DOUBLE_EQ(r_res.total_gpu_time_modeled, r_full.total_gpu_time_modeled);
-  EXPECT_EQ(r_res.final_channels, r_full.final_channels);
-  EXPECT_EQ(r_res.layers_removed, r_full.layers_removed);
-  EXPECT_FLOAT_EQ(r_res.lambda, r_full.lambda);
+  // The totals too, all but the elapsed wall time.
+  core::TrainResult res_totals = r_res;
+  res_totals.total_wall_seconds = r_full.total_wall_seconds;
+  EXPECT_EQ(fields_of(res_totals), fields_of(r_full));
 
   // The sparsity monitor's recorded trajectories also carry across the
   // checkpoint boundary.

@@ -633,8 +633,10 @@ TEST(TrainConfigFaults, EveryKindIsRejectedOrFires) {
     const std::string first_clause = row.spec.substr(0, row.spec.find(';'));
     for (const std::int64_t replicas : {1, 2}) {
       for (const bool checkpoints : {false, true}) {
-        SCOPED_TRACE(row.spec + " replicas=" + std::to_string(replicas) +
-                     (checkpoints ? " with" : " without") + " checkpoint_dir");
+        const std::string where =
+            row.spec + " replicas=" + std::to_string(replicas) +
+            (checkpoints ? " with" : " without") + " checkpoint_dir";
+        SCOPED_TRACE(where);
         core::TrainConfig cfg;
         cfg.policy = core::PrunePolicy::kDense;
         cfg.epochs = 1;
@@ -659,10 +661,15 @@ TEST(TrainConfigFaults, EveryKindIsRejectedOrFires) {
           }
           continue;
         }
-        graph::Network net = small_net();
-        core::PruneTrainer trainer(net, data, cfg);
-        trainer.run();
-        EXPECT_GE(trainer.recovery_report().faults_injected, clauses);
+        // A throw would unwind the trace with it: name the row here.
+        try {
+          graph::Network net = small_net();
+          core::PruneTrainer trainer(net, data, cfg);
+          trainer.run();
+          EXPECT_GE(trainer.recovery_report().faults_injected, clauses);
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << where << " threw: " << e.what();
+        }
       }
     }
   }

@@ -150,26 +150,24 @@ TEST(Json, ParseDumpRoundTrip) {
   EXPECT_THROW(Json::parse("{broken"), std::runtime_error);
 }
 
+/// `s`'s fields in for_each_field order, as doubles (exact for these values).
+template <class S>
+std::vector<std::pair<std::string, double>> fields_of(const S& s) {
+  std::vector<std::pair<std::string, double>> out;
+  for_each_field(s, [&out](const char* name, const auto& v) {
+    out.emplace_back(name, static_cast<double>(v));
+  });
+  return out;
+}
+
 EpochRecord sample_record() {
   EpochRecord r;
-  r.epoch = 3;
-  r.batch_size = 64;
-  r.lr = 0.05;
-  r.train_loss = 1.25;
-  r.train_acc = 0.5;
-  r.test_acc = 0.625;
-  r.lasso_loss = 0.01;
-  r.flops_per_sample_train = 3e6;
-  r.flops_per_sample_inf = 1e6;
-  r.epoch_train_flops = 3e8;
-  r.epoch_bn_traffic = 1e5;
-  r.memory_bytes = 2e6;
-  r.comm_bytes_per_gpu = 4e5;
-  r.comm_time_modeled = 0.125;
-  r.gpu_time_modeled = 0.25;
-  r.wall_seconds = 1.5;
-  r.channels_alive = 42;
-  r.conv_layers = 7;
+  // Every stats field distinct and off its default: the i-th is i + 0.5,
+  // truncated to i for integers (and true for the flag).
+  int i = 0;
+  for_each_field(r, [&i](const char*, auto& v) {
+    v = static_cast<std::remove_reference_t<decltype(v)>>(++i + 0.5);
+  });
   r.reconfig.happened = true;
   r.reconfig.channels_before = 48;
   r.reconfig.channels_after = 42;
@@ -183,18 +181,52 @@ EpochRecord sample_record() {
   return r;
 }
 
+/// "name:type ..." of every visited field; the flag's type is u8.
+template <class S>
+std::string field_signature(const S& s) {
+  std::string out;
+  for_each_field(s, [&out](const char* name, const auto& v) {
+    using T = std::remove_cvref_t<decltype(v)>;
+    const char* kind = std::is_same_v<T, bool>        ? "u"
+                       : std::is_floating_point_v<T> ? "f"
+                                                     : "i";
+    out += std::string(out.empty() ? "" : " ") + name + ":" + kind +
+           std::to_string(8 * sizeof(T));
+  });
+  return out;
+}
+
+// This sequence *is* the checkpoint trainer-section format (each field at
+// its own width: TrainResult's scalars, the epoch count, then every
+// epoch's stats) and the epochs.jsonl key order. Checkpoints and records
+// already written depend on it, so fields are only ever appended.
+TEST(EpochStatsFields, VisitOrderIsTheCheckpointAndJsonFormat) {
+  EXPECT_EQ(field_signature(EpochStats{}),
+            "epoch:i64 batch_size:i64 lr:f64 train_loss:f64 train_acc:f64 "
+            "test_acc:f64 lasso_loss:f64 flops_per_sample_train:f64 "
+            "flops_per_sample_inf:f64 epoch_train_flops:f64 "
+            "epoch_bn_traffic:f64 memory_bytes:f64 comm_bytes_per_gpu:f64 "
+            "comm_time_modeled:f64 gpu_time_modeled:f64 wall_seconds:f64 "
+            "channels_alive:i64 conv_layers:i64 reconfigured:u8");
+  EXPECT_EQ(field_signature(core::TrainResult{}),
+            "final_test_acc:f64 total_train_flops:f64 total_bn_traffic:f64 "
+            "total_comm_bytes:f64 total_gpu_time_modeled:f64 "
+            "total_wall_seconds:f64 final_inference_flops:f64 "
+            "layers_removed:i64 final_channels:i64 lambda:f32");
+
+  // The record writes the stats between its strategy and reconfig keys.
+  std::string expected = "schema schema_version strategy", keys;
+  for (const auto& [name, v] : fields_of(EpochStats{})) expected += " " + name;
+  expected += " reconfig layers sparsity counters gauges spans";
+  const Json j = sample_record().to_json();
+  for (const auto& [key, v] : j.items()) keys += " " + key;
+  EXPECT_EQ(keys.substr(1), expected);
+}
+
 TEST(EpochRecordJson, RoundTripsFieldForField) {
   const EpochRecord r = sample_record();
   const EpochRecord r2 = EpochRecord::from_json(r.to_json());
-  EXPECT_EQ(r2.epoch, r.epoch);
-  EXPECT_EQ(r2.batch_size, r.batch_size);
-  EXPECT_DOUBLE_EQ(r2.lr, r.lr);
-  EXPECT_DOUBLE_EQ(r2.train_loss, r.train_loss);
-  EXPECT_DOUBLE_EQ(r2.test_acc, r.test_acc);
-  EXPECT_DOUBLE_EQ(r2.flops_per_sample_train, r.flops_per_sample_train);
-  EXPECT_DOUBLE_EQ(r2.flops_per_sample_inf, r.flops_per_sample_inf);
-  EXPECT_DOUBLE_EQ(r2.memory_bytes, r.memory_bytes);
-  EXPECT_EQ(r2.channels_alive, r.channels_alive);
+  EXPECT_EQ(fields_of(r2), fields_of(r));
   EXPECT_TRUE(r2.reconfig.happened);
   EXPECT_EQ(r2.reconfig.channels_before, 48);
   EXPECT_EQ(r2.reconfig.channels_after, 42);
@@ -243,7 +275,7 @@ TEST(RunRecorderTest, ManifestAndRecordsRoundTripThroughDisk) {
 
   const auto records = RunRecorder::read_records(dir.string());
   ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0].epoch, 3);
+  EXPECT_EQ(records[0].epoch, sample_record().epoch);
   EXPECT_EQ(records[1].epoch, 4);
   EXPECT_DOUBLE_EQ(records[1].flops_per_sample_inf, 9e5);
   fs::remove_all(dir);
@@ -260,7 +292,7 @@ TEST(RunRecorderTest, TornTailIsSkippedOnRead) {
   }
   const auto records = RunRecorder::read_records(dir.string());
   ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].epoch, 3);
+  EXPECT_EQ(records[0].epoch, sample_record().epoch);
   {
     // A malformed *complete* line is not a torn append: it still throws.
     std::ofstream f(dir / "epochs.jsonl", std::ios::app | std::ios::binary);
@@ -413,11 +445,8 @@ TEST(TrainerTelemetry, WritesManifestAndOneRecordPerEpoch) {
   for (std::size_t e = 0; e < records.size(); ++e) {
     const auto& r = records[e];
     EXPECT_EQ(r.epoch, std::int64_t(e));
-    // Record mirrors the trainer's own EpochStats.
-    EXPECT_DOUBLE_EQ(r.flops_per_sample_inf,
-                     result.epochs[e].flops_per_sample_inf);
-    EXPECT_DOUBLE_EQ(r.memory_bytes, double(result.epochs[e].memory_bytes));
-    EXPECT_EQ(r.channels_alive, result.epochs[e].channels_alive);
+    // The record is the trainer's own EpochStats, every field.
+    EXPECT_EQ(fields_of(r), fields_of(result.epochs[e]));
     // Per-layer analytical FLOPs sum to the reported per-sample cost.
     double total_fwd = 0;
     for (const auto& lr : r.layers) total_fwd += lr.fwd_flops;
@@ -454,8 +483,10 @@ TEST(TrainerTelemetry, WritesManifestAndOneRecordPerEpoch) {
 }
 
 /// Each epoch record carries the spans closed since the previous record,
-/// not the run's running totals: one sgd span per epoch, one elastic step
-/// span (and one of each step phase) per step of that epoch.
+/// not the run's running totals: its own epoch's train/epoch and
+/// train/checkpoint span (the last record's included), one sgd span, and
+/// one elastic step span (and one of each step phase) per step of that
+/// epoch.
 TEST(TrainerTelemetry, EpochRecordsCarryPerEpochSpanWindows) {
   const fs::path dir = scratch_dir("windows");
   MetricsRegistry::global().reset();
@@ -469,6 +500,7 @@ TEST(TrainerTelemetry, EpochRecordsCarryPerEpochSpanWindows) {
   cfg.replicas = 2;
   cfg.num_threads = 2;
   cfg.metrics_dir = dir.string();
+  cfg.checkpoint_dir = (dir / "ckpt").string();
   cfg.run_name = "unit-windows";
   core::PruneTrainer trainer(net, data, cfg);
   trainer.run();
@@ -483,18 +515,20 @@ TEST(TrainerTelemetry, EpochRecordsCarryPerEpochSpanWindows) {
     const double steps = r.counters.at("dist/steps") - steps_before;
     steps_before = r.counters.at("dist/steps");
     ASSERT_GT(steps, 0) << "epoch " << e;
-    ASSERT_TRUE(r.spans.count("train/epoch/sgd")) << "epoch " << e;
-    EXPECT_EQ(r.spans.at("train/epoch/sgd").count, 1u) << "epoch " << e;
+    for (const char* name :
+         {"train/epoch", "train/checkpoint", "train/epoch/sgd"}) {
+      ASSERT_TRUE(r.spans.count(name)) << name << ", epoch " << e;
+      EXPECT_EQ(r.spans.at(name).count, 1u) << name << ", epoch " << e;
+    }
     for (const std::string& name :
          {step, step + "/replicas", step + "/exchange", step + "/update"}) {
       ASSERT_TRUE(r.spans.count(name)) << name << ", epoch " << e;
       EXPECT_EQ(double(r.spans.at(name).count), steps)
           << name << ", epoch " << e;
     }
-    // The epoch span closes after its own record: epoch e's lands in e+1.
-    EXPECT_EQ(r.spans.count("train/epoch") ? r.spans.at("train/epoch").count
-                                           : 0u,
-              e == 0 ? 0u : 1u)
+    // The record is written after the epoch's checkpoint: the generation
+    // gauge already counts it.
+    EXPECT_EQ(r.gauges.at("integrity/ckpt_generations"), double(e + 1))
         << "epoch " << e;
   }
   MetricsRegistry::global().reset();
