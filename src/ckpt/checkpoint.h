@@ -1,13 +1,12 @@
 // Crash-safe checkpointing of reconfigured networks (ISSUE 1 tentpole).
 //
-// Unlike prune::Snapshot — a positional float blob valid only across
-// identical topologies — a Checkpoint is *self-describing*: it serializes
-// the full graph structure (live/dead nodes, Add merges, per-layer channel
-// extents, NetworkInfo/ResidualBlockInfo) plus a named tensor table built
-// from the state-dict API (parameter values, SGD momentum, BN running
-// stats). restore_network() rebuilds the exact reconfigured model from the
-// file alone, so a PruneTrain run can be resumed after any number of
-// structural reconfigurations.
+// A Checkpoint is *self-describing*: it serializes the full graph
+// structure (live/dead nodes, Add merges, per-layer channel extents,
+// NetworkInfo/ResidualBlockInfo) plus a named tensor table built from the
+// state-dict API (parameter values, SGD momentum, BN running stats).
+// restore_network() rebuilds the exact reconfigured model from the file
+// alone, so a PruneTrain run can be resumed after any number of structural
+// reconfigurations.
 //
 // File layout (see DESIGN.md §6 for the byte-level spec):
 //

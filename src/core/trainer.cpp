@@ -4,6 +4,7 @@
 #include <ctime>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <type_traits>
@@ -65,23 +66,42 @@ TrainResult get_result(ckpt::ByteReader& r) {
   return res;
 }
 
-// A strategy's or codec's {name, f32, i64} state items (CodecStateItem is
-// the same type), as one checkpoint section after its owner's name.
-void put_state_items(ckpt::ByteWriter& w,
-                     const std::vector<prune::StrategyStateItem>& items) {
+// A plug-in's state as checkpoint section `kind` ("strategy" or "codec"):
+// the plug-in's registry name, then its {name, f32, i64} state items.
+void put_plugin_section(ckpt::Checkpoint& ck, const std::string& kind,
+                        const std::string& name,
+                        const std::vector<StateItem>& items) {
+  ckpt::ByteWriter w;
+  w.put_string(name);
   w.put<std::uint64_t>(items.size());
-  for (const prune::StrategyStateItem& item : items) {
+  for (const StateItem& item : items) {
     w.put_string(item.name);
     w.put_vector(item.f32);
     w.put_vector(item.i64);
   }
+  ck.set_section(kind, w.take());
 }
 
-std::vector<prune::StrategyStateItem> get_state_items(ckpt::ByteReader& r) {
+// Reads back section `kind`, or nullopt when the checkpoint has none. A
+// section stamped with another plug-in than `name` fails loudly: silently
+// loading another plug-in's state would make the resumed run diverge from
+// the uninterrupted one without a trace.
+std::optional<std::vector<StateItem>> get_plugin_section(
+    const ckpt::Checkpoint& ck, const std::string& path,
+    const std::string& kind, const std::string& name) {
+  const std::vector<std::uint8_t>* section = ck.section(kind);
+  if (section == nullptr) return std::nullopt;
+  ckpt::ByteReader r(*section);
+  const std::string saved = r.get_string();
+  if (saved != name) {
+    throw std::runtime_error("checkpoint " + path + " was written by " + kind +
+                             " '" + saved + "' but this run uses '" + name +
+                             "'");
+  }
   const auto n = r.get<std::uint64_t>();
-  std::vector<prune::StrategyStateItem> items;
+  std::vector<StateItem> items;
   for (std::uint64_t i = 0; i < n; ++i) {
-    prune::StrategyStateItem item;
+    StateItem item;
     item.name = r.get_string();
     item.f32 = r.get_vector<float>();
     item.i64 = r.get_vector<std::int64_t>();
@@ -93,22 +113,22 @@ std::vector<prune::StrategyStateItem> get_state_items(ckpt::ByteReader& r) {
 // The manifest's config dump: the fields that shape the run's trajectory
 // (not an exhaustive TrainConfig round-trip — the JSONL records are for
 // humans and plotting scripts, the checkpoint is the machine state).
+// Plug-in parameters are recorded resolved, so every effective value shows,
+// defaults included.
 telemetry::Json config_json(const TrainConfig& cfg) {
+  const auto params_json = [](const ParamMap& params) {
+    telemetry::Json j = telemetry::Json::object();
+    for (const auto& [key, value] : params) j[key] = telemetry::Json(value);
+    return j;
+  };
   telemetry::Json j = telemetry::Json::object();
   j["policy"] = telemetry::Json(to_string(cfg.policy));
   j["strategy"] = telemetry::Json(cfg.strategy);
-  telemetry::Json params = telemetry::Json::object();
-  for (const auto& [key, value] : prune::StrategyRegistry::global().resolve(
-           cfg.strategy, cfg.strategy_params)) {
-    params[key] = telemetry::Json(value);
-  }
-  j["strategy_params"] = params;
+  j["strategy_params"] = params_json(prune::StrategyRegistry::global().resolve(
+      cfg.strategy, cfg.strategy_params));
   j["codec"] = telemetry::Json(cfg.codec);
-  telemetry::Json cparams = telemetry::Json::object();
-  for (const auto& [key, value] : cfg.codec_params) {
-    cparams[key] = telemetry::Json(value);
-  }
-  j["codec_params"] = cparams;
+  j["codec_params"] = params_json(
+      dist::CodecRegistry::global().resolve(cfg.codec, cfg.codec_params));
   j["epochs"] = telemetry::Json(cfg.epochs);
   j["batch_size"] = telemetry::Json(cfg.batch_size);
   j["base_lr"] = telemetry::Json(static_cast<double>(cfg.base_lr));
@@ -225,8 +245,7 @@ void TrainConfig::validate() const {
   // (unknown keys and unparsable or out-of-range values fail here rather
   // than mid-training).
   try {
-    const auto& registry = prune::StrategyRegistry::global();
-    (void)registry.make(strategy, registry.resolve(strategy, strategy_params));
+    (void)prune::StrategyRegistry::global().create(strategy, strategy_params);
   } catch (const std::invalid_argument& e) {
     fail(e.what());
   }
@@ -548,14 +567,13 @@ void PruneTrainer::run_integrity_check() {
   for (int r : cluster_->membership().participants()) {
     views.push_back({r, &cluster_->replica(r)});
   }
-  const std::vector<prune::StrategyStateItem> sstate = strategy_->state();
+  const std::vector<StateItem> sstate = strategy_->state();
   // Codec residual/mask state steers what every future exchange averages,
   // so it is digested alongside the strategy state. It is one object
   // shared by the whole cluster — every view digests the same bytes — so
   // including it can never split an honest vote.
-  const std::vector<prune::StrategyStateItem> cstate =
-      codec_ && codec_->stateful() ? codec_->state()
-                                   : std::vector<prune::StrategyStateItem>{};
+  const std::vector<StateItem> cstate =
+      codec_ ? codec_->state() : std::vector<StateItem>{};
   dist::ElasticCluster* cluster = cluster_.get();
   const robust::VoteOutcome out = integrity_->check_replicas(
       views, *ctx_, &sstate,
@@ -883,28 +901,14 @@ void PruneTrainer::save_checkpoint(const TrainResult& result, std::int64_t phase
   put_result(w, result);
   ck.set_section("trainer", w.take());
 
-  // Strategy state rides as its own opaque section so rollback/resume
-  // replays the sparsifier bitwise (masks, trainable thresholds, saliency
-  // EWMAs). The strategy name is stored for a mismatch check on load.
-  {
-    ckpt::ByteWriter sw;
-    sw.put_string(cfg_.strategy);
-    put_state_items(sw, strategy_->state());
-    ck.set_section("strategy", sw.take());
-  }
-
-  // Codec state rides the same way: error-feedback residuals and live-row
-  // masks must survive resume/rollback bitwise, or the replayed exchanges
-  // diverge from the uninterrupted run. The codec name is stored for a
-  // mismatch check on load. Written whenever a codec exists (even when
-  // currently stateless) so the load side can verify the name.
-  if (codec_) {
-    ckpt::ByteWriter cw;
-    cw.put_string(cfg_.codec);
-    put_state_items(cw, codec_->stateful() ? codec_->state()
-                                           : dist::CodecState{});
-    ck.set_section("codec", cw.take());
-  }
+  // Strategy and codec state ride as name-stamped sections so
+  // resume/rollback replays them bitwise: the sparsifier's masks, trainable
+  // thresholds and saliency EWMAs, and the codec's error-feedback residuals
+  // and live-row masks (without those the replayed exchanges diverge from
+  // the uninterrupted run). The codec section is written whenever a codec
+  // exists, stateless or not, so the load side can verify the name.
+  put_plugin_section(ck, "strategy", cfg_.strategy, strategy_->state());
+  if (codec_) put_plugin_section(ck, "codec", cfg_.codec, codec_->state());
 
   if (monitor_) {
     ckpt::ByteWriter m;
@@ -981,31 +985,14 @@ void PruneTrainer::load_checkpoint_file(const std::string& path) {
 
   // Strategy state: absent in pre-strategy checkpoints (the sparsifier then
   // starts fresh, which is exactly what those checkpoints' runs did).
-  if (const std::vector<std::uint8_t>* strat = ck.section("strategy")) {
-    ckpt::ByteReader sr(*strat);
-    const std::string saved_name = sr.get_string();
-    if (saved_name != cfg_.strategy) {
-      throw std::runtime_error("checkpoint " + path +
-                               " was written by strategy '" + saved_name +
-                               "' but this run uses '" + cfg_.strategy + "'");
-    }
-    strategy_->load_state(get_state_items(sr));
+  if (auto items = get_plugin_section(ck, path, "strategy", cfg_.strategy)) {
+    strategy_->load_state(*items);
   }
-
-  // Codec state: absent in pre-codec checkpoints (and in single-device
-  // runs, which have no exchange to compress). A name mismatch fails
-  // loudly — silently dropping another codec's residuals would make the
-  // resumed run diverge from the uninterrupted one without a trace.
-  if (const std::vector<std::uint8_t>* csec = ck.section("codec")) {
-    ckpt::ByteReader cr(*csec);
-    const std::string saved_codec = cr.get_string();
-    if (codec_ && saved_codec != codec_->name()) {
-      throw std::runtime_error("checkpoint " + path +
-                               " was written by codec '" + saved_codec +
-                               "' but this run uses '" + codec_->name() + "'");
-    }
-    const std::vector<dist::CodecStateItem> items = get_state_items(cr);
-    if (codec_ && !items.empty()) codec_->load_state(items);
+  // Codec state: absent in pre-codec checkpoints and ignored by
+  // single-device runs, which have no exchange to compress.
+  if (codec_) {
+    const auto items = get_plugin_section(ck, path, "codec", codec_->name());
+    if (items && !items->empty()) codec_->load_state(*items);
   }
 
   if (cfg_.record_sparsity) {

@@ -2,22 +2,7 @@
 
 #include <stdexcept>
 
-#include "util/table.h"
-
 namespace pt::dist {
-
-namespace {
-
-std::string join_names(const std::vector<std::string>& names) {
-  std::string out;
-  for (const std::string& n : names) {
-    if (!out.empty()) out += ", ";
-    out += n;
-  }
-  return out;
-}
-
-}  // namespace
 
 void GradientCodec::bind(graph::Network& reference, int replicas) {
   if (replicas < 1) {
@@ -29,91 +14,6 @@ void GradientCodec::bind(graph::Network& reference, int replicas) {
   sizes_.reserve(params.size());
   for (const nn::Param* p : params) sizes_.push_back(p->grad.numel());
   replicas_ = replicas;
-}
-
-CodecRegistry& CodecRegistry::global() {
-  static CodecRegistry registry = [] {
-    CodecRegistry r;
-    register_builtin_codecs(r);
-    return r;
-  }();
-  return registry;
-}
-
-void CodecRegistry::register_codec(CodecFactory factory) {
-  if (find(factory.name) != nullptr) {
-    throw std::invalid_argument("gradient codec '" + factory.name +
-                                "' is already registered");
-  }
-  factories_.push_back(std::move(factory));
-}
-
-const CodecFactory* CodecRegistry::find(const std::string& name) const {
-  for (const CodecFactory& f : factories_) {
-    if (f.name == name) return &f;
-  }
-  return nullptr;
-}
-
-std::vector<std::string> CodecRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(factories_.size());
-  for (const CodecFactory& f : factories_) out.push_back(f.name);
-  return out;
-}
-
-std::unique_ptr<GradientCodec> CodecRegistry::create(
-    const std::string& name,
-    const std::map<std::string, std::string>& params) const {
-  const CodecFactory* factory = find(name);
-  if (factory == nullptr) {
-    throw std::invalid_argument("unknown gradient codec '" + name +
-                                "' (known: " + join_names(names()) + ")");
-  }
-  std::map<std::string, std::string> resolved;
-  for (const prune::ParamSpec& p : factory->params) {
-    resolved[p.name] = p.default_value;
-  }
-  for (const auto& [key, value] : params) {
-    if (resolved.find(key) == resolved.end()) {
-      std::vector<std::string> known;
-      for (const prune::ParamSpec& p : factory->params) known.push_back(p.name);
-      throw std::invalid_argument("codec '" + name + "' has no parameter '" +
-                                  key + "' (known: " + join_names(known) + ")");
-    }
-    resolved[key] = value;
-  }
-  return factory->make(resolved);
-}
-
-std::string CodecRegistry::help() const {
-  Table t({"codec", "param", "default", "description"});
-  for (const CodecFactory& f : factories_) {
-    t.add_row({f.name, "", "", f.description});
-    for (const prune::ParamSpec& p : f.params) {
-      t.add_row({"", p.name, p.default_value, p.help});
-    }
-  }
-  return t.to_text();
-}
-
-float codec_param_float(const std::map<std::string, std::string>& params,
-                        const std::string& key) {
-  auto it = params.find(key);
-  if (it == params.end()) {
-    throw std::invalid_argument("codec parameter '" + key +
-                                "' missing from resolved map");
-  }
-  try {
-    std::size_t pos = 0;
-    const float out = std::stof(it->second, &pos);
-    if (pos != it->second.size()) throw std::invalid_argument("trailing");
-    return out;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("codec parameter '" + key +
-                                "' expects a number (got '" + it->second +
-                                "')");
-  }
 }
 
 }  // namespace pt::dist

@@ -10,12 +10,12 @@
 // (allreduce.h's exchange_gradients), and the codec decides what actually
 // crosses the simulated wire.
 //
-// The registry mirrors prune::StrategyRegistry exactly (name -> ParamSpec
-// defaults -> factory -> help() table); the built-in zoo (codec_zoo.h)
-// ships `dense` (bit-for-bit the reference exchange), `twobit` (2-bit
-// quantization with per-replica error-feedback residuals), and
-// `live_channel` (prune-aware compaction transmitting only live-channel
-// rows).
+// CodecRegistry is the same Registry<T> as prune::StrategyRegistry (name
+// -> ParamSpec defaults -> factory -> help() table); the built-in zoo
+// (codec_zoo.h) ships `dense` (bit-for-bit the reference exchange),
+// `twobit` (2-bit quantization with per-replica error-feedback residuals),
+// and `live_channel` (prune-aware compaction transmitting only
+// live-channel rows).
 //
 // Determinism contract (DESIGN.md §14):
 //
@@ -34,24 +34,15 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "cost/comm.h"
 #include "exec/context.h"
 #include "graph/network.h"
-#include "prune/strategy.h"
+#include "util/registry.h"
 
 namespace pt::dist {
-
-/// Named codec state blobs reuse the strategy serialization shape — the
-/// checkpoint "codec" section and the integrity digests treat them the
-/// same way the "strategy" section treats strategy state.
-using CodecStateItem = prune::StrategyStateItem;
-using CodecState = std::vector<CodecStateItem>;
 
 /// One encoded gradient tensor as it would cross the wire. Exactly one
 /// payload family is populated per codec: `values` (dense FP32 or
@@ -108,16 +99,14 @@ class GradientCodec {
   /// CommQuery::live_fraction); 1 for non-sparse codecs.
   virtual double live_fraction() const { return 1.0; }
 
-  /// True when state()/load_state() carry anything (the trainer only
-  /// writes a checkpoint "codec" section for stateful codecs).
-  virtual bool stateful() const { return false; }
-
-  /// Complete serializable state; must make load_state() reproduce this
-  /// codec's future behavior bitwise. load_state() may run before bind()
-  /// (trainer resume order); bind() then adopts the loaded state if it is
-  /// shape-compatible.
-  virtual CodecState state() const { return {}; }
-  virtual void load_state(const CodecState& items) { (void)items; }
+  /// Complete serializable state (empty for stateless codecs); must make
+  /// load_state() reproduce this codec's future behavior bitwise.
+  /// load_state() may run before bind() (trainer resume order); bind()
+  /// then adopts the loaded state if it is shape-compatible.
+  virtual std::vector<StateItem> state() const { return {}; }
+  virtual void load_state(const std::vector<StateItem>& items) {
+    (void)items;
+  }
 
   /// Drops replica `rank`'s per-replica state (twobit residuals). Called
   /// when a rejoiner resyncs: its accumulated quantization error belongs
@@ -133,55 +122,18 @@ class GradientCodec {
   int replicas_ = 0;
 };
 
-/// One registry entry: name, human description, parameter specs (used for
-/// validation and the help table), and the factory. ParamSpec is shared
-/// with the strategy registry — same {name, default, help} triple.
-struct CodecFactory {
-  std::string name;
-  std::string description;
-  std::vector<prune::ParamSpec> params;
-  /// Receives the fully resolved parameter map (defaults overlaid with the
-  /// caller's values; unknown keys already rejected).
-  std::function<std::unique_ptr<GradientCodec>(
-      const std::map<std::string, std::string>&)>
-      make;
-};
-
 /// Name -> factory registry driving TrainConfig::codec validation, the
 /// quickstart `--codec help` table, and the comm-compression bench sweep.
-class CodecRegistry {
+class CodecRegistry : public Registry<GradientCodec> {
  public:
-  /// The process-wide registry with the built-in zoo registered
-  /// (codec_zoo.cpp); thread-safe magic-static initialization.
+  CodecRegistry() : Registry("gradient codec", "codec") {}
+
+  /// The process-wide registry with the built-in zoo (dense, twobit,
+  /// live_channel) registered by codec_zoo.cpp; thread-safe magic-static
+  /// initialization.
   static CodecRegistry& global();
 
-  void register_codec(CodecFactory factory);
-  const CodecFactory* find(const std::string& name) const;
-  std::vector<std::string> names() const;
-
-  /// Instantiates `name` with `params` overlaid on the spec defaults.
-  /// Throws std::invalid_argument on an unknown codec, an unknown
-  /// parameter key, or an unparsable value.
-  std::unique_ptr<GradientCodec> create(
-      const std::string& name,
-      const std::map<std::string, std::string>& params = {}) const;
-
-  /// Renders the registry as an aligned table (codec, parameters,
-  /// defaults, help) — the `--codec help` output.
-  std::string help() const;
-
- private:
-  std::vector<CodecFactory> factories_;
+  void register_codec(Factory factory) { add(std::move(factory)); }
 };
-
-/// Registers the built-in zoo (dense, twobit, live_channel) into
-/// `registry`. Called once by CodecRegistry::global(); exposed for tests
-/// that build a private registry.
-void register_builtin_codecs(CodecRegistry& registry);
-
-/// Typed parameter parsing over the resolved map; throws
-/// std::invalid_argument naming the key on a malformed value.
-float codec_param_float(const std::map<std::string, std::string>& params,
-                        const std::string& key);
 
 }  // namespace pt::dist

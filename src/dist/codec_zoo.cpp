@@ -169,11 +169,11 @@ void TwoBitCodec::decode(const WireTensor& wire, std::size_t tensor,
   });
 }
 
-CodecState TwoBitCodec::state() const {
-  CodecState items;
+std::vector<StateItem> TwoBitCodec::state() const {
+  std::vector<StateItem> items;
   for (std::size_t rank = 0; rank < residual_.size(); ++rank) {
     for (std::size_t t = 0; t < residual_[rank].size(); ++t) {
-      CodecStateItem item;
+      StateItem item;
       item.name = "residual/r" + std::to_string(rank) + "/t" + std::to_string(t);
       item.f32 = residual_[rank][t];
       items.push_back(std::move(item));
@@ -182,9 +182,9 @@ CodecState TwoBitCodec::state() const {
   return items;
 }
 
-void TwoBitCodec::load_state(const CodecState& items) {
+void TwoBitCodec::load_state(const std::vector<StateItem>& items) {
   residual_.clear();
-  for (const CodecStateItem& item : items) {
+  for (const StateItem& item : items) {
     long rank = -1, t = -1;
     if (!parse_indexed_name(item.name, "residual/r%ld/t%ld%n", &rank, &t) ||
         rank < 0 || t < 0) {
@@ -236,7 +236,7 @@ void LiveChannelCodec::bind(graph::Network& reference, int replicas) {
   bool adopted = false;
   if (state_loaded_) {
     adopted = true;
-    for (const CodecStateItem& item : pending_state_) {
+    for (const StateItem& item : pending_state_) {
       long t = -1, unused = 0;
       (void)unused;
       int consumed = 0;
@@ -258,7 +258,7 @@ void LiveChannelCodec::bind(graph::Network& reference, int replicas) {
       if (!adopted) break;
     }
     if (adopted) {
-      for (const CodecStateItem& item : pending_state_) {
+      for (const StateItem& item : pending_state_) {
         long t = -1;
         int consumed = 0;
         std::sscanf(item.name.c_str(), "live_rows/t%ld%n", &t, &consumed);
@@ -359,11 +359,11 @@ void LiveChannelCodec::decode(const WireTensor& wire, std::size_t tensor,
   });
 }
 
-CodecState LiveChannelCodec::state() const {
-  CodecState items;
+std::vector<StateItem> LiveChannelCodec::state() const {
+  std::vector<StateItem> items;
   for (std::size_t t = 0; t < masks_.size(); ++t) {
     if (!masks_[t].masked) continue;
-    CodecStateItem item;
+    StateItem item;
     item.name = "live_rows/t" + std::to_string(t);
     item.i64 = masks_[t].live;
     items.push_back(std::move(item));
@@ -371,7 +371,7 @@ CodecState LiveChannelCodec::state() const {
   return items;
 }
 
-void LiveChannelCodec::load_state(const CodecState& items) {
+void LiveChannelCodec::load_state(const std::vector<StateItem>& items) {
   pending_state_ = items;
   state_loaded_ = true;
   if (!sizes_.empty()) {
@@ -379,7 +379,7 @@ void LiveChannelCodec::load_state(const CodecState& items) {
     // topology. bind() consumes the pending state.
     const bool had_masks = !masks_.empty();
     if (had_masks) {
-      for (const CodecStateItem& item : pending_state_) {
+      for (const StateItem& item : pending_state_) {
         long t = -1;
         int consumed = 0;
         if (std::sscanf(item.name.c_str(), "live_rows/t%ld%n", &t,
@@ -397,30 +397,45 @@ void LiveChannelCodec::load_state(const CodecState& items) {
 
 // ------------------------------------------------------------- registry --
 
+namespace {
+
 void register_builtin_codecs(CodecRegistry& registry) {
   registry.register_codec(
       {"dense",
        "FP32 passthrough; bit-for-bit the reference exchange",
        {},
-       [](const std::map<std::string, std::string>&) {
-         return std::make_unique<DenseCodec>();
-       }});
+       [](const ParamMap&) { return std::make_unique<DenseCodec>(); }});
   registry.register_codec(
       {"twobit",
        "2-bit threshold quantization with error-feedback residuals (~16x)",
        {{"threshold_scale", "1.0",
          "multiplier on the mean-|v| quantization magnitude"}},
-       [](const std::map<std::string, std::string>& params) {
-         return std::make_unique<TwoBitCodec>(
-             codec_param_float(params, "threshold_scale"));
+       [](const ParamMap& params) {
+         // The encoder quantizes only when its scale is positive: a zero or
+         // negative multiplier would zero every exchanged gradient.
+         const float threshold_scale = param_float(params, "threshold_scale");
+         if (!(threshold_scale > 0.f)) {
+           throw std::invalid_argument(
+               "codec parameter 'threshold_scale' must be > 0");
+         }
+         return std::make_unique<TwoBitCodec>(threshold_scale);
        }});
   registry.register_codec(
       {"live_channel",
        "transmits only live-channel rows; recompacted at reconfiguration",
        {},
-       [](const std::map<std::string, std::string>&) {
-         return std::make_unique<LiveChannelCodec>();
-       }});
+       [](const ParamMap&) { return std::make_unique<LiveChannelCodec>(); }});
+}
+
+}  // namespace
+
+CodecRegistry& CodecRegistry::global() {
+  static CodecRegistry registry = [] {
+    CodecRegistry r;
+    register_builtin_codecs(r);
+    return r;
+  }();
+  return registry;
 }
 
 }  // namespace pt::dist

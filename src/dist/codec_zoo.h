@@ -62,9 +62,8 @@ class TwoBitCodec : public GradientCodec {
   void decode(const WireTensor& wire, std::size_t tensor, float* out,
               exec::ExecContext& ctx) const override;
 
-  bool stateful() const override { return true; }
-  CodecState state() const override;
-  void load_state(const CodecState& items) override;
+  std::vector<StateItem> state() const override;
+  void load_state(const std::vector<StateItem>& items) override;
   void reset_replica(int rank) override;
 
   /// rank's error-feedback residual for tensor `tensor` (test access).
@@ -99,9 +98,8 @@ class LiveChannelCodec : public GradientCodec {
               exec::ExecContext& ctx) const override;
 
   double live_fraction() const override { return live_fraction_; }
-  bool stateful() const override { return true; }
-  CodecState state() const override;
-  void load_state(const CodecState& items) override;
+  std::vector<StateItem> state() const override;
+  void load_state(const std::vector<StateItem>& items) override;
 
   /// Transmitted row indices of tensor `tensor` (empty when the tensor is
   /// unmasked, i.e. ships dense). Test access.
@@ -123,7 +121,7 @@ class LiveChannelCodec : public GradientCodec {
   double live_fraction_ = 1.0;
   /// Mask loaded by load_state() before bind() saw the topology; adopted
   /// by the next bind() when shape-compatible (trainer resume order).
-  CodecState pending_state_;
+  std::vector<StateItem> pending_state_;
   bool state_loaded_ = false;
 };
 

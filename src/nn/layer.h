@@ -97,7 +97,7 @@ class Layer {
   /// param/grad/momentum entries from params(); layers with extra
   /// non-learnable buffers (BatchNorm2d) extend it. Entry order is
   /// deterministic and must stay stable across calls — serialization
-  /// (prune::Snapshot, ckpt::Checkpoint) depends on it.
+  /// (ckpt::Checkpoint) depends on it.
   virtual std::vector<StateEntry> state();
 
  protected:

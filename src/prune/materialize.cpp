@@ -1,7 +1,5 @@
 #include "prune/materialize.h"
 
-#include <stdexcept>
-
 #include "nn/conv2d.h"
 
 namespace pt::prune {
@@ -14,13 +12,6 @@ std::string to_string(InferenceForm form) {
       return "gating";
   }
   return "?";
-}
-
-InferenceForm inference_form_from_string(const std::string& name) {
-  if (name == "union") return InferenceForm::kChannelUnion;
-  if (name == "gating") return InferenceForm::kChannelGating;
-  throw std::invalid_argument("unknown inference form '" + name +
-                              "' (expected \"union\" or \"gating\")");
 }
 
 MaterializeStats materialize_inference(graph::Network& net, InferenceForm form,

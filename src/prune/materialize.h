@@ -27,8 +27,6 @@ namespace pt::prune {
 enum class InferenceForm { kChannelUnion, kChannelGating };
 
 std::string to_string(InferenceForm form);
-/// Parses "union" / "gating"; throws std::invalid_argument otherwise.
-InferenceForm inference_form_from_string(const std::string& name);
 
 struct MaterializeStats {
   InferenceForm form = InferenceForm::kChannelUnion;

@@ -29,13 +29,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "graph/network.h"
+#include "util/registry.h"
 
 namespace pt::prune {
 
@@ -69,14 +68,9 @@ struct ReconfigDecision {
   float threshold = 0.f;
 };
 
-/// One named blob of strategy-internal state (masks, thresholds,
-/// saliency…). Serialized verbatim into the checkpoint's "strategy"
-/// section; the strategy owns the meaning of the two arrays.
-struct StrategyStateItem {
-  std::string name;
-  std::vector<float> f32;
-  std::vector<std::int64_t> i64;
-};
+/// Strategy state is plug-in state; the alias (like StrategyFactory below)
+/// keeps the spelling out-of-tree strategies compile against.
+using StrategyStateItem = StateItem;
 
 class Strategy {
  public:
@@ -157,81 +151,26 @@ class Strategy {
   /// Complete serializable state. An empty vector is valid (stateless
   /// strategies); whatever is returned must make load_state() reproduce
   /// this strategy's future behavior bitwise.
-  virtual std::vector<StrategyStateItem> state() const { return {}; }
-  virtual void load_state(const std::vector<StrategyStateItem>& items) {
+  virtual std::vector<StateItem> state() const { return {}; }
+  virtual void load_state(const std::vector<StateItem>& items) {
     (void)items;
   }
 };
 
-/// One registry entry: name, human description, parameter specs (used for
-/// validation and the help table), and the factory.
-struct ParamSpec {
-  std::string name;
-  std::string default_value;
-  std::string help;
-};
-
-struct StrategyFactory {
-  std::string name;
-  std::string description;
-  std::vector<ParamSpec> params;
-  /// Receives the fully resolved parameter map (defaults overlaid with the
-  /// caller's values; unknown keys already rejected).
-  std::function<std::unique_ptr<Strategy>(
-      const std::map<std::string, std::string>&)>
-      make;
-};
+using StrategyFactory = Registry<Strategy>::Factory;
 
 /// Name -> factory registry driving TrainConfig::strategy validation, the
 /// quickstart `--strategy help` table, and the ablation bench's sweep.
-class StrategyRegistry {
+class StrategyRegistry : public Registry<Strategy> {
  public:
-  /// The process-wide registry with the built-in zoo registered
-  /// (strategy_zoo.cpp); thread-safe magic-static initialization.
+  StrategyRegistry() : Registry("prune strategy", "strategy") {}
+
+  /// The process-wide registry with the built-in zoo (group_lasso, dsd,
+  /// dst, channel_prop) registered by strategy_zoo.cpp; thread-safe
+  /// magic-static initialization.
   static StrategyRegistry& global();
 
-  void register_strategy(StrategyFactory factory);
-  const StrategyFactory* find(const std::string& name) const;
-  std::vector<std::string> names() const;
-
-  /// The effective parameter map of `name`: `params` overlaid on the spec
-  /// defaults, so every declared key is present. Throws
-  /// std::invalid_argument on an unknown strategy or parameter key.
-  std::map<std::string, std::string> resolve(
-      const std::string& name,
-      const std::map<std::string, std::string>& params) const;
-
-  /// Instantiates `name` from a resolve()d map. Throws
-  /// std::invalid_argument on an unknown strategy or an unparsable value.
-  std::unique_ptr<Strategy> make(
-      const std::string& name,
-      const std::map<std::string, std::string>& resolved) const;
-
-  /// make(name, resolve(name, params)).
-  std::unique_ptr<Strategy> create(
-      const std::string& name,
-      const std::map<std::string, std::string>& params = {}) const;
-
-  /// Renders the registry as an aligned table (strategy, parameters,
-  /// defaults, help) — the `--strategy help` output.
-  std::string help() const;
-
- private:
-  std::vector<StrategyFactory> factories_;
+  void register_strategy(StrategyFactory factory) { add(std::move(factory)); }
 };
-
-/// Registers the built-in zoo (group_lasso, dsd, dst, channel_prop) into
-/// `registry`. Called once by StrategyRegistry::global(); exposed for
-/// tests that build a private registry.
-void register_builtin_strategies(StrategyRegistry& registry);
-
-// Typed parameter parsing over the resolved map; throw
-// std::invalid_argument naming the key on a malformed value.
-float strategy_param_float(const std::map<std::string, std::string>& params,
-                           const std::string& key);
-std::int64_t strategy_param_int(
-    const std::map<std::string, std::string>& params, const std::string& key);
-bool strategy_param_bool(const std::map<std::string, std::string>& params,
-                         const std::string& key);
 
 }  // namespace pt::prune

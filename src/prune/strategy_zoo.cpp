@@ -171,10 +171,10 @@ std::map<std::string, double> DsdStrategy::metrics() const {
           {"masked_channels", masked}};
 }
 
-std::vector<StrategyStateItem> DsdStrategy::state() const {
-  std::vector<StrategyStateItem> items;
+std::vector<StateItem> DsdStrategy::state() const {
+  std::vector<StateItem> items;
   for (const auto& [id, mask] : masks_) {
-    StrategyStateItem item;
+    StateItem item;
     item.name = "mask";
     item.i64 = {id};
     item.f32.reserve(mask.size());
@@ -184,9 +184,9 @@ std::vector<StrategyStateItem> DsdStrategy::state() const {
   return items;
 }
 
-void DsdStrategy::load_state(const std::vector<StrategyStateItem>& items) {
+void DsdStrategy::load_state(const std::vector<StateItem>& items) {
   masks_.clear();
-  for (const StrategyStateItem& item : items) {
+  for (const StateItem& item : items) {
     if (item.name != "mask" || item.i64.size() != 1) continue;
     std::vector<std::uint8_t> mask;
     mask.reserve(item.f32.size());
@@ -291,8 +291,8 @@ std::map<std::string, double> DstStrategy::metrics() const {
   return {{"mean_threshold", sum / n}, {"max_threshold", max_t}};
 }
 
-std::vector<StrategyStateItem> DstStrategy::state() const {
-  StrategyStateItem item;
+std::vector<StateItem> DstStrategy::state() const {
+  StateItem item;
   item.name = "thresholds";
   for (const auto& [id, t] : thresholds_) {
     item.i64.push_back(id);
@@ -301,9 +301,9 @@ std::vector<StrategyStateItem> DstStrategy::state() const {
   return {std::move(item)};
 }
 
-void DstStrategy::load_state(const std::vector<StrategyStateItem>& items) {
+void DstStrategy::load_state(const std::vector<StateItem>& items) {
   thresholds_.clear();
-  for (const StrategyStateItem& item : items) {
+  for (const StateItem& item : items) {
     if (item.name != "thresholds" || item.i64.size() != item.f32.size()) {
       continue;
     }
@@ -383,14 +383,14 @@ std::map<std::string, double> ChannelPropStrategy::metrics() const {
           {"steps_since_reset", double(steps_since_reset_)}};
 }
 
-std::vector<StrategyStateItem> ChannelPropStrategy::state() const {
-  std::vector<StrategyStateItem> items;
-  StrategyStateItem steps;
+std::vector<StateItem> ChannelPropStrategy::state() const {
+  std::vector<StateItem> items;
+  StateItem steps;
   steps.name = "steps";
   steps.i64 = {steps_since_reset_};
   items.push_back(std::move(steps));
   for (const auto& [id, s] : saliency_) {
-    StrategyStateItem item;
+    StateItem item;
     item.name = "saliency";
     item.i64 = {id};
     item.f32 = s;
@@ -399,11 +399,10 @@ std::vector<StrategyStateItem> ChannelPropStrategy::state() const {
   return items;
 }
 
-void ChannelPropStrategy::load_state(
-    const std::vector<StrategyStateItem>& items) {
+void ChannelPropStrategy::load_state(const std::vector<StateItem>& items) {
   saliency_.clear();
   steps_since_reset_ = 0;
-  for (const StrategyStateItem& item : items) {
+  for (const StateItem& item : items) {
     if (item.name == "steps" && item.i64.size() == 1) {
       steps_since_reset_ = item.i64[0];
     } else if (item.name == "saliency" && item.i64.size() == 1) {
@@ -413,6 +412,8 @@ void ChannelPropStrategy::load_state(
 }
 
 // ---------------------------------------------------------------------------
+
+namespace {
 
 void register_builtin_strategies(StrategyRegistry& registry) {
   registry.register_strategy(
@@ -425,16 +426,15 @@ void register_builtin_strategies(StrategyRegistry& registry) {
          "subgradient"},
         {"size_normalized", "false",
          "scale each group's penalty by sqrt(group size) (Sec. 4.1 ablation)"}},
-       [](const std::map<std::string, std::string>& p) {
-         const float ratio = strategy_param_float(p, "ratio");
+       [](const ParamMap& p) {
+         const float ratio = param_float(p, "ratio");
          if (!(ratio > 0.f) || !(ratio < 1.f)) {
            throw std::invalid_argument(
                "strategy parameter 'ratio' must lie in (0, 1)");
          }
          return std::make_unique<GroupLassoStrategy>(
-             ratio, strategy_param_float(p, "boost"),
-             strategy_param_bool(p, "proximal"),
-             strategy_param_bool(p, "size_normalized"));
+             ratio, param_float(p, "boost"), param_bool(p, "proximal"),
+             param_bool(p, "size_normalized"));
        }});
 
   registry.register_strategy(
@@ -445,10 +445,10 @@ void register_builtin_strategies(StrategyRegistry& registry) {
          "fraction of each conv's out-channels masked in the sparse window"},
         {"sparse_begin", "0.25", "window start as a fraction of the phase"},
         {"sparse_end", "0.75", "window end as a fraction of the phase"}},
-       [](const std::map<std::string, std::string>& p) {
-         const float s = strategy_param_float(p, "sparsity");
-         const float b = strategy_param_float(p, "sparse_begin");
-         const float e = strategy_param_float(p, "sparse_end");
+       [](const ParamMap& p) {
+         const float s = param_float(p, "sparsity");
+         const float b = param_float(p, "sparse_begin");
+         const float e = param_float(p, "sparse_end");
          if (!(s >= 0.f) || !(s < 1.f)) {
            throw std::invalid_argument(
                "strategy parameter 'sparsity' must lie in [0, 1)");
@@ -469,16 +469,15 @@ void register_builtin_strategies(StrategyRegistry& registry) {
         {"threshold_lr", "0.01", "learning rate of the threshold variable"},
         {"beta", "5", "revival pressure per unit masked-gradient norm"},
         {"init", "0", "initial threshold (>= 0)"}},
-       [](const std::map<std::string, std::string>& p) {
-         const float init = strategy_param_float(p, "init");
+       [](const ParamMap& p) {
+         const float init = param_float(p, "init");
          if (!(init >= 0.f)) {
            throw std::invalid_argument(
                "strategy parameter 'init' must be >= 0");
          }
          return std::make_unique<DstStrategy>(
-             strategy_param_float(p, "alpha"),
-             strategy_param_float(p, "threshold_lr"),
-             strategy_param_float(p, "beta"), init);
+             param_float(p, "alpha"), param_float(p, "threshold_lr"),
+             param_float(p, "beta"), init);
        }});
 
   registry.register_strategy(
@@ -489,9 +488,9 @@ void register_builtin_strategies(StrategyRegistry& registry) {
         {"prune_fraction", "0.5",
          "final fraction of out-channels held at zero"},
         {"warmup", "1", "epochs before masking engages"}},
-       [](const std::map<std::string, std::string>& p) {
-         const float decay = strategy_param_float(p, "decay");
-         const float frac = strategy_param_float(p, "prune_fraction");
+       [](const ParamMap& p) {
+         const float decay = param_float(p, "decay");
+         const float frac = param_float(p, "prune_fraction");
          if (!(decay >= 0.f) || !(decay < 1.f)) {
            throw std::invalid_argument(
                "strategy parameter 'decay' must lie in [0, 1)");
@@ -501,8 +500,19 @@ void register_builtin_strategies(StrategyRegistry& registry) {
                "strategy parameter 'prune_fraction' must lie in [0, 1)");
          }
          return std::make_unique<ChannelPropStrategy>(
-             decay, frac, strategy_param_int(p, "warmup"));
+             decay, frac, param_int(p, "warmup"));
        }});
+}
+
+}  // namespace
+
+StrategyRegistry& StrategyRegistry::global() {
+  static StrategyRegistry registry = [] {
+    StrategyRegistry r;
+    register_builtin_strategies(r);
+    return r;
+  }();
+  return registry;
 }
 
 }  // namespace pt::prune

@@ -77,8 +77,8 @@ class DsdStrategy final : public Strategy {
   ReconfigDecision propose_reconfigure(const EpochInfo& info) const override;
   void on_reconfigured(graph::Network& net) override;
   std::map<std::string, double> metrics() const override;
-  std::vector<StrategyStateItem> state() const override;
-  void load_state(const std::vector<StrategyStateItem>& items) override;
+  std::vector<StateItem> state() const override;
+  void load_state(const std::vector<StateItem>& items) override;
 
   bool in_sparse_window() const { return in_window_; }
 
@@ -112,8 +112,8 @@ class DstStrategy final : public Strategy {
   void post_step(graph::Network& net, const StepInfo& info) override;
   void on_reconfigured(graph::Network& net) override;
   std::map<std::string, double> metrics() const override;
-  std::vector<StrategyStateItem> state() const override;
-  void load_state(const std::vector<StrategyStateItem>& items) override;
+  std::vector<StateItem> state() const override;
+  void load_state(const std::vector<StateItem>& items) override;
 
  private:
   float alpha_;         ///< sparsity-pressure scale (d/dt of alpha*exp(-t))
@@ -142,8 +142,8 @@ class ChannelPropStrategy final : public Strategy {
   void post_step(graph::Network& net, const StepInfo& info) override;
   void on_reconfigured(graph::Network& net) override;
   std::map<std::string, double> metrics() const override;
-  std::vector<StrategyStateItem> state() const override;
-  void load_state(const std::vector<StrategyStateItem>& items) override;
+  std::vector<StateItem> state() const override;
+  void load_state(const std::vector<StateItem>& items) override;
 
  private:
   /// Saliency updates need this many steps after a (re)start before the

@@ -54,8 +54,8 @@ std::vector<std::string> StateDigest::diff(const StateDigest& other) const {
 
 StateDigest compute_state_digest(
     graph::Network& net, exec::ExecContext& ctx,
-    const std::vector<prune::StrategyStateItem>* strategy_state,
-    const std::vector<prune::StrategyStateItem>* codec_state) {
+    const std::vector<StateItem>* strategy_state,
+    const std::vector<StateItem>* codec_state) {
   StateDigest d;
 
   // Collect the persistent entries first so the per-tensor pass can run as
@@ -107,10 +107,9 @@ StateDigest compute_state_digest(
   // it shapes every future gradient average.
   std::size_t slot = entries.size();
   auto append_items =
-      [&](const std::vector<prune::StrategyStateItem>* items,
-          const char* prefix) {
+      [&](const std::vector<StateItem>* items, const char* prefix) {
         if (items == nullptr) return;
-        for (const prune::StrategyStateItem& item : *items) {
+        for (const StateItem& item : *items) {
           topo = crc_mix_str(topo, item.name);
           topo = crc_mix<std::uint64_t>(topo, item.f32.size());
           topo = crc_mix<std::uint64_t>(topo, item.i64.size());
@@ -153,9 +152,9 @@ IntegrityMonitor::IntegrityMonitor(IntegrityConfig cfg) : cfg_(cfg) {
 
 VoteOutcome IntegrityMonitor::check_replicas(
     const std::vector<ReplicaView>& replicas, exec::ExecContext& ctx,
-    const std::vector<prune::StrategyStateItem>* strategy_state,
+    const std::vector<StateItem>* strategy_state,
     const HealFn& heal,
-    const std::vector<prune::StrategyStateItem>* codec_state) {
+    const std::vector<StateItem>* codec_state) {
   VoteOutcome out;
   ++checks_;
   if (replicas.size() <= 1) return out;  // nothing to vote against

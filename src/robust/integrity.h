@@ -58,7 +58,7 @@
 
 #include "exec/context.h"
 #include "graph/network.h"
-#include "prune/strategy.h"
+#include "util/registry.h"
 
 namespace pt::robust {
 
@@ -113,8 +113,8 @@ struct StateDigest {
 /// bitwise-identical at any thread count.
 StateDigest compute_state_digest(
     graph::Network& net, exec::ExecContext& ctx,
-    const std::vector<prune::StrategyStateItem>* strategy_state = nullptr,
-    const std::vector<prune::StrategyStateItem>* codec_state = nullptr);
+    const std::vector<StateItem>* strategy_state = nullptr,
+    const std::vector<StateItem>* codec_state = nullptr);
 
 struct IntegrityConfig {
   /// Steps between cross-replica digest votes; 0 disables the monitor.
@@ -171,9 +171,9 @@ class IntegrityMonitor {
   /// guardian. A single replica (or an empty view) trivially matches.
   VoteOutcome check_replicas(
       const std::vector<ReplicaView>& replicas, exec::ExecContext& ctx,
-      const std::vector<prune::StrategyStateItem>* strategy_state,
+      const std::vector<StateItem>* strategy_state,
       const HealFn& heal,
-      const std::vector<prune::StrategyStateItem>* codec_state = nullptr);
+      const std::vector<StateItem>* codec_state = nullptr);
 
   // Cumulative statistics, for reports/telemetry/bench.
   std::int64_t checks() const { return checks_; }

@@ -367,6 +367,20 @@ TEST(TrainConfigCodec, UnknownCodecOrParamThrows) {
   cfg3.codec = "twobit";
   cfg3.codec_params["threshold_scale"] = "not_a_number";
   EXPECT_THROW(cfg3.validate(), std::invalid_argument);
+
+  // Values std::stof parses but the encoder cannot use.
+  for (const char* bad : {"nan", "inf", "0", "-1"}) {
+    TrainConfig cfg4 = base_cfg();
+    cfg4.replicas = 2;
+    cfg4.codec = "twobit";
+    cfg4.codec_params["threshold_scale"] = bad;
+    EXPECT_THROW(cfg4.validate(), std::invalid_argument) << bad;
+  }
+  for (const char* bad : {"nan", "inf"}) {
+    TrainConfig cfg5 = base_cfg();
+    cfg5.strategy_params["boost"] = bad;
+    EXPECT_THROW(cfg5.validate(), std::invalid_argument) << bad;
+  }
 }
 
 TEST(TrainConfigCodec, CompressionRequiresReplicas) {

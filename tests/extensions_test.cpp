@@ -1,11 +1,9 @@
 // Tests for the paper's optional / extension features: fine-tuning after
-// pruning, the size-normalized penalty ablation (Sec. 4.1), snapshot file
-// persistence, and the square-root LR scaling rule.
+// pruning, the size-normalized penalty ablation (Sec. 4.1), and the
+// square-root LR scaling rule.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <unistd.h>
 
 #include "core/dynamic_batch.h"
 #include "cost/memory.h"
@@ -13,7 +11,6 @@
 #include "models/builders.h"
 #include "nn/conv2d.h"
 #include "prune/group_lasso.h"
-#include "prune/snapshot.h"
 
 namespace pt {
 namespace {
@@ -190,57 +187,6 @@ TEST(SizeNormalizedPenalty, TrainerWiresTheFlag) {
   // Different penalty structure must produce different trajectories
   // (identical seeds otherwise).
   EXPECT_NE(ra.epochs.back().lasso_loss, rb.epochs.back().lasso_loss);
-}
-
-// --- Snapshot files ------------------------------------------------------------------
-
-TEST(SnapshotFile, RoundTrip) {
-  auto net = models::build_resnet_basic(8, small_model());
-  const prune::Snapshot snap = prune::save_state(net);
-  const std::string path = "/tmp/pt_snapshot_test.bin";
-  prune::save_to_file(snap, path);
-  const prune::Snapshot loaded = prune::load_from_file(path);
-  ASSERT_EQ(loaded.values.size(), snap.values.size());
-  for (std::size_t i = 0; i < snap.values.size(); ++i) {
-    ASSERT_EQ(loaded.values[i], snap.values[i]);
-  }
-  // And the loaded snapshot restores into a fresh same-topology network.
-  auto net2 = models::build_resnet_basic(8, small_model());
-  EXPECT_NO_THROW(prune::load_state(net2, loaded));
-  std::remove(path.c_str());
-}
-
-TEST(SnapshotFile, BadMagicRejected) {
-  const std::string path = "/tmp/pt_snapshot_bad.bin";
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    std::fputs("NOTASNAPSHOT", f);
-    std::fclose(f);
-  }
-  EXPECT_THROW(prune::load_from_file(path), std::runtime_error);
-  std::remove(path.c_str());
-}
-
-TEST(SnapshotFile, TruncatedPayloadRejected) {
-  auto net = models::build_resnet_basic(8, small_model());
-  const prune::Snapshot snap = prune::save_state(net);
-  const std::string path = "/tmp/pt_snapshot_trunc.bin";
-  prune::save_to_file(snap, path);
-  // Truncate the file to half.
-  {
-    std::FILE* f = std::fopen(path.c_str(), "rb+");
-    std::fseek(f, 0, SEEK_END);
-    const long size = std::ftell(f);
-    std::fclose(f);
-    ASSERT_EQ(0, truncate(path.c_str(), size / 2));
-  }
-  EXPECT_THROW(prune::load_from_file(path), std::runtime_error);
-  std::remove(path.c_str());
-}
-
-TEST(SnapshotFile, MissingFileRejected) {
-  EXPECT_THROW(prune::load_from_file("/tmp/definitely_missing_snapshot.bin"),
-               std::runtime_error);
 }
 
 // --- LR scaling rules ------------------------------------------------------------------

@@ -183,10 +183,10 @@ TEST(StateDigest, TopologyStampMakesReconfiguredModelsIncomparable) {
 TEST(StateDigest, StrategyStateIsPartOfTheDigest) {
   graph::Network a = small_net();
   exec::ExecContext ctx(1);
-  std::vector<prune::StrategyStateItem> s1(1);
+  std::vector<StateItem> s1(1);
   s1[0].name = "mask";
   s1[0].f32 = {1.f, 0.f, 1.f};
-  std::vector<prune::StrategyStateItem> s2 = s1;
+  std::vector<StateItem> s2 = s1;
   s2[0].f32[1] = 1.f;  // a corrupted mask reroutes pruning silently
 
   const auto d1 = robust::compute_state_digest(a, ctx, &s1);

@@ -14,6 +14,7 @@
 #include "core/trainer.h"
 #include "cost/flops.h"
 #include "data/synthetic.h"
+#include "dist/codec.h"
 #include "models/builders.h"
 #include "nn/activations.h"
 #include "nn/batchnorm.h"
@@ -24,7 +25,6 @@
 #include "prune/gating.h"
 #include "prune/group_lasso.h"
 #include "prune/reconfigure.h"
-#include "prune/snapshot.h"
 #include "prune/sparsity_monitor.h"
 #include "prune/strategy.h"
 #include "prune/strategy_zoo.h"
@@ -518,36 +518,6 @@ TEST(LayerDensities, ReflectSparsity) {
   EXPECT_GT(first.weight_density, 0.0);
 }
 
-// --- Snapshots -------------------------------------------------------------------
-
-TEST(Snapshot, RoundTripRestoresEverything) {
-  exec::ExecContext ctx(1);
-  auto net = models::build_resnet_basic(8, tiny_cfg());
-  Rng rng(17);
-  Tensor x = Tensor::randn({2, 3, 8, 8}, rng);
-  // Mutate BN running stats via a training forward.
-  net.forward(ctx, x, true);
-  const Snapshot snap = save_state(net);
-  Tensor before = net.forward(ctx, x, false).clone();
-  // Scramble all state.
-  for (nn::Param* p : net.params()) p->value.fill(0.123f);
-  load_state(net, snap);
-  Tensor after = net.forward(ctx, x, false);
-  for (std::int64_t i = 0; i < before.numel(); ++i) {
-    EXPECT_FLOAT_EQ(before.data()[i], after.data()[i]);
-  }
-}
-
-TEST(Snapshot, SizeMismatchThrows) {
-  auto net = models::build_resnet_basic(8, tiny_cfg());
-  Snapshot snap = save_state(net);
-  snap.values.pop_back();
-  EXPECT_THROW(load_state(net, snap), std::invalid_argument);
-  snap.values.push_back(0.f);
-  snap.values.push_back(0.f);
-  EXPECT_THROW(load_state(net, snap), std::invalid_argument);
-}
-
 // ---------------------------------------------------------------------------
 // Strategy registry: names, creation, parameter validation, help table.
 
@@ -571,14 +541,79 @@ TEST(StrategyRegistry, UnknownStrategyOrParamThrows) {
   EXPECT_THROW(
       StrategyRegistry::global().create("dst", {{"init", "not-a-number"}}),
       std::invalid_argument);
+  // std::stof parses "nan" and "inf"; a non-finite knob (a NaN boost makes
+  // lambda NaN) is rejected with the key named.
+  const std::vector<std::pair<std::string, ParamMap>> non_finite = {
+      {"group_lasso", {{"boost", "nan"}}}, {"group_lasso", {{"boost", "inf"}}},
+      {"dst", {{"alpha", "nan"}}},         {"dst", {{"alpha", "inf"}}},
+      {"dst", {{"threshold_lr", "nan"}}},  {"dst", {{"threshold_lr", "inf"}}},
+      {"dst", {{"beta", "nan"}}},          {"dst", {{"beta", "-inf"}}}};
+  for (const auto& [name, params] : non_finite) {
+    const std::string key = params.begin()->first;
+    try {
+      (void)StrategyRegistry::global().create(name, params);
+      ADD_FAILURE() << name << " accepted " << key << "="
+                    << params.begin()->second;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + key + "'"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
-TEST(StrategyRegistry, HelpListsEveryStrategyAndParam) {
-  const std::string help = StrategyRegistry::global().help();
-  for (const char* token : {"group_lasso", "dsd", "dst", "channel_prop",
-                            "sparsity", "threshold_lr", "prune_fraction"}) {
-    EXPECT_NE(help.find(token), std::string::npos) << token;
+// The registration idiom out-of-tree clients compile against (perfbench's
+// timed wrapper): copy a built-in's params, then create the built-in from
+// the resolved map the wrapper receives.
+TEST(StrategyRegistry, WrapperRegistersLikeAnOutOfTreeClient) {
+  ParamMap seen;
+  StrategyRegistry registry;
+  const StrategyFactory* base = StrategyRegistry::global().find("group_lasso");
+  ASSERT_NE(base, nullptr);
+  registry.register_strategy(
+      {"wrapped_group_lasso", "group_lasso behind a wrapper", base->params,
+       [&seen](const std::map<std::string, std::string>& params) {
+         seen = params;
+         return StrategyRegistry::global().create("group_lasso", params);
+       }});
+  const auto strategy =
+      registry.create("wrapped_group_lasso", {{"ratio", "0.3"}});
+  ASSERT_NE(strategy, nullptr);
+  EXPECT_EQ(strategy->name(), "group_lasso");
+  EXPECT_EQ(seen.size(), base->params.size());
+  EXPECT_EQ(seen.at("ratio"), "0.3");
+  EXPECT_EQ(seen.at("boost"), "1");
+  EXPECT_THROW(registry.create("wrapped_group_lasso", {{"bogus", "1"}}),
+               std::invalid_argument);
+  try {
+    registry.register_strategy(
+        {"wrapped_group_lasso", "registered twice", {},
+         [](const ParamMap&) { return std::unique_ptr<Strategy>(); }});
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("already registered"),
+              std::string::npos);
   }
+}
+
+// Both plug-in registries: every factory builds from its defaults, and the
+// help table (headed by the registry's noun) lists every plug-in and
+// parameter.
+TEST(PluginRegistries, EveryFactoryCreatesAndHelpListsEveryParam) {
+  const auto check = [](const auto& registry, const std::string& kind) {
+    const std::string help = registry.help();
+    EXPECT_EQ(help.rfind(kind + " ", 0), 0u) << help;
+    ASSERT_FALSE(registry.names().empty());
+    for (const std::string& name : registry.names()) {
+      EXPECT_NE(registry.create(name), nullptr) << name;
+      EXPECT_NE(help.find(name), std::string::npos) << name;
+      for (const ParamSpec& p : registry.find(name)->params) {
+        EXPECT_NE(help.find(p.name), std::string::npos)
+            << name << "." << p.name;
+      }
+    }
+  };
+  check(StrategyRegistry::global(), "strategy");
+  check(dist::CodecRegistry::global(), "codec");
 }
 
 // ---------------------------------------------------------------------------

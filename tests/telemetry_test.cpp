@@ -482,6 +482,30 @@ TEST(TrainerTelemetry, WritesManifestAndOneRecordPerEpoch) {
   fs::remove_all(dir);
 }
 
+/// Codec parameters are recorded resolved like the strategy's: a twobit run
+/// lists threshold_scale even when the config leaves it at its default.
+/// The trainer writes the manifest at construction.
+TEST(TrainerTelemetry, ManifestRecordsResolvedCodecParams) {
+  const fs::path dir = scratch_dir("codec_manifest");
+  auto data = data::SyntheticImageDataset(tiny_data());
+  auto net = models::build_resnet_basic(8, tiny_model());
+  core::TrainConfig cfg;
+  cfg.epochs = 1;
+  cfg.replicas = 2;
+  cfg.codec = "twobit";
+  cfg.metrics_dir = dir.string();
+  {
+    core::PruneTrainer trainer(net, data, cfg);
+  }
+  set_enabled(false);
+
+  const RunManifest m = RunRecorder::read_manifest(dir.string());
+  EXPECT_EQ(m.config.at("codec").as_string(), "twobit");
+  EXPECT_EQ(m.config.at("codec_params").at("threshold_scale").as_string(),
+            "1.0");
+  fs::remove_all(dir);
+}
+
 /// Each epoch record carries the spans closed since the previous record,
 /// not the run's running totals: its own epoch's train/epoch and
 /// train/checkpoint span (the last record's included), one sgd span, and

@@ -1,11 +1,17 @@
 // Utility tests: table rendering/CSV escaping, CLI flag parsing, logging
-// levels, timers.
+// levels, timers, the plug-in registry and its parameter parsers.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
+#include <initializer_list>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "util/cli.h"
 #include "util/logging.h"
+#include "util/registry.h"
 #include "util/table.h"
 
 namespace pt {
@@ -134,6 +140,151 @@ TEST(Timer, MeasuresElapsed) {
   EXPECT_GE(t.seconds(), 0.0);
   t.reset();
   EXPECT_LT(t.seconds(), 1.0);
+}
+
+// Expects `fn` to throw std::invalid_argument whose message contains every
+// one of `needles`.
+template <class Fn>
+void expect_invalid(Fn&& fn, std::initializer_list<std::string> needles) {
+  try {
+    fn();
+    ADD_FAILURE() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    for (const std::string& n : needles) {
+      EXPECT_NE(what.find(n), std::string::npos) << n << " not in: " << what;
+    }
+  }
+}
+
+TEST(ParamParse, FloatAcceptsFiniteAndRejectsNonFiniteNamingTheKey) {
+  EXPECT_FLOAT_EQ(param_float({{"k", "0.25"}}, "k"), 0.25f);
+  EXPECT_FLOAT_EQ(param_float({{"k", "-3"}}, "k"), -3.0f);
+  EXPECT_FLOAT_EQ(param_float({{"k", "1e-4"}}, "k"), 1e-4f);
+  for (const char* v : {"nan", "NaN", "inf", "-inf", "infinity", "1e99", "",
+                        "abc", "0.5x"}) {
+    SCOPED_TRACE(v);
+    expect_invalid([&] { param_float({{"scale", v}}, "scale"); },
+                   {"'scale'", "finite number", std::string("'") + v + "'"});
+  }
+}
+
+TEST(ParamParse, IntRejectsFractionsAndTrailingText) {
+  EXPECT_EQ(param_int({{"n", "42"}}, "n"), 42);
+  EXPECT_EQ(param_int({{"n", "-7"}}, "n"), -7);
+  EXPECT_EQ(param_int({{"n", "9000000000"}}, "n"), 9000000000LL);
+  for (const char* v : {"1.5", "3x", "", "ten", "99999999999999999999"}) {
+    SCOPED_TRACE(v);
+    expect_invalid([&] { param_int({{"window", v}}, "window"); },
+                   {"'window'", "integer"});
+  }
+}
+
+TEST(ParamParse, BoolAcceptsThreeSpellingsEachWayAndNamesMissingKeys) {
+  for (const char* v : {"true", "1", "yes"}) {
+    EXPECT_TRUE(param_bool({{"b", v}}, "b")) << v;
+  }
+  for (const char* v : {"false", "0", "no"}) {
+    EXPECT_FALSE(param_bool({{"b", v}}, "b")) << v;
+  }
+  for (const char* v : {"True", "on", "2", ""}) {
+    SCOPED_TRACE(v);
+    expect_invalid([&] { param_bool({{"flag", v}}, "flag"); },
+                   {"'flag'", "boolean"});
+  }
+  const ParamMap other = {{"present", "1"}};
+  expect_invalid([&] { param_float(other, "absent"); },
+                 {"'absent'", "missing"});
+  expect_invalid([&] { param_int(other, "absent"); }, {"'absent'", "missing"});
+  expect_invalid([&] { param_bool(other, "absent"); },
+                 {"'absent'", "missing"});
+}
+
+// A registry of a toy plug-in type, built the way StrategyRegistry and
+// CodecRegistry are, with `add` opened up.
+struct Widget {
+  float scale;
+  std::int64_t count;
+};
+
+class WidgetRegistry : public Registry<Widget> {
+ public:
+  WidgetRegistry() : Registry("widget type", "widget") {}
+  using Registry::add;
+};
+
+WidgetRegistry::Factory widget_factory(const std::string& name) {
+  WidgetRegistry::Factory f;
+  f.name = name;
+  f.description = name + " widget";
+  f.params = {{"scale", "0.5", "how big"}, {"count", "3", "how many"}};
+  f.make = [](const ParamMap& p) {
+    return std::make_unique<Widget>(
+        Widget{param_float(p, "scale"), param_int(p, "count")});
+  };
+  return f;
+}
+
+TEST(Registry, ResolveOverlaysDefaultsAndCreateUsesTheResolvedMap) {
+  WidgetRegistry reg;
+  reg.add(widget_factory("round"));
+  const ParamMap defaults = {{"count", "3"}, {"scale", "0.5"}};
+  EXPECT_EQ(reg.resolve("round", {}), defaults);
+  const ParamMap resolved = reg.resolve("round", {{"count", "8"}});
+  EXPECT_EQ(resolved, (ParamMap{{"count", "8"}, {"scale", "0.5"}}));
+
+  const auto w = reg.create("round", {{"scale", "2"}});
+  EXPECT_FLOAT_EQ(w->scale, 2.0f);
+  EXPECT_EQ(w->count, 3);
+  EXPECT_EQ(reg.make("round", resolved)->count, 8);
+
+  // Parameter errors name the kind, the plug-in, the key and the known keys
+  // in declaration order.
+  expect_invalid([&] { reg.resolve("round", {{"size", "1"}}); },
+                 {"widget 'round' has no parameter 'size'", "(known: scale, count)"});
+  expect_invalid([&] { reg.create("round", {{"scale", "inf"}}); },
+                 {"'scale'", "finite"});
+}
+
+TEST(Registry, NameErrorsUseTheNounAndRegistrationOrderIsKept) {
+  WidgetRegistry reg;
+  reg.add(widget_factory("square"));
+  reg.add(widget_factory("round"));
+  EXPECT_EQ(reg.names(), (std::vector<std::string>{"square", "round"}));
+  ASSERT_NE(reg.find("round"), nullptr);
+  EXPECT_EQ(reg.find("round")->description, "round widget");
+  EXPECT_EQ(reg.find("oval"), nullptr);
+
+  expect_invalid([&] { reg.create("oval"); },
+                 {"unknown widget type 'oval'", "known: square, round"});
+  expect_invalid([&] { reg.resolve("oval", {}); }, {"'oval'"});
+  expect_invalid([&] { reg.add(widget_factory("round")); },
+                 {"widget type 'round' is already registered"});
+  EXPECT_EQ(reg.names().size(), 2u);
+}
+
+TEST(Registry, HelpListsEachPluginAboveItsParams) {
+  WidgetRegistry reg;
+  reg.add(widget_factory("square"));
+  reg.add(widget_factory("round"));
+  const std::string help = reg.help();
+  const std::size_t header = help.find("widget");
+  const std::size_t square = help.find("square widget");
+  const std::size_t round = help.find("round widget");
+  ASSERT_NE(header, std::string::npos);
+  ASSERT_NE(square, std::string::npos);
+  ASSERT_NE(round, std::string::npos);
+  EXPECT_LT(header, square);
+  EXPECT_LT(square, round);
+  // Each plug-in's parameters sit between its row and the next plug-in's.
+  for (const char* token : {"scale", "0.5", "how big", "count", "how many"}) {
+    SCOPED_TRACE(token);
+    const std::size_t first = help.find(token, square);
+    EXPECT_LT(first, round);
+    EXPECT_NE(help.find(token, round), std::string::npos);
+  }
+  EXPECT_NE(help.find("param"), std::string::npos);
+  EXPECT_NE(help.find("default"), std::string::npos);
 }
 
 }  // namespace
