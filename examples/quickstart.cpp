@@ -17,10 +17,11 @@
 // after every epoch, automatic rollback to the last good checkpoint (with
 // an LR cut) on a fatal event, graceful abort with a diagnostic checkpoint
 // once the budget is spent. --fault-spec injects deterministic faults to
-// watch it work, e.g.:
+// watch it work, e.g. (here and below, an indented line continues the
+// command above it):
 //
-//   $ ./quickstart --checkpoint-dir /tmp/pt --max-rollbacks 2 \
-//                  --fault-spec "nan-grad:epoch=7"
+//   $ ./quickstart --checkpoint-dir /tmp/pt --max-rollbacks 2
+//         --fault-spec "nan-grad:epoch=7"
 //
 // --metrics-out <dir> records the run as telemetry: <dir>/manifest.json
 // plus one JSONL line per epoch in <dir>/epochs.jsonl (per-layer FLOPs and
@@ -37,8 +38,8 @@
 // failure, quorum loss, and checkpointed rejoin. --min-live-fraction,
 // --suspect-threshold, and --no-rejoin tune the membership policy:
 //
-//   $ ./quickstart --replicas 4 --checkpoint-dir /tmp/pt \
-//                  --fault-spec "kill-replica:replica=2,step=50"
+//   $ ./quickstart --replicas 4 --checkpoint-dir /tmp/pt
+//         --fault-spec "kill-replica:replica=2,step=50"
 //
 // `--fault-spec help` prints the full fault grammar table.
 //
@@ -50,17 +51,17 @@
 // (0 = all) and a background scrubber re-validates their CRCs so rollback
 // can cascade past a torn newest file:
 //
-//   $ ./quickstart --replicas 3 --checkpoint-dir /tmp/pt \
-//                  --sdc-check-interval 4 --keep-checkpoints 3 \
-//                  --fault-spec "sdc-param:replica=1,step=3"
+//   $ ./quickstart --replicas 3 --checkpoint-dir /tmp/pt
+//         --sdc-check-interval 4 --keep-checkpoints 3
+//         --fault-spec "sdc-param:replica=1,step=3"
 //
 // --strategy <name> swaps the sparsifier (group_lasso, dsd, dst,
 // channel_prop — see DESIGN.md §11); the repeatable --strategy-param k=v
 // tunes it (group_lasso starts from ratio=0.25, boost=150), e.g.:
 //
 //   $ ./quickstart --strategy-param ratio=0.3
-//   $ ./quickstart --strategy dst --strategy-param threshold_lr=0.05 \
-//                  --strategy-param beta=10
+//   $ ./quickstart --strategy dst --strategy-param threshold_lr=0.05
+//         --strategy-param beta=10
 //
 // `--strategy help` prints the registry table of strategies and knobs.
 //
@@ -68,8 +69,8 @@
 // allreduce (dense, twobit, live_channel — see DESIGN.md §14); the
 // repeatable --codec-param k=v tunes it, e.g.:
 //
-//   $ ./quickstart --replicas 4 --codec twobit \
-//                  --codec-param threshold_scale=1.5
+//   $ ./quickstart --replicas 4 --codec twobit
+//         --codec-param threshold_scale=1.5
 //
 // `--codec help` prints the registry table of codecs and knobs.
 #include <iostream>

@@ -1,7 +1,9 @@
 // Telemetry export: fold a recorded run into a one-line benchmark summary.
 //
-//   $ ./telemetry_export --run /tmp/metrics --name telemetry_smoke \
-//                        --out BENCH_telemetry_smoke.json
+//   $ ./telemetry_export --run /tmp/metrics --name telemetry_smoke
+//         --out BENCH_telemetry_smoke.json
+//
+// (one command line, wrapped here).
 //
 // Reads <run>/epochs.jsonl (written by a trainer run with a metrics
 // directory, e.g. `quickstart --metrics-out`), aggregates the cost

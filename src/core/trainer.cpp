@@ -27,44 +27,57 @@
 
 namespace pt::core {
 
+// What one training phase does, as data instead of positional booleans;
+// everything else (cadence, thresholds) is the strategy's call.
+struct PhaseSpec {
+  std::int64_t epochs = 0;
+  bool sparsify = false;          ///< strategy hooks active this phase
+  bool periodic_reconfig = false; ///< periodic reconfiguration allowed
+  std::int64_t one_shot_at = -1;  ///< reconfigure once after this epoch
+};
+
 namespace {
 
 // Trainer-section (de)serialization. The section rides inside the
 // checkpoint as an opaque named blob, so src/ckpt never needs to know
-// these types. Both sides walk for_each_field: TrainResult's scalars, the
-// epoch count, then every epoch's stats, each field as its own fixed-width
-// type and flags as one byte.
-void put_result(ckpt::ByteWriter& w, const TrainResult& res) {
-  const auto put = [&w](const char*, auto v) {
-    if constexpr (std::is_same_v<decltype(v), bool>) {
+// these types. Writer and reader walk the same field visitor
+// (PruneTrainer::for_each_section_field): each field at its own fixed
+// width, flags as one byte, the epoch list as a u64 count and then every
+// epoch's EpochStats fields.
+struct PutField {
+  ckpt::ByteWriter& w;
+  template <class T>
+  void operator()(const char*, const T& v) const {
+    if constexpr (std::is_same_v<T, bool>) {
       w.put<std::uint8_t>(v ? 1 : 0);
     } else {
       w.put(v);
     }
-  };
-  for_each_field(res, put);
-  w.put<std::uint64_t>(res.epochs.size());
-  for (const EpochStats& s : res.epochs) for_each_field(s, put);
-}
+  }
+  void operator()(const char*, const std::vector<EpochStats>& epochs) const {
+    w.put<std::uint64_t>(epochs.size());
+    for (const EpochStats& s : epochs) for_each_field(s, *this);
+  }
+};
 
-TrainResult get_result(ckpt::ByteReader& r) {
-  const auto get = [&r](const char*, auto& v) {
-    using T = std::remove_reference_t<decltype(v)>;
+struct GetField {
+  ckpt::ByteReader& r;
+  template <class T>
+  void operator()(const char*, T& v) const {
     if constexpr (std::is_same_v<T, bool>) {
       v = r.get<std::uint8_t>() != 0;
     } else {
       v = r.get<T>();
     }
-  };
-  TrainResult res;
-  for_each_field(res, get);
-  const auto n = r.get<std::uint64_t>();
-  res.epochs.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    for_each_field(res.epochs.emplace_back(), get);
   }
-  return res;
-}
+  void operator()(const char*, std::vector<EpochStats>& epochs) const {
+    const auto n = r.get<std::uint64_t>();
+    epochs.reserve(static_cast<std::size_t>(n));
+    for (std::uint64_t i = 0; i < n; ++i) {
+      for_each_field(epochs.emplace_back(), *this);
+    }
+  }
+};
 
 // A plug-in's state as checkpoint section `kind` ("strategy" or "codec"):
 // the plug-in's registry name, then its {name, f32, i64} state items.
@@ -149,6 +162,60 @@ telemetry::Json config_json(const TrainConfig& cfg) {
   return j;
 }
 
+struct RunStep {
+  enum class Kind {
+    kCalibrate,      ///< Eq. 3 lambda probe on the current model
+    kPhase,          ///< a training phase (run_phase)
+    kReconfigure,    ///< channel-union surgery at cfg.threshold
+    kEnterFineTune,  ///< LR decay to the main run's end, lambda to 0
+  };
+  Kind kind;
+  PhaseSpec phase = {};  ///< kPhase only
+};
+
+// The run's ordered steps, one list per policy (trainer.h). Phases are
+// numbered in list order, which is the phase a checkpoint records.
+// validate() sums the phase epochs, run_attempt() walks the list, and a
+// resume skips the steps its checkpoint already holds.
+std::vector<RunStep> schedule(const TrainConfig& cfg) {
+  using Kind = RunStep::Kind;
+  std::vector<RunStep> steps;
+  const auto phase = [&steps](PhaseSpec spec) {
+    steps.push_back({Kind::kPhase, spec});
+  };
+  switch (cfg.policy) {
+    case PrunePolicy::kDense:
+      phase({cfg.epochs, false, false, -1});
+      return steps;
+    case PrunePolicy::kPruneTrain:
+      phase({cfg.epochs, true, true, -1});
+      break;
+    case PrunePolicy::kSSL:
+      // Lambda comes from the *random-init* losses (Eq. 3), as for
+      // PruneTrain: after dense pre-training the converged classification
+      // loss would make it ~0. Then dense pre-training, and a regularized
+      // phase on the dense architecture that prunes only at its end.
+      steps.push_back({Kind::kCalibrate});
+      phase({cfg.epochs, false, false, -1});
+      phase({cfg.epochs, true, false, -1});
+      steps.push_back({Kind::kReconfigure});
+      break;
+    case PrunePolicy::kOneShot:
+      phase({cfg.epochs, true, false, cfg.one_shot_epoch});
+      break;
+  }
+  // The final pruning pass compacts the reported inference model (a no-op
+  // if the last reconfiguration already caught everything).
+  if (cfg.final_reconfigure) steps.push_back({Kind::kReconfigure});
+  // Optional fine-tuning on the pruned architecture: no regularization, at
+  // the main run's final decayed learning rate (Sec. 5.1).
+  if (cfg.fine_tune_epochs > 0) {
+    steps.push_back({Kind::kEnterFineTune});
+    phase({cfg.fine_tune_epochs, false, false, -1});
+  }
+  return steps;
+}
+
 }  // namespace
 
 std::string to_string(PrunePolicy policy) {
@@ -221,9 +288,10 @@ void TrainConfig::validate() const {
   try {
     // A clause with no consumer in this run shape would otherwise arm and
     // never fire — a silently dead test.
-    const std::int64_t run_epochs =
-        epochs * (policy == PrunePolicy::kSSL ? 2 : 1) +
-        (policy == PrunePolicy::kDense ? 0 : fine_tune_epochs);
+    std::int64_t run_epochs = 0;
+    for (const RunStep& step : schedule(*this)) {
+      if (step.kind == RunStep::Kind::kPhase) run_epochs += step.phase.epochs;
+    }
     robust::validate_training_faults(fault_spec, static_cast<int>(replicas),
                                      !checkpoint_dir.empty(), run_epochs);
   } catch (const std::invalid_argument& e) {
@@ -375,26 +443,7 @@ void PruneTrainer::sync_net_from_cluster() {
   }
   // Rank 0 is *net_ itself; below quorum (src < 0) the step already threw.
   if (src <= 0) return;
-  graph::Network& rep = cluster_->replica(src);
-  std::vector<nn::StateEntry> from = rep.state();
-  std::vector<nn::StateEntry> to = net_->state();
-  bool copied = from.size() == to.size();
-  if (copied) {
-    for (std::size_t i = 0; i < from.size(); ++i) {
-      if (from[i].name != to[i].name ||
-          from[i].tensor->numel() != to[i].tensor->numel()) {
-        copied = false;
-        break;
-      }
-      std::copy(from[i].tensor->data(),
-                from[i].tensor->data() + from[i].tensor->numel(),
-                to[i].tensor->data());
-    }
-  }
-  if (!copied) {
-    // Topology drifted (should not happen — surgery is applied to both
-    // sides in lockstep); rebuild the reference model outright.
-    *net_ = ckpt::Checkpoint::capture(rep).restore_network();
+  if (cluster_->copy_replica(src, 0).rebuilt) {
     if (recorder_) net_->set_profiling(true);
     ctx_->rebuild_workspace();
   }
@@ -606,21 +655,8 @@ void PruneTrainer::run_integrity_check() {
 }
 
 void PruneTrainer::run_phase(TrainResult& result, const PhaseSpec& spec,
+                             std::int64_t phase, std::int64_t start,
                              float& lambda) {
-  // Resume bookkeeping: phases completed before the checkpoint are skipped
-  // wholesale; the checkpointed phase re-enters at its first unfinished
-  // epoch. The restored model/optimizer/RNG state makes the remaining
-  // epochs bitwise-identical to an uninterrupted run.
-  const std::int64_t phase = phase_index_;
-  std::int64_t start = 0;
-  if (resuming_) {
-    if (phase < resume_phase_) {
-      ++phase_index_;
-      return;
-    }
-    if (phase == resume_phase_) start = resume_epoch_;
-  }
-
   optim::MultiStepLR schedule(cfg_.lr_milestones, cfg_.lr_gamma);
   DynamicBatchAdjuster adjuster(cfg_.dynamic_batch);
 
@@ -802,7 +838,6 @@ void PruneTrainer::run_phase(TrainResult& result, const PhaseSpec& spec,
     }
     if (recorder_) emit_epoch_record(stats, reconfig_rec);
   }
-  ++phase_index_;
 }
 
 void PruneTrainer::emit_epoch_record(const EpochStats& stats,
@@ -876,6 +911,24 @@ void PruneTrainer::emit_epoch_record(const EpochStats& stats,
   net_->reset_profile();
 }
 
+template <class F>
+void PruneTrainer::for_each_section_field(ResumePoint& at, RngState& rng,
+                                          F&& f) {
+  f("phase", at.phase);
+  f("phase_epochs_done", at.epochs_done);
+  f("epoch_counter", epoch_counter_);
+  f("batch_size", batch_size_);
+  f("lambda", at.lambda);
+  f("lr_scale", lr_scale_);
+  f("last_test_acc", last_test_acc_);
+  f("rng_s0", rng.s0);
+  f("rng_s1", rng.s1);
+  f("rng_cached_normal", rng.cached_normal);
+  f("rng_has_cached_normal", rng.has_cached_normal);
+  for_each_field(at.result, f);
+  f("epochs", at.result.epochs);
+}
+
 void PruneTrainer::save_checkpoint(const TrainResult& result, std::int64_t phase,
                                    std::int64_t phase_epochs_done,
                                    float lambda) {
@@ -886,19 +939,9 @@ void PruneTrainer::save_checkpoint(const TrainResult& result, std::int64_t phase
   ckpt::Checkpoint ck = ckpt::Checkpoint::capture(*net_);
 
   ckpt::ByteWriter w;
-  w.put<std::int64_t>(phase);
-  w.put<std::int64_t>(phase_epochs_done);
-  w.put<std::int64_t>(epoch_counter_);
-  w.put<std::int64_t>(batch_size_);
-  w.put<float>(lambda);
-  w.put<float>(lr_scale_);
-  w.put<double>(last_test_acc_);
-  const RngState rng = loader_.rng_state();
-  w.put<std::uint64_t>(rng.s0);
-  w.put<std::uint64_t>(rng.s1);
-  w.put<double>(rng.cached_normal);
-  w.put<std::uint8_t>(rng.has_cached_normal ? 1 : 0);
-  put_result(w, result);
+  ResumePoint at{phase, phase_epochs_done, lambda, result};
+  RngState rng = loader_.rng_state();
+  for_each_section_field(at, rng, PutField{w});
   ck.set_section("trainer", w.take());
 
   // Strategy and codec state ride as name-stamped sections so
@@ -931,8 +974,8 @@ void PruneTrainer::save_checkpoint(const TrainResult& result, std::int64_t phase
   ck.save(numbered);
   ck.save(latest);
   // Checkpoint-corruption faults strike the freshly written files — the
-  // torn-write / bit-rot failure mode find_last_good_checkpoint must
-  // survive by falling back to an older intact checkpoint.
+  // torn-write / bit-rot failure mode find_rollback_target must survive by
+  // falling back to an older intact checkpoint.
   if (fault_.armed() &&
       fault_.corrupt_checkpoint_files({numbered, latest}, epoch_counter_)) {
     ++report_.faults_injected;
@@ -967,21 +1010,11 @@ void PruneTrainer::load_checkpoint_file(const std::string& path) {
                              "PruneTrainer?)");
   }
   ckpt::ByteReader r(*section);
-  resume_phase_ = r.get<std::int64_t>();
-  resume_epoch_ = r.get<std::int64_t>();
-  epoch_counter_ = r.get<std::int64_t>();
-  batch_size_ = r.get<std::int64_t>();
-  resume_lambda_ = r.get<float>();
-  lr_scale_ = r.get<float>();
-  last_test_acc_ = r.get<double>();
+  ResumePoint at;
   RngState rng;
-  rng.s0 = r.get<std::uint64_t>();
-  rng.s1 = r.get<std::uint64_t>();
-  rng.cached_normal = r.get<double>();
-  rng.has_cached_normal = r.get<std::uint8_t>() != 0;
+  for_each_section_field(at, rng, GetField{r});
   loader_.set_rng_state(rng);
-  resume_result_ = get_result(r);
-  resuming_ = true;
+  resume_ = std::move(at);
 
   // Strategy state: absent in pre-strategy checkpoints (the sparsifier then
   // starts fresh, which is exactly what those checkpoints' runs did).
@@ -1100,9 +1133,9 @@ void PruneTrainer::rollback(robust::RecoveryPolicy::Decision decision,
     }
   }
   // load_checkpoint_file restores the model, optimizer momentum, BN stats,
-  // shuffle-RNG state, counters, and partial statistics, and sets the
-  // resume_* bookkeeping — the retry re-enters the schedule exactly as a
-  // crash-resume would, just in-process.
+  // shuffle-RNG state, counters, and partial statistics, and sets resume_:
+  // the retry re-enters the schedule exactly as a crash-resume would, just
+  // in-process.
   load_checkpoint_file(path);
   // The retry runs on a fresh cluster built from the restored model; the
   // injector's fire-state survives so consumed faults stay consumed, and
@@ -1143,90 +1176,52 @@ void PruneTrainer::save_diagnostic_checkpoint() {
 void PruneTrainer::ensure_initial_checkpoint(const TrainResult& result,
                                              float lambda) {
   if (cfg_.max_rollbacks <= 0 || initial_ckpt_saved_) return;
-  save_checkpoint(result, resuming_ ? resume_phase_ : 0,
-                  resuming_ ? resume_epoch_ : 0, lambda);
+  save_checkpoint(result, resume_ ? resume_->phase : 0,
+                  resume_ ? resume_->epochs_done : 0, lambda);
   initial_ckpt_saved_ = true;
 }
 
 TrainResult PruneTrainer::run_attempt() {
-  TrainResult result;
-  float lambda = -1.f;  // calibrated lazily at the first regularized epoch
-  phase_index_ = 0;     // each attempt traverses the schedule from the top
-
-  // The number of run_phase calls preceding the fine-tune phase; used to
-  // tell whether a checkpoint was taken after the main phases (and thus
-  // after the post-phase reconfiguration passes, which must not re-run on
-  // a model that has trained past them).
-  const std::int64_t main_phases = cfg_.policy == PrunePolicy::kSSL ? 2 : 1;
-
-  if (resuming_) {
-    // Continue from the partial statistics and calibrated lambda the
-    // checkpoint carried; the epochs that re-run append to resume_result_.
-    result = resume_result_;
-    lambda = resume_lambda_;
-  }
-
-  switch (cfg_.policy) {
-    case PrunePolicy::kDense:
-      ensure_initial_checkpoint(result, lambda);
-      run_phase(result, {cfg_.epochs, false, false, -1}, lambda);
-      break;
-    case PrunePolicy::kPruneTrain:
-      ensure_initial_checkpoint(result, lambda);
-      run_phase(result, {cfg_.epochs, true, true, -1}, lambda);
-      break;
-    case PrunePolicy::kSSL: {
-      // Calibrate lambda from the *random-init* losses (Eq. 3), exactly as
-      // PruneTrain does — the paper applies its calibration mechanism to
-      // SSL too. Calibrating after dense pre-training would be degenerate:
-      // the converged classification loss would make lambda ~0. A resumed
-      // run restores the calibrated value instead (the probe's RNG draws
-      // are already baked into the restored shuffle state).
-      if (!resuming_) lambda = calibrate_lambda(result);
-      // The rollback anchor is saved *after* the calibration so the probe's
-      // RNG draws and lambda are baked in — re-calibrating from a partially
-      // trained model would be degenerate (converged loss => lambda ~ 0).
-      ensure_initial_checkpoint(result, lambda);
-      // Phase 1: dense pre-training (counts toward training cost).
-      run_phase(result, {cfg_.epochs, false, false, -1}, lambda);
-      // Phase 2: sparsify on the dense architecture; prune only at the end.
-      // Skip the end-of-phase prune when resuming past it (a later-phase
-      // checkpoint already reflects it).
-      run_phase(result, {cfg_.epochs, true, false, -1}, lambda);
-      if (!(resuming_ && resume_phase_ > 1)) {
-        reconfigure(result, cfg_.threshold);
+  // Each attempt walks the schedule from the top. A checkpoint taken in
+  // phase q holds every step before phase q and the first epochs_done
+  // epochs of phase q, so a resumed attempt starts from its partial
+  // statistics and lambda, skips those steps and re-enters phase q at its
+  // first unfinished epoch. The restored model, optimizer and RNG state
+  // make the rest bitwise-identical to an uninterrupted run.
+  TrainResult result = resume_ ? resume_->result : TrainResult{};
+  float lambda = resume_ ? resume_->lambda : -1.f;  // -1: calibrate lazily
+  std::int64_t phase = 0;  // the index of the next phase step
+  for (const RunStep& step : schedule(cfg_)) {
+    const bool held = resume_ && resume_->phase >= phase;
+    switch (step.kind) {
+      case RunStep::Kind::kCalibrate:
+        if (!held) lambda = calibrate_lambda(result);
+        break;
+      case RunStep::Kind::kPhase: {
+        // The rollback anchor comes after any calibration, so the probe's
+        // RNG draws and lambda are baked into it.
+        if (phase == 0) ensure_initial_checkpoint(result, lambda);
+        std::int64_t start = 0;
+        if (held) {
+          start = resume_->phase == phase ? resume_->epochs_done
+                                          : step.phase.epochs;
+        }
+        run_phase(result, step.phase, phase++, start, lambda);
+        break;
       }
-      break;
+      case RunStep::Kind::kReconfigure:
+        if (!held) reconfigure(result, cfg_.threshold);
+        break;
+      case RunStep::Kind::kEnterFineTune:
+        // A checkpoint taken during fine-tuning already carries the decay
+        // in its lr scale.
+        if (!held) {
+          optim::MultiStepLR lr(cfg_.lr_milestones, cfg_.lr_gamma);
+          lr_scale_ *= static_cast<float>(lr.multiplier_at(cfg_.epochs));
+        }
+        lambda = 0.f;
+        break;
     }
-    case PrunePolicy::kOneShot:
-      ensure_initial_checkpoint(result, lambda);
-      run_phase(result, {cfg_.epochs, true, false, cfg_.one_shot_epoch}, lambda);
-      break;
-  }
-
-  // Final pruning pass so the reported inference model is fully compacted
-  // (a no-op if the last reconfiguration already caught everything). A
-  // checkpoint taken during fine-tuning postdates this pass, so resuming
-  // from one must not repeat it on the fine-tuned weights.
-  const bool resumed_past_main = resuming_ && resume_phase_ >= main_phases;
-  if (cfg_.policy != PrunePolicy::kDense && cfg_.final_reconfigure &&
-      !resumed_past_main) {
-    reconfigure(result, cfg_.threshold);
-  }
-
-  // Optional fine-tuning on the pruned architecture: extra epochs without
-  // regularization, at the final decayed learning rate (Sec. 5.1). When
-  // resuming into this phase, the restored lr_scale_ already carries the
-  // decay multiplier — applying it again would square the decay.
-  if (cfg_.fine_tune_epochs > 0 && cfg_.policy != PrunePolicy::kDense) {
-    optim::MultiStepLR schedule(cfg_.lr_milestones, cfg_.lr_gamma);
-    const float saved_scale = lr_scale_;
-    if (!resumed_past_main) {
-      lr_scale_ *= static_cast<float>(schedule.multiplier_at(cfg_.epochs));
-    }
-    float no_lambda = 0.f;
-    run_phase(result, {cfg_.fine_tune_epochs, false, false, -1}, no_lambda);
-    lr_scale_ = saved_scale;
   }
 
   cost::FlopsModel flops(*net_, input_shape_);

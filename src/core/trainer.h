@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -46,6 +47,8 @@
 #include "telemetry/record.h"
 
 namespace pt::core {
+
+struct PhaseSpec;  // one training phase of the run schedule (trainer.cpp)
 
 enum class PrunePolicy { kDense, kPruneTrain, kSSL, kOneShot };
 
@@ -377,20 +380,11 @@ class PruneTrainer {
   void emit_epoch_record(const EpochStats& stats,
                          const telemetry::ReconfigRecord& reconfig);
 
-  /// What one training phase does, as data instead of positional booleans.
-  /// The policy schedules in run_attempt compose phases from these;
-  /// everything else (cadence, thresholds) is the strategy's call.
-  struct PhaseSpec {
-    std::int64_t epochs = 0;
-    bool sparsify = false;          ///< strategy hooks active this phase
-    bool periodic_reconfig = false; ///< periodic reconfiguration allowed
-    std::int64_t one_shot_at = -1;  ///< reconfigure once after this epoch
-  };
-
-  /// One training phase: per-epoch strategy hooks, lambda calibration,
-  /// health checks, strategy-proposed reconfiguration, cost accounting,
-  /// and checkpoints.
-  void run_phase(TrainResult& result, const PhaseSpec& spec, float& lambda);
+  /// Training phase `phase` of the schedule from epoch `start` on:
+  /// per-epoch strategy hooks, lambda calibration, health checks,
+  /// strategy-proposed reconfiguration, cost accounting, and checkpoints.
+  void run_phase(TrainResult& result, const PhaseSpec& spec,
+                 std::int64_t phase, std::int64_t start, float& lambda);
 
   /// Writes ckpt-epoch-<N>.bin + ckpt-latest.bin into cfg_.checkpoint_dir:
   /// the reconfigured model (via ckpt::Checkpoint::capture) plus a "trainer"
@@ -400,9 +394,25 @@ class PruneTrainer {
                        std::int64_t phase_epochs_done, float lambda);
 
   /// Loads a checkpoint file (cfg_.resume_from, or a rollback target):
-  /// replaces *net_ with the checkpointed model and fills the resume_*
-  /// members from the trainer section.
+  /// replaces *net_ with the checkpointed model and sets resume_ from the
+  /// trainer section.
   void load_checkpoint_file(const std::string& path);
+
+  /// Where a loaded checkpoint left the schedule, and what it carried.
+  struct ResumePoint {
+    std::int64_t phase = 0;        ///< schedule phase of the checkpoint
+    std::int64_t epochs_done = 0;  ///< epochs completed in that phase
+    float lambda = -1.f;           ///< lambda at save time (-1: uncalibrated)
+    TrainResult result;            ///< partial statistics accumulated so far
+  };
+
+  /// Calls f(name, field) for the checkpoint's trainer section in byte
+  /// order: the schedule position, the trainer's counters, lambda, the lr
+  /// scale, the cached test accuracy, the shuffle-RNG state, TrainResult's
+  /// scalars and the epoch list. save_checkpoint and load_checkpoint_file
+  /// both walk it.
+  template <class F>
+  void for_each_section_field(ResumePoint& at, RngState& rng, F&& f);
 
   graph::Network* net_;
   const data::SyntheticImageDataset* dataset_;
@@ -425,16 +435,9 @@ class PruneTrainer {
   std::int64_t epoch_counter_ = 0;  ///< global epoch index across phases
   double last_test_acc_ = 0;        ///< cached between eval_interval epochs
 
-  // Resume bookkeeping. phase_index_ counts run_phase invocations within
-  // run(); a checkpoint records (phase, epochs completed in that phase) so
-  // resuming can skip exactly the finished work and re-enter the schedule
-  // mid-phase.
-  std::int64_t phase_index_ = 0;
-  bool resuming_ = false;            ///< a checkpoint was loaded
-  std::int64_t resume_phase_ = 0;    ///< phase the checkpoint was taken in
-  std::int64_t resume_epoch_ = 0;    ///< epochs already completed in that phase
-  float resume_lambda_ = -1.f;       ///< calibrated lambda at save time
-  TrainResult resume_result_;        ///< partial stats accumulated pre-crash
+  /// The last loaded checkpoint's schedule position (resume_from or a
+  /// rollback); every later attempt re-enters the schedule there.
+  std::optional<ResumePoint> resume_;
 
   /// The elastic cluster every epoch steps (never null once constructed).
   /// Its rank 0 is *net_, borrowed: a one-replica cluster holds no second

@@ -233,20 +233,27 @@ std::int64_t ElasticCluster::copy_full_state(int src_rank, int dst_rank) {
   return bytes;
 }
 
+ElasticCluster::ReplicaCopy ElasticCluster::copy_replica(int src, int dst) {
+  if (src < 0 || src >= size() || dst < 0 || dst >= size() || src == dst) {
+    throw std::invalid_argument("copy_replica: bad replica ranks");
+  }
+  graph::Network& src_net = replica(src);
+  graph::Network& dst_net = replica(dst);
+  ReplicaCopy out;
+  // Replicas normally share one topology (surgery runs on all of them in
+  // lockstep, and digest votes convict on matching topology stamps); one
+  // whose structure diverged is rebuilt from a clone before the copy (the
+  // rejoin fallback path).
+  if (!same_topology(dst_net, src_net)) {
+    dst_net = ckpt::Checkpoint::capture(src_net).restore_network();
+    out.rebuilt = true;
+  }
+  out.bytes = copy_full_state(src, dst);
+  return out;
+}
+
 std::int64_t ElasticCluster::heal_replica(int victim, int root) {
-  if (victim < 0 || victim >= size() || root < 0 || root >= size() ||
-      victim == root) {
-    throw std::invalid_argument("heal_replica: bad replica ranks");
-  }
-  graph::Network& root_net = replica(root);
-  graph::Network& victim_net = replica(victim);
-  // Digest voting convicts on matching topology stamps, so the structures
-  // normally agree; a victim whose structure itself diverged is rebuilt
-  // from a root clone before the copy (the rejoin fallback path).
-  if (!same_topology(victim_net, root_net)) {
-    victim_net = ckpt::Checkpoint::capture(root_net).restore_network();
-  }
-  const std::int64_t bytes = copy_full_state(root, victim);
+  const std::int64_t bytes = copy_replica(root, victim).bytes;
   heal_bytes_total_ += bytes;
   if (telemetry::enabled()) {
     telemetry::count("dist/heal_bytes", static_cast<double>(bytes));

@@ -201,6 +201,15 @@ class ElasticCluster {
   /// rollback, no lost steps. Returns the bytes copied.
   std::int64_t heal_replica(int victim, int root);
 
+  /// Makes replica `dst` a bit-exact copy of replica `src`, rebuilding it
+  /// as a clone of `src` first when their structures differ. Heals and the
+  /// trainer's rank-0 refresh share it; only heal_replica counts heal bytes.
+  struct ReplicaCopy {
+    std::int64_t bytes = 0;  ///< state bytes copied
+    bool rebuilt = false;    ///< `dst` was rebuilt (old layer views are stale)
+  };
+  ReplicaCopy copy_replica(int src, int dst);
+
   std::int64_t resync_bytes_total() const { return resync_bytes_total_; }
   /// State bytes copied by integrity heals (heal_replica), cumulative.
   std::int64_t heal_bytes_total() const { return heal_bytes_total_; }

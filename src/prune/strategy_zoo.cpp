@@ -415,6 +415,15 @@ void ChannelPropStrategy::load_state(const std::vector<StateItem>& items) {
 
 namespace {
 
+// Range check of one parameter: the error names the key and completes
+// "must ..." with `range`.
+void require(bool ok, const std::string& key, const char* range) {
+  if (!ok) {
+    throw std::invalid_argument("strategy parameter '" + key + "' must " +
+                                range);
+  }
+}
+
 void register_builtin_strategies(StrategyRegistry& registry) {
   registry.register_strategy(
       {"group_lasso",
@@ -428,12 +437,12 @@ void register_builtin_strategies(StrategyRegistry& registry) {
          "scale each group's penalty by sqrt(group size) (Sec. 4.1 ablation)"}},
        [](const ParamMap& p) {
          const float ratio = param_float(p, "ratio");
-         if (!(ratio > 0.f) || !(ratio < 1.f)) {
-           throw std::invalid_argument(
-               "strategy parameter 'ratio' must lie in (0, 1)");
-         }
+         require(ratio > 0.f && ratio < 1.f, "ratio", "lie in (0, 1)");
+         // A boost <= 0 turns the penalty into a reward for large groups.
+         const float boost = param_float(p, "boost");
+         require(boost > 0.f, "boost", "be > 0");
          return std::make_unique<GroupLassoStrategy>(
-             ratio, param_float(p, "boost"), param_bool(p, "proximal"),
+             ratio, boost, param_bool(p, "proximal"),
              param_bool(p, "size_normalized"));
        }});
 
@@ -449,10 +458,7 @@ void register_builtin_strategies(StrategyRegistry& registry) {
          const float s = param_float(p, "sparsity");
          const float b = param_float(p, "sparse_begin");
          const float e = param_float(p, "sparse_end");
-         if (!(s >= 0.f) || !(s < 1.f)) {
-           throw std::invalid_argument(
-               "strategy parameter 'sparsity' must lie in [0, 1)");
-         }
+         require(s >= 0.f && s < 1.f, "sparsity", "lie in [0, 1)");
          if (!(b >= 0.f) || !(e <= 1.f) || !(b < e)) {
            throw std::invalid_argument(
                "strategy parameters must satisfy 0 <= sparse_begin < "
@@ -470,14 +476,12 @@ void register_builtin_strategies(StrategyRegistry& registry) {
         {"beta", "5", "revival pressure per unit masked-gradient norm"},
         {"init", "0", "initial threshold (>= 0)"}},
        [](const ParamMap& p) {
-         const float init = param_float(p, "init");
-         if (!(init >= 0.f)) {
-           throw std::invalid_argument(
-               "strategy parameter 'init' must be >= 0");
+         for (const char* key : {"alpha", "threshold_lr", "beta", "init"}) {
+           require(param_float(p, key) >= 0.f, key, "be >= 0");
          }
          return std::make_unique<DstStrategy>(
              param_float(p, "alpha"), param_float(p, "threshold_lr"),
-             param_float(p, "beta"), init);
+             param_float(p, "beta"), param_float(p, "init"));
        }});
 
   registry.register_strategy(
@@ -491,16 +495,11 @@ void register_builtin_strategies(StrategyRegistry& registry) {
        [](const ParamMap& p) {
          const float decay = param_float(p, "decay");
          const float frac = param_float(p, "prune_fraction");
-         if (!(decay >= 0.f) || !(decay < 1.f)) {
-           throw std::invalid_argument(
-               "strategy parameter 'decay' must lie in [0, 1)");
-         }
-         if (!(frac >= 0.f) || !(frac < 1.f)) {
-           throw std::invalid_argument(
-               "strategy parameter 'prune_fraction' must lie in [0, 1)");
-         }
-         return std::make_unique<ChannelPropStrategy>(
-             decay, frac, param_int(p, "warmup"));
+         require(decay >= 0.f && decay < 1.f, "decay", "lie in [0, 1)");
+         require(frac >= 0.f && frac < 1.f, "prune_fraction", "lie in [0, 1)");
+         const std::int64_t warmup = param_int(p, "warmup");
+         require(warmup >= 0, "warmup", "be >= 0");
+         return std::make_unique<ChannelPropStrategy>(decay, frac, warmup);
        }});
 }
 

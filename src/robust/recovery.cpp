@@ -71,10 +71,6 @@ RecoveryReport deserialize_report(const std::vector<std::uint8_t>& bytes) {
   return report;
 }
 
-std::string find_last_good_checkpoint(const std::string& dir) {
-  return find_rollback_target(dir, nullptr).path;
-}
-
 RollbackTarget find_rollback_target(const std::string& dir,
                                     const CheckpointScrubber* scrubber) {
   namespace fs = std::filesystem;
@@ -105,31 +101,11 @@ RollbackTarget find_rollback_target(const std::string& dir,
   }
 
   // Numbered checkpoints, newest first.
-  std::vector<std::pair<std::int64_t, std::string>> numbered;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    const std::string prefix = "ckpt-epoch-";
-    const std::string suffix = ".bin";
-    if (name.size() <= prefix.size() + suffix.size() ||
-        name.compare(0, prefix.size(), prefix) != 0 ||
-        name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) {
-      continue;
-    }
-    const std::string digits =
-        name.substr(prefix.size(), name.size() - prefix.size() - suffix.size());
-    try {
-      numbered.emplace_back(std::stoll(digits), entry.path().string());
-    } catch (const std::exception&) {
-      continue;  // not a numbered checkpoint after all
-    }
-  }
-  std::sort(numbered.begin(), numbered.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
-  for (const auto& [epoch, path] : numbered) {
-    if (!known_corrupt(path) && loads(path)) {
-      target.path = path;
-      target.generation = epoch;
+  const std::vector<ckpt::GenerationEntry> gens = ckpt::list_generations(dir);
+  for (auto g = gens.rbegin(); g != gens.rend(); ++g) {
+    if (!known_corrupt(g->path) && loads(g->path)) {
+      target.path = g->path;
+      target.generation = g->epoch;
       return target;
     }
     ++target.skipped_corrupt;

@@ -67,14 +67,6 @@ class TrainingAborted : public std::runtime_error {
   RecoveryReport report_;
 };
 
-/// Finds the newest checkpoint in `dir` that actually loads (CRC-verified
-/// full parse): tries ckpt-latest.bin first, then ckpt-epoch-<N>.bin in
-/// descending epoch order. A truncated or bit-flipped file — e.g. one the
-/// FaultInjector corrupted — is skipped, so a rollback lands on the last
-/// *good* state, not merely the last written file. Returns "" when nothing
-/// in the directory is recoverable.
-std::string find_last_good_checkpoint(const std::string& dir);
-
 /// What a cascading rollback actually landed on. The old contract — "the
 /// newest checkpoint is loadable" — does not survive torn writes or bit
 /// rot on the newest file; the target records how far past damaged
@@ -87,9 +79,12 @@ struct RollbackTarget {
   std::int64_t skipped_corrupt = 0;  ///< newer files skipped as unloadable
 };
 
-/// find_last_good_checkpoint with provenance: walks ckpt-latest.bin, then
-/// ckpt-epoch-<N>.bin in descending epoch order, counting every newer file
-/// that failed to load (torn, truncated, bit-flipped). When `scrubber` is
+/// Finds the newest checkpoint in `dir` that actually loads (CRC-verified
+/// full parse): tries ckpt-latest.bin first, then the numbered generations
+/// (ckpt::list_generations) in descending epoch order, counting every newer
+/// file that failed to load (torn, truncated, bit-flipped). A rollback thus
+/// lands on the last *good* state, not merely the last written file; the
+/// path is "" when nothing in `dir` is recoverable. When `scrubber` is
 /// non-null, files the scrubber already proved corrupt are skipped without
 /// paying a load attempt — the generation chain's ledger fast-paths the
 /// cascade.

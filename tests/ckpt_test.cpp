@@ -283,6 +283,93 @@ TEST(Resume, BitwiseIdenticalToUninterruptedRun) {
   fs::remove_all(dir);
 }
 
+// Resume for every policy: each case resumes one policy's run from one
+// numbered checkpoint and must reproduce the uninterrupted run field for
+// field, final model state included. The checkpoints sit inside a phase,
+// on a phase boundary (the non-phase steps between the two phases still
+// have to run), and inside the fine-tune phase (they must not run again).
+struct ResumeCase {
+  const char* name;
+  core::PrunePolicy policy;
+  std::int64_t epochs;
+  std::int64_t fine_tune_epochs;
+  std::int64_t resume_epoch;  ///< resumes from ckpt-epoch-<N>.bin
+};
+
+class ResumeEveryPolicy : public ::testing::TestWithParam<ResumeCase> {};
+
+TEST_P(ResumeEveryPolicy, MatchesUninterruptedRun) {
+  const ResumeCase& c = GetParam();
+  auto data = data::SyntheticImageDataset(pruning_data());
+  const fs::path dir = scratch_dir(std::string("policy_") + c.name);
+  const auto make_cfg = [&c] {
+    core::TrainConfig cfg = pruning_cfg();
+    cfg.policy = c.policy;
+    cfg.epochs = c.epochs;
+    cfg.fine_tune_epochs = c.fine_tune_epochs;
+    cfg.one_shot_epoch = 2;  // reconfigures at the end of epoch 1
+    return cfg;
+  };
+
+  core::TrainConfig cfg = make_cfg();
+  cfg.checkpoint_dir = (dir / "ckpts").string();
+  auto net_full = models::build_resnet_basic(8, pruning_model());
+  const auto r_full = core::PruneTrainer(net_full, data, cfg).run();
+  if (c.policy == core::PrunePolicy::kDense) {
+    EXPECT_EQ(r_full.final_channels, r_full.epochs[0].channels_alive);
+  } else {
+    // The schedule's reconfigurations really prune.
+    EXPECT_LT(r_full.final_channels, r_full.epochs[0].channels_alive);
+  }
+
+  core::TrainConfig rcfg = make_cfg();
+  rcfg.resume_from = (fs::path(cfg.checkpoint_dir) /
+                      ("ckpt-epoch-" + std::to_string(c.resume_epoch) + ".bin"))
+                         .string();
+  auto net_res = models::build_resnet_basic(8, pruning_model());
+  const auto r_res = core::PruneTrainer(net_res, data, rcfg).run();
+
+  ASSERT_EQ(r_res.epochs.size(), r_full.epochs.size());
+  for (std::size_t e = 0; e < r_full.epochs.size(); ++e) {
+    expect_stats_equal(r_full.epochs[e], r_res.epochs[e],
+                       static_cast<std::int64_t>(e) < c.resume_epoch);
+  }
+  core::TrainResult res_totals = r_res;
+  res_totals.total_wall_seconds = r_full.total_wall_seconds;
+  EXPECT_EQ(fields_of(res_totals), fields_of(r_full));
+
+  const auto a = net_full.state();
+  const auto b = net_res.state();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].name, b[i].name);
+    if (a[i].role == nn::StateRole::kGrad) continue;  // transient, not saved
+    const auto sa = a[i].tensor->span();
+    const auto sb = b[i].tensor->span();
+    ASSERT_EQ(std::vector<float>(sa.begin(), sa.end()),
+              std::vector<float>(sb.begin(), sb.end()))
+        << a[i].name;
+  }
+  fs::remove_all(dir);
+}
+
+// SSL runs 4 dense epochs (phase 0), 4 regularized ones (phase 1), then 2
+// fine-tune epochs (phase 2); OneShot runs 4 epochs plus 1 of fine-tune.
+INSTANTIATE_TEST_SUITE_P(
+    Policies, ResumeEveryPolicy,
+    ::testing::Values(
+        ResumeCase{"SslInPhase0", core::PrunePolicy::kSSL, 4, 2, 2},
+        ResumeCase{"SslAtPhase0To1", core::PrunePolicy::kSSL, 4, 2, 4},
+        ResumeCase{"SslInPhase1", core::PrunePolicy::kSSL, 4, 2, 6},
+        ResumeCase{"SslAtPhase1To2", core::PrunePolicy::kSSL, 4, 2, 8},
+        ResumeCase{"SslInFineTune", core::PrunePolicy::kSSL, 4, 2, 9},
+        ResumeCase{"OneShotBeforeShot", core::PrunePolicy::kOneShot, 4, 1, 1},
+        ResumeCase{"OneShotAfterShot", core::PrunePolicy::kOneShot, 4, 1, 3},
+        ResumeCase{"DenseMidRun", core::PrunePolicy::kDense, 4, 0, 2}),
+    [](const ::testing::TestParamInfo<ResumeCase>& info) {
+      return std::string(info.param.name);
+    });
+
 // ---------------------------------------------------------------------------
 // Corruption rejection: the CRC-32 footer catches bit flips and truncation
 // before any field is parsed.

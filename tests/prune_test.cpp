@@ -542,13 +542,19 @@ TEST(StrategyRegistry, UnknownStrategyOrParamThrows) {
       StrategyRegistry::global().create("dst", {{"init", "not-a-number"}}),
       std::invalid_argument);
   // std::stof parses "nan" and "inf"; a non-finite knob (a NaN boost makes
-  // lambda NaN) is rejected with the key named.
-  const std::vector<std::pair<std::string, ParamMap>> non_finite = {
+  // lambda NaN) is rejected with the key named, and so is an out-of-range
+  // one: a boost <= 0 rewards large groups (boost=-1 trained with a
+  // negative lambda), and negative DST rates or a negative channel_prop
+  // warmup mean nothing.
+  const std::vector<std::pair<std::string, ParamMap>> bad = {
       {"group_lasso", {{"boost", "nan"}}}, {"group_lasso", {{"boost", "inf"}}},
       {"dst", {{"alpha", "nan"}}},         {"dst", {{"alpha", "inf"}}},
       {"dst", {{"threshold_lr", "nan"}}},  {"dst", {{"threshold_lr", "inf"}}},
-      {"dst", {{"beta", "nan"}}},          {"dst", {{"beta", "-inf"}}}};
-  for (const auto& [name, params] : non_finite) {
+      {"dst", {{"beta", "nan"}}},          {"dst", {{"beta", "-inf"}}},
+      {"group_lasso", {{"boost", "0"}}},   {"group_lasso", {{"boost", "-1"}}},
+      {"dst", {{"alpha", "-1"}}},          {"dst", {{"threshold_lr", "-0.01"}}},
+      {"dst", {{"beta", "-5"}}},           {"channel_prop", {{"warmup", "-1"}}}};
+  for (const auto& [name, params] : bad) {
     const std::string key = params.begin()->first;
     try {
       (void)StrategyRegistry::global().create(name, params);

@@ -504,30 +504,30 @@ TEST(RecoveryReport, SerializationRoundTrips) {
 
 TEST(FindLastGoodCheckpoint, SkipsCorruptedFilesAndFallsBack) {
   const fs::path dir = scratch_dir("lastgood");
-  EXPECT_EQ(robust::find_last_good_checkpoint(dir.string()), "");
-  EXPECT_EQ(robust::find_last_good_checkpoint((dir / "absent").string()), "");
+  const auto last_good = [](const std::string& d) {
+    return robust::find_rollback_target(d, nullptr).path;
+  };
+  EXPECT_EQ(last_good(dir.string()), "");
+  EXPECT_EQ(last_good((dir / "absent").string()), "");
 
   graph::Network net = small_net();
   ckpt::Checkpoint ck = ckpt::Checkpoint::capture(net);
   ck.save((dir / "ckpt-epoch-2.bin").string());
   ck.save((dir / "ckpt-epoch-4.bin").string());
   ck.save((dir / "ckpt-latest.bin").string());
-  EXPECT_EQ(robust::find_last_good_checkpoint(dir.string()),
-            (dir / "ckpt-latest.bin").string());
+  EXPECT_EQ(last_good(dir.string()), (dir / "ckpt-latest.bin").string());
 
   // Corrupt latest: fall back to the highest numbered checkpoint.
   auto injector = robust::FaultInjector::from_string("corrupt-ckpt:count=0", 1);
   injector.corrupt_checkpoint_files({(dir / "ckpt-latest.bin").string()}, 0);
-  EXPECT_EQ(robust::find_last_good_checkpoint(dir.string()),
-            (dir / "ckpt-epoch-4.bin").string());
+  EXPECT_EQ(last_good(dir.string()), (dir / "ckpt-epoch-4.bin").string());
 
   // Corrupt that too: fall back further.
   injector.corrupt_checkpoint_files({(dir / "ckpt-epoch-4.bin").string()}, 0);
-  EXPECT_EQ(robust::find_last_good_checkpoint(dir.string()),
-            (dir / "ckpt-epoch-2.bin").string());
+  EXPECT_EQ(last_good(dir.string()), (dir / "ckpt-epoch-2.bin").string());
 
   injector.corrupt_checkpoint_files({(dir / "ckpt-epoch-2.bin").string()}, 0);
-  EXPECT_EQ(robust::find_last_good_checkpoint(dir.string()), "");
+  EXPECT_EQ(last_good(dir.string()), "");
   fs::remove_all(dir);
 }
 
