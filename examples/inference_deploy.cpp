@@ -93,6 +93,8 @@ int main(int argc, char** argv) {
     std::cout << pt::robust::fault_spec_help();
     return 0;
   }
+  // Fail before training, not when the runtime comes up afterwards.
+  pt::robust::validate_serving_faults(flags.get("fault-spec"));
   const std::int64_t epochs = std::max<long>(3, flags.get_int("epochs"));
   const double qps = std::max(1.0, flags.get_double("qps"));
   const std::int64_t max_batch = std::max<long>(1, flags.get_int("max-batch"));

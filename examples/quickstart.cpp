@@ -124,8 +124,8 @@ int main(int argc, char** argv) {
                "dead (detection bookkeeping; participation stops at the "
                "first miss)");
   flags.define("no-rejoin", "false",
-               "treat replica death as terminal: ignore rejoin-replica "
-               "faults and schedules");
+               "treat replica death as terminal (a rejoin-replica fault "
+               "is then rejected)");
   flags.define("sdc-check-interval", "0",
                "digest-vote the replica state dicts every K optimizer "
                "steps and heal convicted minorities in place (0 = off; "

@@ -4,6 +4,12 @@
 # directory this script lives in. Build into <root>/build first.
 ROOT=$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)
 cd "$ROOT/build/bench" || exit 1
+# The BENCH_<name>.json artifacts this suite writes. Each is deleted up
+# front, so a bench that dies before writing its JSON fails the gate below
+# instead of letting a stale artifact from an earlier run pass in its place.
+ARTIFACTS="hotpath_scaling elastic_overhead sdc_overhead strategy_ablation \
+           comm_compression serve_load serve_resilience telemetry_smoke"
+for name in $ARTIFACTS; do rm -f "$ROOT/BENCH_$name.json"; done
 {
 for b in fig7_union_vs_gating_time fig12_density fig4_channel_sparsity \
          fig2_flops_trajectory fig6_union_vs_gating_flops \
@@ -80,8 +86,13 @@ echo "SUITE DONE"
 # correctness property was violated while benching — fail the suite loudly
 # instead of shipping bad numbers in a green run.
 FAILED_FLAGS=0
-for artifact in "$ROOT"/BENCH_*.json; do
-  [ -e "$artifact" ] || continue
+for name in $ARTIFACTS; do
+  artifact="$ROOT/BENCH_$name.json"
+  if [ ! -s "$artifact" ]; then
+    echo "MISSING ARTIFACT: $artifact (its bench wrote no JSON)" | tee -a "$ROOT"/bench_output.txt
+    FAILED_FLAGS=$((FAILED_FLAGS + 1))
+    continue
+  fi
   for flag in determinism_bitwise_1_vs_4 determinism_bitwise_elastic_vs_reference \
               determinism_bitwise_threads \
               flops_monotone_nonincreasing memory_monotone_nonincreasing \
@@ -96,6 +107,6 @@ for artifact in "$ROOT"/BENCH_*.json; do
   done
 done
 if [ "$FAILED_FLAGS" -gt 0 ]; then
-  echo "bench suite: $FAILED_FLAGS sanity flag(s) failed" | tee -a "$ROOT"/bench_output.txt
+  echo "bench suite: $FAILED_FLAGS sanity flag(s) failed or artifact(s) missing" | tee -a "$ROOT"/bench_output.txt
   exit 1
 fi

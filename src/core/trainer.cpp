@@ -293,7 +293,8 @@ void TrainConfig::validate() const {
       if (step.kind == RunStep::Kind::kPhase) run_epochs += step.phase.epochs;
     }
     robust::validate_training_faults(fault_spec, static_cast<int>(replicas),
-                                     !checkpoint_dir.empty(), run_epochs);
+                                     !checkpoint_dir.empty(), run_epochs,
+                                     allow_rejoin);
   } catch (const std::invalid_argument& e) {
     fail(std::string("fault_spec: ") + e.what());
   }
@@ -374,7 +375,6 @@ PruneTrainer::PruneTrainer(graph::Network& net,
     codec_ = dist::CodecRegistry::global().create(cfg_.codec, cfg_.codec_params);
   }
   ctx_ = std::make_unique<exec::ExecContext>(static_cast<int>(cfg_.num_threads));
-  fault_ = robust::FaultInjector::from_string(cfg_.fault_spec, cfg_.fault_seed);
   if (cfg_.health_checks) {
     health_ = std::make_unique<robust::HealthMonitor>(cfg_.health);
   }
@@ -424,7 +424,6 @@ void PruneTrainer::rebuild_cluster(robust::FaultInjector injector) {
   // from a checkpoint or carried across a rollback — survives the bind.
   if (codec_) cluster_->set_codec(codec_);
   cluster_->set_fault_injector(std::move(injector));
-  cluster_fault_fires_seen_ = cluster_->fault_injector().total_fires();
   if (!cfg_.checkpoint_dir.empty()) {
     namespace fs = std::filesystem;
     const fs::path latest = fs::path(cfg_.checkpoint_dir) / "ckpt-latest.bin";
@@ -582,9 +581,7 @@ void PruneTrainer::train_epoch(EpochStats& stats, float lambda, float lr,
   } catch (const dist::ReplicaDivergence& e) {
     // Structured guardian pathway: with recovery enabled the rollback loop
     // rebuilds the cluster from the last good checkpoint; without it the
-    // divergence propagates as-is. Either way the epoch's end-of-loop
-    // accounting is skipped, so credit injected fires here.
-    account_cluster_fault_fires();
+    // divergence propagates as-is.
     robust::HealthEvent ev = e.to_health_event(epoch_counter_);
     report_.events.push_back(ev);
     log_error("guardian: " + ev.describe());
@@ -597,18 +594,11 @@ void PruneTrainer::train_epoch(EpochStats& stats, float lambda, float lr,
   for (const dist::MembershipTransition& t : cluster_->drain_transitions()) {
     log_warn("cluster: " + t.describe());
   }
-  account_cluster_fault_fires();
 
   // Everything downstream of the epoch (health checks, evaluation, cost
   // models, checkpoints) reads *net_; bring it up to date.
   sync_net_from_cluster();
   stats.lasso_loss = strategy_->regularization_loss(*net_);
-}
-
-void PruneTrainer::account_cluster_fault_fires() {
-  const std::int64_t fires = cluster_->fault_injector().total_fires();
-  report_.faults_injected += fires - cluster_fault_fires_seen_;
-  cluster_fault_fires_seen_ = fires;
 }
 
 void PruneTrainer::run_integrity_check() {
@@ -633,9 +623,6 @@ void PruneTrainer::run_integrity_check() {
   if (out.no_quorum) {
     // A split with no strict majority cannot say which side is corrupt;
     // healing would be a coin flip, so escalate to the guardian instead.
-    // This throw aborts the epoch before its end-of-epoch accounting, so
-    // credit the injected fires that caused the split first.
-    account_cluster_fault_fires();
     robust::HealthEvent ev{robust::EventType::kSdcNoQuorum,
                            robust::Severity::kFatal, epoch_counter_,
                            static_cast<double>(views.size()), out.detail};
@@ -727,13 +714,10 @@ void PruneTrainer::run_phase(TrainResult& result, const PhaseSpec& spec,
 
       // Prune + reconfigure at epoch boundaries, on the strategy's cadence
       // (the default implementation reproduces the paper's periodic /
-      // one-shot schedule). After a rollback with skip_offending_reconfig,
-      // reconfigurations in the replayed window up to the fault epoch are
-      // suppressed.
-      const bool suppressed = epoch_counter_ <= skip_reconfig_until_;
+      // one-shot schedule).
       const prune::ReconfigDecision decision =
           strategy_->propose_reconfigure(einfo);
-      if (decision.reconfigure && !suppressed) {
+      if (decision.reconfigure) {
         if (health_) {
           const std::vector<robust::HealthEvent> events =
               health_->check_prune(epoch_counter_, *net_, decision.threshold);
@@ -976,10 +960,8 @@ void PruneTrainer::save_checkpoint(const TrainResult& result, std::int64_t phase
   // Checkpoint-corruption faults strike the freshly written files — the
   // torn-write / bit-rot failure mode find_rollback_target must survive by
   // falling back to an older intact checkpoint.
-  if (fault_.armed() &&
-      fault_.corrupt_checkpoint_files({numbered, latest}, epoch_counter_)) {
-    ++report_.faults_injected;
-  }
+  cluster_->fault_injector().corrupt_checkpoint_files({numbered, latest},
+                                                      epoch_counter_);
   // Generation-chain bookkeeping: register the numbered save (evicting
   // beyond keep_checkpoints) and re-validate every retained generation's
   // CRC, so a later rollback knows which generations are trustworthy
@@ -1046,6 +1028,11 @@ void PruneTrainer::load_checkpoint_file(const std::string& path) {
   }
 }
 
+const robust::RecoveryReport& PruneTrainer::recovery_report() const {
+  report_.faults_injected = cluster_->fault_injector().total_fires();
+  return report_;
+}
+
 TrainResult PruneTrainer::run() {
   telemetry::ScopedTimer run_span("train");
   try {
@@ -1056,7 +1043,6 @@ TrainResult PruneTrainer::run() {
     rc.lr_cut = cfg_.rollback_lr_cut;
     rc.backoff_base = cfg_.rollback_backoff;
     rc.backoff_cap = cfg_.rollback_backoff_cap;
-    rc.skip_offending_reconfig = cfg_.rollback_skip_reconfig;
     robust::RecoveryPolicy policy(rc);
 
     for (;;) {
@@ -1075,7 +1061,7 @@ TrainResult PruneTrainer::run() {
           throw robust::TrainingAborted(
               "training aborted after " + std::to_string(policy.rollbacks()) +
                   " rollbacks: " + err.event().describe(),
-              report_);
+              recovery_report());
         }
         rollback(decision, err.event());
       }
@@ -1093,7 +1079,7 @@ TrainResult PruneTrainer::run() {
     log_error("guardian: " + ev.describe() +
               "; aborting with diagnostic checkpoint");
     throw robust::TrainingAborted("training aborted: " + ev.describe(),
-                                  report_);
+                                  recovery_report());
   }
 }
 
@@ -1112,7 +1098,7 @@ void PruneTrainer::rollback(robust::RecoveryPolicy::Decision decision,
     throw robust::TrainingAborted("rollback: no loadable checkpoint in '" +
                                       cfg_.checkpoint_dir +
                                       "' (cause: " + cause.describe() + ")",
-                                  report_);
+                                  recovery_report());
   }
   decision.checkpoint = path;
   decision.generation = target.generation;
@@ -1143,7 +1129,6 @@ void PruneTrainer::rollback(robust::RecoveryPolicy::Decision decision,
   // replaced at job restart").
   rebuild_cluster(cluster_->take_fault_injector());
   recovery_lr_scale_ = decision.lr_scale;
-  skip_reconfig_until_ = decision.skip_reconfig ? cause.epoch : -1;
   ++report_.rollbacks;
   report_.backoff_seconds += decision.backoff_seconds;
   report_.last_checkpoint = path;
@@ -1161,7 +1146,7 @@ void PruneTrainer::save_diagnostic_checkpoint() {
     namespace fs = std::filesystem;
     fs::create_directories(cfg_.checkpoint_dir);
     ckpt::Checkpoint ck = ckpt::Checkpoint::capture(*net_);
-    ck.set_section("guardian", robust::serialize_report(report_));
+    ck.set_section("guardian", robust::serialize_report(recovery_report()));
     const std::string path =
         (fs::path(cfg_.checkpoint_dir) / "ckpt-diagnostic.bin").string();
     ck.save(path);

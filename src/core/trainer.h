@@ -154,11 +154,6 @@ struct TrainConfig {
   float rollback_lr_cut = 0.5f;      ///< recovery LR multiplier per rollback
   double rollback_backoff = 2.0;     ///< backoff base: min(base^(k-1), cap) s
   double rollback_backoff_cap = 60.0;
-  /// Also suppress the periodic reconfigurations that fall inside the
-  /// replayed window (rollback epoch, fault epoch] on retry, in case the
-  /// prune itself destabilized the run. Reconfigurations already baked
-  /// into the restored checkpoint are not undone.
-  bool rollback_skip_reconfig = false;
 
   /// Reconfiguration survival floor: no channel variable is ever sliced
   /// below this many channels (pruning-collapse guard; 1 = historical).
@@ -209,7 +204,8 @@ struct TrainConfig {
   /// Consecutive missed step-acks before a replica is declared DEAD
   /// (detection bookkeeping; participation stops at the first miss).
   std::int64_t suspect_threshold = 3;
-  /// Allow DEAD replicas to rejoin (rejoin-replica faults / schedules).
+  /// Allow DEAD replicas to rejoin; validate() rejects a rejoin-replica
+  /// fault when this is off.
   bool allow_rejoin = true;
 
   // --- Telemetry (src/telemetry) ---
@@ -286,9 +282,10 @@ class PruneTrainer {
     return monitor_ ? monitor_.get() : nullptr;
   }
 
-  /// What the guardian did this run: rollbacks, injected faults, modeled
-  /// backoff, every health event. Zero-valued when recovery never engaged.
-  const robust::RecoveryReport& recovery_report() const { return report_; }
+  /// What the guardian did this run: rollbacks, injected faults (the
+  /// cluster injector's firings), modeled backoff, every health event.
+  /// Zero-valued when recovery never engaged.
+  const robust::RecoveryReport& recovery_report() const;
 
   /// The SDC monitor (cfg.sdc_check_interval > 0), for checks/heals/bytes
   /// statistics; nullptr when disabled.
@@ -317,10 +314,9 @@ class PruneTrainer {
   /// Executes a kRollback decision: resolves the rollback target through
   /// the scrubber's generation ledger (cascading past corrupt files, with
   /// a kCheckpointCascade event when it had to), restores it, applies the
-  /// recovery LR scale, optionally arms reconfiguration suppression up to
-  /// the fault epoch. The decision comes back annotated with the
-  /// checkpoint/generation actually selected. Throws
-  /// robust::TrainingAborted if no loadable checkpoint exists.
+  /// recovery LR scale and rebuilds the cluster around the injector's
+  /// fire-state. Throws robust::TrainingAborted if no loadable checkpoint
+  /// exists.
   void rollback(robust::RecoveryPolicy::Decision decision,
                 const robust::HealthEvent& cause);
 
@@ -328,11 +324,6 @@ class PruneTrainer {
   /// step when due): a convicted minority is healed in place; a no-quorum
   /// split escalates as a fatal kSdcNoQuorum when recovery is enabled.
   void run_integrity_check();
-
-  /// Credits cluster-injected fault fires to the report since the last
-  /// call — invoked at epoch end *and* before any mid-epoch escalation
-  /// throw, so fires are never lost to an aborted epoch.
-  void account_cluster_fault_fires();
 
   /// Best-effort ckpt-diagnostic.bin: the broken model plus a "guardian"
   /// section holding the serialized RecoveryReport. Never throws.
@@ -441,11 +432,11 @@ class PruneTrainer {
 
   /// The elastic cluster every epoch steps (never null once constructed).
   /// Its rank 0 is *net_, borrowed: a one-replica cluster holds no second
-  /// copy of the model. The cluster's injector (same spec + seed as
-  /// fault_, independent fire counters) handles the replica, gradient and
-  /// SDC kinds.
+  /// copy of the model. The cluster's injector is the run's only one: the
+  /// cluster queries the step and membership kinds, save_checkpoint the
+  /// checkpoint kinds, and its total_fires() is the report's
+  /// faults_injected.
   std::unique_ptr<dist::ElasticCluster> cluster_;
-  std::int64_t cluster_fault_fires_seen_ = 0;  ///< for report_.faults_injected
   /// Gradient codec shared with the cluster; null when cfg_.replicas == 1,
   /// where the cluster's own dense codec exchanges (and checkpoints carry
   /// no codec section).
@@ -456,18 +447,16 @@ class PruneTrainer {
   std::shared_ptr<dist::GradientCodec> codec_;
 
   // Guardian state (src/robust).
-  /// Checkpoint-corruption faults only (the cluster owns the rest);
-  /// disarmed when no spec.
-  robust::FaultInjector fault_;
   std::unique_ptr<robust::HealthMonitor> health_; ///< null when checks off
   /// SDC digest-vote monitor; null when sdc_check_interval == 0.
   std::unique_ptr<robust::IntegrityMonitor> integrity_;
   /// Checkpoint generation chain + CRC scrubber; null when checkpoint_dir
   /// is empty.
   std::unique_ptr<robust::CheckpointScrubber> scrubber_;
-  robust::RecoveryReport report_;
+  /// faults_injected is read from the cluster's injector by
+  /// recovery_report(), which every reader goes through.
+  mutable robust::RecoveryReport report_;
   float recovery_lr_scale_ = 1.f;       ///< lr_cut^rollbacks on retries
-  std::int64_t skip_reconfig_until_ = -1;  ///< suppress reconfigs <= this epoch
   bool initial_ckpt_saved_ = false;
 
   /// Epoch-record emitter (cfg_.metrics_dir); null when telemetry is off.

@@ -179,24 +179,15 @@ std::vector<robust::HealthEvent> ElasticCluster::drain_health_events() {
 }
 
 std::int64_t ElasticCluster::resync_rejoiner(int r, int root) {
-  graph::Network& survivor = replica(root);
-  graph::Network& joiner = replica(r);
-
   // Phase 1 — topology replay. Prefer the last CRC-valid checkpoint (the
-  // replica "restarts from disk"); a missing/corrupt file, or shapes gone
-  // stale because a reconfiguration happened after the save, fall back to
-  // cloning the structure from a survivor via the same state-dict capture.
-  bool replayed = false;
+  // replica "restarts from disk"); a missing or corrupt file leaves the
+  // joiner's stale model in place.
   if (!resync_ckpt_path_.empty()) {
     try {
-      joiner = ckpt::Checkpoint::load(resync_ckpt_path_).restore_network();
-      replayed = same_topology(joiner, survivor);
+      replica(r) = ckpt::Checkpoint::load(resync_ckpt_path_).restore_network();
     } catch (const std::exception&) {
-      replayed = false;
+      // Keep the stale model; copy_replica rebuilds it if it must.
     }
-  }
-  if (!replayed) {
-    joiner = ckpt::Checkpoint::capture(survivor).restore_network();
   }
 
   // The joiner's per-replica codec state (error-feedback residuals) is
@@ -206,8 +197,10 @@ std::int64_t ElasticCluster::resync_rejoiner(int r, int root) {
 
   // Phase 2 — fenced state broadcast: every persistent tensor (params,
   // momentum, BN buffers) plus current gradients, copied bit-exactly from
-  // the survivor so the joiner's first synced step matches the group.
-  return copy_full_state(root, r);
+  // the survivor so the joiner's first synced step matches the group. A
+  // joiner whose shapes went stale (no checkpoint, or a reconfiguration
+  // after the save) is rebuilt as a survivor clone first.
+  return copy_replica(root, r).bytes;
 }
 
 std::int64_t ElasticCluster::copy_full_state(int src_rank, int dst_rank) {

@@ -153,6 +153,7 @@ class ElasticCluster {
   /// delay-replica charges modeled straggler time into the EWMA.
   void set_fault_injector(robust::FaultInjector injector);
   const robust::FaultInjector& fault_injector() const { return injector_; }
+  robust::FaultInjector& fault_injector() { return injector_; }
   /// Removes and returns the injector with its fire-state intact — used
   /// when the trainer rebuilds the cluster (resume / rollback) without
   /// re-arming already-consumed faults.

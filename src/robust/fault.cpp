@@ -1,5 +1,6 @@
 #include "robust/fault.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <fstream>
@@ -10,58 +11,136 @@
 
 namespace pt::robust {
 
-std::string to_string(FaultSpec::Kind kind) {
-  switch (kind) {
-    case FaultSpec::Kind::kNanGrad: return "nan-grad";
-    case FaultSpec::Kind::kBitflipGrad: return "bitflip-grad";
-    case FaultSpec::Kind::kScaleGrad: return "scale-grad";
-    case FaultSpec::Kind::kDropReplica: return "drop-replica";
-    case FaultSpec::Kind::kDelayReplica: return "delay-replica";
-    case FaultSpec::Kind::kTruncateCkpt: return "truncate-ckpt";
-    case FaultSpec::Kind::kCorruptCkpt: return "corrupt-ckpt";
-    case FaultSpec::Kind::kKillReplica: return "kill-replica";
-    case FaultSpec::Kind::kFlakyReplica: return "flaky-replica";
-    case FaultSpec::Kind::kRejoinReplica: return "rejoin-replica";
-    case FaultSpec::Kind::kSdcParam: return "sdc-param";
-    case FaultSpec::Kind::kSdcMomentum: return "sdc-momentum";
-    case FaultSpec::Kind::kTornCkpt: return "torn-ckpt";
-    case FaultSpec::Kind::kPoisonCkpt: return "poison-ckpt";
-    case FaultSpec::Kind::kSlowModel: return "slow-model";
-    case FaultSpec::Kind::kFlakyOutput: return "flaky-output";
+namespace {
+
+using Kind = FaultSpec::Kind;
+using C = FaultConsumer;
+
+// The keys of each consumer's queries.
+constexpr const char* kStepKeys = "epoch,step,replica,count";
+constexpr const char* kReplicaKeys = "step,replica,count";
+constexpr const char* kSaveKeys = "epoch,count";
+
+// The fault-kind table. Each consumer queries the injector with fixed
+// wildcards (-1) for the coordinates it does not know, so a kind reads
+// exactly the keys its consumer can match.
+const std::vector<FaultKindInfo> kKinds = {
+    {Kind::kNanGrad, "nan-grad", C::kStepHook, kStepKeys,
+     "set one gradient element to quiet NaN"},
+    {Kind::kBitflipGrad, "bitflip-grad", C::kStepHook, kStepKeys,
+     "flip one random bit of one grad element"},
+    {Kind::kScaleGrad, "scale-grad", C::kStepHook,
+     "epoch,step,replica,count,scale", "multiply every gradient by `scale`"},
+    {Kind::kDropReplica, "drop-replica", C::kMembership, kReplicaKeys,
+     "replica's shard fails; retried twice,\n"
+     "then dropped from the allreduce"},
+    {Kind::kDelayReplica, "delay-replica", C::kMembership,
+     "step,replica,count,delay", "replica straggles `delay` modeled secs"},
+    {Kind::kKillReplica, "kill-replica", C::kMembership, kReplicaKeys,
+     "permanent death: misses every heartbeat"},
+    {Kind::kFlakyReplica, "flaky-replica", C::kMembership,
+     "step,replica,count,prob", "dies with probability `prob` per step"},
+    {Kind::kRejoinReplica, "rejoin-replica", C::kMembership, kReplicaKeys,
+     "revive a dead replica at matching step"},
+    {Kind::kTruncateCkpt, "truncate-ckpt", C::kCheckpointSave, kSaveKeys,
+     "truncate checkpoint files to half size"},
+    {Kind::kCorruptCkpt, "corrupt-ckpt", C::kCheckpointSave, kSaveKeys,
+     "flip one random byte of checkpoint files"},
+    {Kind::kTornCkpt, "torn-ckpt", C::kCheckpointSave, kSaveKeys,
+     "truncate checkpoints through the CRC-32\n"
+     "footer (partial write died mid-save)"},
+    {Kind::kSdcParam, "sdc-param", C::kStepHook, kStepKeys,
+     "silent corruption: flip one bit of one\n"
+     "parameter element post-step, kept finite"},
+    {Kind::kSdcMomentum, "sdc-momentum", C::kStepHook, kStepKeys,
+     "silent corruption: flip one bit of one\n"
+     "momentum element post-step, kept finite"},
+    {Kind::kPoisonCkpt, "poison-ckpt", C::kPoisonHarness, "epoch,count,scale",
+     "CRC-valid checkpoint, corrupt tensors:\n"
+     "classifier head goes NaN (or seeded\n"
+     "garbage when scale= is given) pre-save"},
+    {Kind::kSlowModel, "slow-model", C::kServeBatch, "epoch,step,count,scale",
+     "inflate a generation's modeled service\n"
+     "ticks (epoch=generation, step=batch id)"},
+    {Kind::kFlakyOutput, "flaky-output", C::kServeBatch, "epoch,step,count",
+     "inject one quiet-NaN logit into a served\n"
+     "batch (epoch=generation, step=batch id)"},
+};
+
+/// True when `item` is one entry of the comma-separated `list`.
+bool in_list(const std::string& list, const std::string& item) {
+  return ("," + list + ",").find("," + item + ",") != std::string::npos;
+}
+
+std::vector<std::string> split(const std::string& text, char sep) {
+  std::vector<std::string> out;
+  std::size_t start = 0;
+  while (start <= text.size()) {
+    const std::size_t end = text.find(sep, start);
+    if (end == std::string::npos) {
+      out.push_back(text.substr(start));
+      break;
+    }
+    out.push_back(text.substr(start, end - start));
+    start = end + 1;
   }
-  return "?";
+  return out;
+}
+
+std::string pad(const std::string& text, std::size_t width) {
+  return text.size() < width ? text + std::string(width - text.size(), ' ')
+                             : text;
+}
+
+/// Parses `text` and pairs every spec with its clause's text, for error
+/// messages (parse_fault_specs yields exactly one spec per clause).
+std::vector<std::pair<FaultSpec, std::string>> parse_clauses(
+    const std::string& text) {
+  std::vector<std::pair<FaultSpec, std::string>> out;
+  const std::vector<FaultSpec> specs = parse_fault_specs(text);
+  const std::vector<std::string> clauses = split(text, ';');
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    out.emplace_back(specs[i], clauses[i]);
+  }
+  return out;
+}
+
+[[noreturn]] void reject(const std::string& clause, const std::string& why) {
+  throw std::invalid_argument("fault spec clause '" + clause + "' " + why +
+                              " and would never fire");
+}
+
+}  // namespace
+
+const std::vector<FaultKindInfo>& fault_kinds() { return kKinds; }
+
+const FaultKindInfo& fault_kind(FaultSpec::Kind kind) {
+  for (const FaultKindInfo& row : kKinds) {
+    if (row.kind == kind) return row;
+  }
+  throw std::logic_error("fault kind missing from the kind table");
+}
+
+std::string to_string(FaultSpec::Kind kind) { return fault_kind(kind).name; }
+
+bool FaultKindInfo::reads(const std::string& key) const {
+  return in_list(keys, key);
 }
 
 std::string fault_spec_help() {
-  return
+  std::string out =
       "fault spec grammar:  <kind>[:key=value[,key=value...]][;<kind>:...]\n"
       "\n"
       "  kind            semantics                                 keys\n"
-      "  --------------  ----------------------------------------  ------------------------\n"
-      "  nan-grad        set one gradient element to quiet NaN     epoch,step,replica,count\n"
-      "  bitflip-grad    flip one random bit of one grad element   epoch,step,replica,count\n"
-      "  scale-grad      multiply every gradient by `scale`        epoch,step,replica,count,scale\n"
-      "  drop-replica    replica's shard fails; retried twice,     step,replica,count\n"
-      "                  then dropped from the allreduce\n"
-      "  delay-replica   replica straggles `delay` modeled secs    step,replica,count,delay\n"
-      "  kill-replica    permanent death: misses every heartbeat   step,replica,count\n"
-      "  flaky-replica   dies with probability `prob` per step     step,replica,count,prob\n"
-      "  rejoin-replica  revive a dead replica at matching step    step,replica,count\n"
-      "  truncate-ckpt   truncate checkpoint files to half size    epoch,count\n"
-      "  corrupt-ckpt    flip one random byte of checkpoint files  epoch,count\n"
-      "  torn-ckpt       truncate checkpoints through the CRC-32   epoch,count\n"
-      "                  footer (partial write died mid-save)\n"
-      "  sdc-param       silent corruption: flip one bit of one    epoch,step,replica,count\n"
-      "                  parameter element post-step, kept finite\n"
-      "  sdc-momentum    silent corruption: flip one bit of one    epoch,step,replica,count\n"
-      "                  momentum element post-step, kept finite\n"
-      "  poison-ckpt     CRC-valid checkpoint, corrupt tensors:    epoch,count,scale\n"
-      "                  classifier head goes NaN (or seeded\n"
-      "                  garbage when scale= is given) pre-save\n"
-      "  slow-model      inflate a generation's modeled service    epoch,step,count,scale\n"
-      "                  ticks (epoch=generation, step=batch id)\n"
-      "  flaky-output    inject one quiet-NaN logit into a served  epoch,step,count\n"
-      "                  batch (epoch=generation, step=batch id)\n"
+      "  --------------  ----------------------------------------  ------------------------\n";
+  for (const FaultKindInfo& row : kKinds) {
+    const std::vector<std::string> lines = split(row.help, '\n');
+    out += "  " + pad(row.name, 16) + pad(lines[0], 42) + row.keys + "\n";
+    for (std::size_t i = 1; i < lines.size(); ++i) {
+      out += std::string(18, ' ') + lines[i] + "\n";
+    }
+  }
+  return out +
       "\n"
       "  keys (wildcards when omitted):\n"
       "    epoch=<N>    fire only at global epoch N (serve kinds: generation)\n"
@@ -92,38 +171,6 @@ std::string fault_spec_help() {
       "  construction, so equal spec + seed => bitwise-equal faults.\n";
 }
 
-namespace {
-
-FaultSpec::Kind parse_kind(const std::string& token) {
-  using Kind = FaultSpec::Kind;
-  for (Kind k : {Kind::kNanGrad, Kind::kBitflipGrad, Kind::kScaleGrad,
-                 Kind::kDropReplica, Kind::kDelayReplica, Kind::kTruncateCkpt,
-                 Kind::kCorruptCkpt, Kind::kKillReplica, Kind::kFlakyReplica,
-                 Kind::kRejoinReplica, Kind::kSdcParam, Kind::kSdcMomentum,
-                 Kind::kTornCkpt, Kind::kPoisonCkpt, Kind::kSlowModel,
-                 Kind::kFlakyOutput}) {
-    if (token == to_string(k)) return k;
-  }
-  throw std::invalid_argument("fault spec: unknown kind '" + token + "'");
-}
-
-std::vector<std::string> split(const std::string& text, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t end = text.find(sep, start);
-    if (end == std::string::npos) {
-      out.push_back(text.substr(start));
-      break;
-    }
-    out.push_back(text.substr(start, end - start));
-    start = end + 1;
-  }
-  return out;
-}
-
-}  // namespace
-
 std::vector<FaultSpec> parse_fault_specs(const std::string& text) {
   std::vector<FaultSpec> specs;
   if (text.empty()) return specs;
@@ -132,8 +179,16 @@ std::vector<FaultSpec> parse_fault_specs(const std::string& text) {
       throw std::invalid_argument("fault spec: empty clause");
     }
     const std::size_t colon = clause.find(':');
+    const std::string name = clause.substr(0, colon);
+    const FaultKindInfo* row = nullptr;
+    for (const FaultKindInfo& r : kKinds) {
+      if (name == r.name) row = &r;
+    }
+    if (row == nullptr) {
+      throw std::invalid_argument("fault spec: unknown kind '" + name + "'");
+    }
     FaultSpec spec;
-    spec.kind = parse_kind(clause.substr(0, colon));
+    spec.kind = row->kind;
     if (colon == std::string::npos) {
       specs.push_back(spec);
       continue;
@@ -146,6 +201,14 @@ std::vector<FaultSpec> parse_fault_specs(const std::string& text) {
       }
       const std::string key = kv.substr(0, eq);
       const std::string value = kv.substr(eq + 1);
+      if (!in_list(kFaultKeys, key)) {
+        throw std::invalid_argument("fault spec: unknown key '" + key + "'");
+      }
+      if (!row->reads(key)) {
+        throw std::invalid_argument("fault spec clause '" + clause +
+                                    "' sets " + key + "=, which " + name +
+                                    " does not read");
+      }
       try {
         if (key == "epoch") {
           spec.epoch = std::stoll(value);
@@ -160,13 +223,9 @@ std::vector<FaultSpec> parse_fault_specs(const std::string& text) {
           spec.scale_set = true;
         } else if (key == "delay") {
           spec.delay_seconds = std::stod(value);
-        } else if (key == "prob") {
-          spec.prob = std::stod(value);
         } else {
-          throw std::invalid_argument("fault spec: unknown key '" + key + "'");
+          spec.prob = std::stod(value);
         }
-      } catch (const std::invalid_argument&) {
-        throw;
       } catch (const std::exception&) {
         throw std::invalid_argument("fault spec: bad value in '" + kv + "'");
       }
@@ -174,12 +233,12 @@ std::vector<FaultSpec> parse_fault_specs(const std::string& text) {
     if (spec.count < 0) {
       throw std::invalid_argument("fault spec: count must be >= 0");
     }
-    if (spec.kind == FaultSpec::Kind::kFlakyReplica &&
+    if (spec.kind == Kind::kFlakyReplica &&
         !(spec.prob >= 0.0 && spec.prob <= 1.0)) {
       throw std::invalid_argument(
           "fault spec: flaky-replica prob must lie in [0, 1]");
     }
-    if (spec.kind == FaultSpec::Kind::kSlowModel && spec.scale_set &&
+    if (spec.kind == Kind::kSlowModel && spec.scale_set &&
         !(spec.scale >= 1.0)) {
       throw std::invalid_argument(
           "fault spec: slow-model scale must be >= 1 (an inflation factor)");
@@ -190,69 +249,69 @@ std::vector<FaultSpec> parse_fault_specs(const std::string& text) {
 }
 
 void validate_training_faults(const std::string& text, int replicas,
-                              bool checkpointing, std::int64_t run_epochs) {
-  using Kind = FaultSpec::Kind;
-  // parse_fault_specs yields exactly one spec per ';'-separated clause.
-  const std::vector<FaultSpec> specs = parse_fault_specs(text);
-  const std::vector<std::string> clauses = split(text, ';');
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const FaultSpec& s = specs[i];
-    auto reject = [&](const std::string& why) {
-      throw std::invalid_argument("fault spec clause '" + clauses[i] + "' " +
-                                  why + " and would never fire");
-    };
-    // Each consumer queries the injector with fixed wildcards (-1) for the
-    // coordinates it does not know; a clause keyed on one never matches.
-    switch (s.kind) {
-      case Kind::kDropReplica:
-      case Kind::kDelayReplica:
-      case Kind::kKillReplica:
-      case Kind::kFlakyReplica:
-      case Kind::kRejoinReplica:
-        if (replicas == 1) reject("targets cluster replicas at replicas=1");
-        if (s.epoch >= 0) {
-          reject("sets epoch=, but replica faults match on the cluster's "
-                 "step clock only");
-        }
+                              bool checkpointing, std::int64_t run_epochs,
+                              bool allow_rejoin) {
+  const auto clauses = parse_clauses(text);
+  for (const auto& [s, clause] : clauses) {
+    auto fail = [&](const std::string& why) { reject(clause, why); };
+    switch (fault_kind(s.kind).consumer) {
+      case C::kMembership:
+        if (replicas == 1) fail("targets cluster replicas at replicas=1");
         break;
-      case Kind::kPoisonCkpt:
-      case Kind::kSlowModel:
-      case Kind::kFlakyOutput:
-        reject("is a serving fault; no trainer consumes it");
+      case C::kServeBatch:
+        fail("is a serving fault; no trainer consumes it");
         break;
-      case Kind::kTruncateCkpt:
-      case Kind::kCorruptCkpt:
-      case Kind::kTornCkpt:
-        if (!checkpointing) reject("strikes checkpoints, but none are written");
-        if (s.step >= 0 || s.replica >= 0) {
-          reject("sets step= or replica=, but checkpoint faults match on "
-                 "the epoch only");
-        }
+      case C::kPoisonHarness:
+        fail("poisons a network before a harness saves it; no trainer "
+             "consumes it");
+        break;
+      case C::kCheckpointSave:
+        if (!checkpointing) fail("strikes checkpoints, but none are written");
         if (s.epoch > run_epochs) {
-          reject("sets epoch=" + std::to_string(s.epoch) +
-                 ", but the last checkpoint is saved at epoch " +
-                 std::to_string(run_epochs));
+          fail("sets epoch=" + std::to_string(s.epoch) +
+               ", but the last checkpoint is saved at epoch " +
+               std::to_string(run_epochs));
         }
         break;
-      case Kind::kNanGrad:
-      case Kind::kBitflipGrad:
-      case Kind::kScaleGrad:
-      case Kind::kSdcParam:
-      case Kind::kSdcMomentum:
+      case C::kStepHook:
         if (s.epoch >= run_epochs) {
-          reject("sets epoch=" + std::to_string(s.epoch) +
-                 ", but the run has " + std::to_string(run_epochs) +
-                 " epochs (0-based)");
+          fail("sets epoch=" + std::to_string(s.epoch) + ", but the run has " +
+               std::to_string(run_epochs) + " epochs (0-based)");
         }
         break;
     }
     if (s.replica >= 0 && replicas == 1) {
-      reject("sets replica=, but single-device training has no replica index");
+      fail("sets replica=, but single-device training has no replica index");
     }
     if (s.replica >= replicas) {
-      reject("targets replica " + std::to_string(s.replica) +
-             ", which does not exist (replicas=" + std::to_string(replicas) +
-             ")");
+      fail("targets replica " + std::to_string(s.replica) +
+           ", which does not exist (replicas=" + std::to_string(replicas) +
+           ")");
+    }
+    if (s.kind != Kind::kRejoinReplica) continue;
+    if (!allow_rejoin) fail("revives a dead replica, but allow_rejoin is off");
+    // The membership poll only revives a dead replica: some kill-replica or
+    // flaky-replica clause must be able to kill it at an earlier step.
+    bool killable = false;
+    for (const auto& other : clauses) {
+      const FaultSpec& k = other.first;
+      killable |= (k.kind == Kind::kKillReplica ||
+                   k.kind == Kind::kFlakyReplica) &&
+                  (k.replica < 0 || s.replica < 0 || k.replica == s.replica) &&
+                  (k.step < 0 || s.step < 0 || k.step < s.step);
+    }
+    if (!killable) {
+      fail("revives a dead replica, but no kill-replica or flaky-replica "
+           "clause kills one before it");
+    }
+  }
+}
+
+void validate_serving_faults(const std::string& text) {
+  for (const auto& [s, clause] : parse_clauses(text)) {
+    if (fault_kind(s.kind).consumer != C::kServeBatch) {
+      reject(clause, "is not a serving fault; the serving runtime never "
+                     "queries it");
     }
   }
 }
@@ -268,52 +327,48 @@ FaultInjector FaultInjector::from_string(const std::string& text,
   return FaultInjector(parse_fault_specs(text), seed);
 }
 
-bool FaultInjector::matches(const Armed& a, std::int64_t epoch,
-                            std::int64_t step, int replica) {
-  if (a.spec.count != 0 && a.fires >= a.spec.count) return false;
-  if (a.spec.epoch >= 0 && a.spec.epoch != epoch) return false;
-  if (a.spec.step >= 0 && a.spec.step != step) return false;
-  if (a.spec.replica >= 0 && a.spec.replica != replica) return false;
-  return true;
-}
-
-bool FaultInjector::matches(const Armed& a, const StepClock& clock,
-                            int replica) {
-  return a.spec.epoch >= 0
-             ? matches(a, clock.epoch, clock.epoch_step, replica)
-             : matches(a, -1, clock.step, replica);
+template <class Act>
+bool FaultInjector::fire(std::initializer_list<FaultSpec::Kind> kinds,
+                         const StepClock& clock, int replica, bool once,
+                         Act&& act) {
+  bool fired = false;
+  for (Armed& a : specs_) {
+    const FaultSpec& s = a.spec;
+    if (std::find(kinds.begin(), kinds.end(), s.kind) == kinds.end()) continue;
+    const std::int64_t step = s.epoch >= 0 ? clock.epoch_step : clock.step;
+    if ((s.count != 0 && a.fires >= s.count) ||
+        (s.epoch >= 0 && s.epoch != clock.epoch) ||
+        (s.step >= 0 && s.step != step) ||
+        (s.replica >= 0 && s.replica != replica) || !act(s)) {
+      continue;
+    }
+    ++a.fires;
+    fired = true;
+    if (once) break;
+  }
+  return fired;
 }
 
 bool FaultInjector::corrupt_gradients(graph::Network& net,
                                       const StepClock& clock, int replica) {
-  bool fired = false;
-  for (Armed& a : specs_) {
-    const auto kind = a.spec.kind;
-    if (kind != FaultSpec::Kind::kNanGrad &&
-        kind != FaultSpec::Kind::kBitflipGrad &&
-        kind != FaultSpec::Kind::kScaleGrad) {
-      continue;
-    }
-    if (!matches(a, clock, replica)) continue;
+  const auto act = [&](const FaultSpec& s) {
     std::vector<nn::Param*> params = net.params();
-    if (params.empty()) continue;
-    ++a.fires;
-    fired = true;
-    if (kind == FaultSpec::Kind::kScaleGrad) {
+    if (params.empty()) return false;
+    if (s.kind == Kind::kScaleGrad) {
       for (nn::Param* p : params) {
         float* g = p->grad.data();
         for (std::int64_t i = 0; i < p->grad.numel(); ++i) {
-          g[i] *= static_cast<float>(a.spec.scale);
+          g[i] *= static_cast<float>(s.scale);
         }
       }
-      continue;
+      return true;
     }
     nn::Param* victim =
         params[static_cast<std::size_t>(rng_.uniform_int(params.size()))];
     const std::int64_t elem = static_cast<std::int64_t>(
         rng_.uniform_int(static_cast<std::uint64_t>(victim->grad.numel())));
     float* g = victim->grad.data() + elem;
-    if (kind == FaultSpec::Kind::kNanGrad) {
+    if (s.kind == Kind::kNanGrad) {
       *g = std::numeric_limits<float>::quiet_NaN();
     } else {
       std::uint32_t bits;
@@ -321,83 +376,54 @@ bool FaultInjector::corrupt_gradients(graph::Network& net,
       bits ^= 1u << rng_.uniform_int(32);
       std::memcpy(g, &bits, sizeof(bits));
     }
-  }
-  return fired;
+    return true;
+  };
+  return fire({Kind::kNanGrad, Kind::kBitflipGrad, Kind::kScaleGrad}, clock,
+              replica, false, act);
 }
 
+// The membership kinds match on the cluster's step counter only.
 bool FaultInjector::drop_replica(int replica, std::int64_t step) {
-  for (Armed& a : specs_) {
-    if (a.spec.kind != FaultSpec::Kind::kDropReplica) continue;
-    // epoch = -1: an epoch-constrained spec never matches cluster steps.
-    if (!matches(a, -1, step, replica)) continue;
-    ++a.fires;
-    return true;
-  }
-  return false;
+  return fire({Kind::kDropReplica}, {-1, -1, step}, replica, true,
+              [](const FaultSpec&) { return true; });
 }
 
 double FaultInjector::replica_delay(int replica, std::int64_t step) {
-  for (Armed& a : specs_) {
-    if (a.spec.kind != FaultSpec::Kind::kDelayReplica) continue;
-    if (!matches(a, -1, step, replica)) continue;
-    ++a.fires;
-    return a.spec.delay_seconds;
-  }
-  return 0.0;
+  double delay = 0.0;
+  fire({Kind::kDelayReplica}, {-1, -1, step}, replica, true,
+       [&](const FaultSpec& s) {
+         delay = s.delay_seconds;
+         return true;
+       });
+  return delay;
 }
 
 bool FaultInjector::kill_replica(int replica, std::int64_t step) {
-  for (Armed& a : specs_) {
-    if (a.spec.kind != FaultSpec::Kind::kKillReplica) continue;
-    if (!matches(a, -1, step, replica)) continue;
-    ++a.fires;
-    return true;
-  }
-  return false;
+  return fire({Kind::kKillReplica}, {-1, -1, step}, replica, true,
+              [](const FaultSpec&) { return true; });
 }
 
 bool FaultInjector::flaky_replica(int replica, std::int64_t step) {
-  for (Armed& a : specs_) {
-    if (a.spec.kind != FaultSpec::Kind::kFlakyReplica) continue;
-    if (!matches(a, -1, step, replica)) continue;
-    // Draw even when the replica survives so the RNG stream depends only
-    // on the (deterministic) query sequence, not on earlier outcomes.
-    const bool dies = rng_.uniform() < a.spec.prob;
-    if (!dies) continue;
-    ++a.fires;
-    return true;
-  }
-  return false;
+  // Every matching clause draws, even when the replica survives, so the RNG
+  // stream depends only on the (deterministic) query sequence, not on
+  // earlier outcomes.
+  return fire({Kind::kFlakyReplica}, {-1, -1, step}, replica, true,
+              [&](const FaultSpec& s) { return rng_.uniform() < s.prob; });
 }
 
 bool FaultInjector::rejoin_replica(int replica, std::int64_t step) {
-  for (Armed& a : specs_) {
-    if (a.spec.kind != FaultSpec::Kind::kRejoinReplica) continue;
-    if (!matches(a, -1, step, replica)) continue;
-    ++a.fires;
-    return true;
-  }
-  return false;
+  return fire({Kind::kRejoinReplica}, {-1, -1, step}, replica, true,
+              [](const FaultSpec&) { return true; });
 }
 
 bool FaultInjector::corrupt_state(graph::Network& net, const StepClock& clock,
                                   int replica) {
-  bool fired = false;
-  for (Armed& a : specs_) {
-    const auto kind = a.spec.kind;
-    if (kind != FaultSpec::Kind::kSdcParam &&
-        kind != FaultSpec::Kind::kSdcMomentum) {
-      continue;
-    }
-    if (!matches(a, clock, replica)) continue;
+  const auto act = [&](const FaultSpec& s) {
     std::vector<nn::Param*> params = net.params();
-    if (params.empty()) continue;
-    ++a.fires;
-    fired = true;
+    if (params.empty()) return false;
     nn::Param* victim =
         params[static_cast<std::size_t>(rng_.uniform_int(params.size()))];
-    Tensor& t = kind == FaultSpec::Kind::kSdcParam ? victim->value
-                                                   : victim->momentum;
+    Tensor& t = s.kind == Kind::kSdcParam ? victim->value : victim->momentum;
     const std::int64_t elem = static_cast<std::int64_t>(
         rng_.uniform_int(static_cast<std::uint64_t>(t.numel())));
     float* x = t.data() + elem;
@@ -415,26 +441,21 @@ bool FaultInjector::corrupt_state(graph::Network& net, const StepClock& clock,
         break;
       }
     }
-  }
-  return fired;
+    return true;
+  };
+  return fire({Kind::kSdcParam, Kind::kSdcMomentum}, clock, replica, false,
+              act);
 }
 
 bool FaultInjector::corrupt_checkpoint_files(
     const std::vector<std::string>& paths, std::int64_t epoch) {
-  for (Armed& a : specs_) {
-    if (a.spec.kind != FaultSpec::Kind::kTruncateCkpt &&
-        a.spec.kind != FaultSpec::Kind::kCorruptCkpt &&
-        a.spec.kind != FaultSpec::Kind::kTornCkpt) {
-      continue;
-    }
-    if (!matches(a, epoch, -1, -1)) continue;
-    ++a.fires;
+  const auto act = [&](const FaultSpec& s) {
     for (const std::string& path : paths) {
       std::vector<std::uint8_t> bytes = read_file_bytes(path);
       if (bytes.empty()) continue;
-      if (a.spec.kind == FaultSpec::Kind::kTruncateCkpt) {
+      if (s.kind == Kind::kTruncateCkpt) {
         bytes.resize(bytes.size() / 2);
-      } else if (a.spec.kind == FaultSpec::Kind::kTornCkpt) {
+      } else if (s.kind == Kind::kTornCkpt) {
         // A write that died just before completing the 4-byte CRC-32
         // footer: cut the last 6 bytes (the footer plus the payload tail),
         // leaving a file that is almost whole but fails footer validation.
@@ -451,20 +472,16 @@ bool FaultInjector::corrupt_checkpoint_files(
                 static_cast<std::streamsize>(bytes.size()));
     }
     return true;
-  }
-  return false;
+  };
+  return fire({Kind::kTruncateCkpt, Kind::kCorruptCkpt, Kind::kTornCkpt},
+              {epoch, -1, -1}, -1, true, act);
 }
 
 bool FaultInjector::poison_network(graph::Network& net,
                                    std::int64_t generation) {
-  bool fired = false;
-  for (Armed& a : specs_) {
-    if (a.spec.kind != FaultSpec::Kind::kPoisonCkpt) continue;
-    if (!matches(a, generation, -1, -1)) continue;
+  const auto act = [&](const FaultSpec& s) {
     std::vector<nn::Param*> params = net.params();
-    if (params.empty()) continue;
-    ++a.fires;
-    fired = true;
+    if (params.empty()) return false;
     // Poison the classifier head only: the convolutional body stays
     // intact, so channel analysis, materialization, and the CRC-32 footer
     // all pass — the corruption is visible only in the logits themselves.
@@ -473,40 +490,38 @@ bool FaultInjector::poison_network(graph::Network& net,
       Tensor& t = params[p]->value;
       float* x = t.data();
       for (std::int64_t i = 0; i < t.numel(); ++i) {
-        x[i] = a.spec.scale_set
-                   ? static_cast<float>(rng_.normal() * a.spec.scale)
-                   : std::numeric_limits<float>::quiet_NaN();
+        x[i] = s.scale_set ? static_cast<float>(rng_.normal() * s.scale)
+                           : std::numeric_limits<float>::quiet_NaN();
       }
     }
-  }
-  return fired;
+    return true;
+  };
+  return fire({Kind::kPoisonCkpt}, {generation, -1, -1}, -1, false, act);
 }
 
+// The serve kinds: epoch= is the generation, step= the batch id.
 double FaultInjector::slow_model_factor(std::int64_t generation,
                                         std::int64_t batch) {
-  for (Armed& a : specs_) {
-    if (a.spec.kind != FaultSpec::Kind::kSlowModel) continue;
-    if (!matches(a, generation, batch, -1)) continue;
-    ++a.fires;
-    return a.spec.scale_set ? a.spec.scale : 8.0;
-  }
-  return 1.0;
+  double factor = 1.0;
+  fire({Kind::kSlowModel}, {generation, batch, batch}, -1, true,
+       [&](const FaultSpec& s) {
+         factor = s.scale_set ? s.scale : 8.0;
+         return true;
+       });
+  return factor;
 }
 
 bool FaultInjector::corrupt_output(Tensor& logits, std::int64_t generation,
                                    std::int64_t batch) {
-  bool fired = false;
-  for (Armed& a : specs_) {
-    if (a.spec.kind != FaultSpec::Kind::kFlakyOutput) continue;
-    if (!matches(a, generation, batch, -1)) continue;
-    if (logits.numel() <= 0) continue;
-    ++a.fires;
-    fired = true;
+  const auto act = [&](const FaultSpec&) {
+    if (logits.numel() <= 0) return false;
     const std::int64_t at = static_cast<std::int64_t>(
         rng_.uniform_int(static_cast<std::uint64_t>(logits.numel())));
     logits.data()[at] = std::numeric_limits<float>::quiet_NaN();
-  }
-  return fired;
+    return true;
+  };
+  return fire({Kind::kFlakyOutput}, {generation, batch, batch}, -1, false,
+              act);
 }
 
 std::int64_t FaultInjector::total_fires() const {

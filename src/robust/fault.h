@@ -1,69 +1,28 @@
-// Deterministic, config-driven fault injection (ISSUE 2 tentpole, part c).
+// Deterministic, config-driven fault injection.
 //
 // Every recovery path in the guardian is exercised by *injected* faults,
-// never by luck: the FaultInjector corrupts gradients (NaN / bit-flip /
-// scale), drops or delays simulated cluster replicas (dist::ElasticCluster
-// retries a dropped shard and drops it from the allreduce if it stays
-// down; a delay is modeled straggler time), and truncates or bit-flips
-// checkpoint files as they are written. Faults are described by a compact
-// spec string so tests, the quickstart (--fault-spec), and benchmarks
+// never by luck. A fault spec string describes them, so tests, the
+// quickstart and the serving runtime (--fault-spec) and the benchmarks
 // share one vocabulary:
 //
 //   "<kind>[:key=value[,key=value...]][;<kind>:...]"
 //
-//   kinds: nan-grad | bitflip-grad | scale-grad
-//          drop-replica | delay-replica
-//          kill-replica | flaky-replica | rejoin-replica
-//          truncate-ckpt | corrupt-ckpt | torn-ckpt
-//          sdc-param | sdc-momentum
-//          poison-ckpt | slow-model | flaky-output
-//   keys:  epoch=<N>    fire only at global epoch N         (-1 = any)
-//          step=<N>     fire only at step/iteration N       (-1 = any)
-//          replica=<N>  fire only for replica N             (-1 = any)
-//          count=<N>    maximum firings, 0 = unlimited      (default 1)
-//          scale=<X>    gradient multiplier for scale-grad  (default 1e4)
-//          delay=<X>    modeled straggler seconds           (default 5)
-//          prob=<X>     per-step death probability, flaky-replica (default 0.05)
+// The kinds live in one table in fault.cpp (fault_kinds()): each row holds
+// a kind's name, its consumer (the runtime hook that queries it), the keys
+// that consumer reads and its help text. Parsing, to_string(),
+// fault_spec_help() and the run-shape checks (validate_training_faults,
+// validate_serving_faults) all read that table; `--fault-spec help`
+// prints it. A clause that sets a key its kind does not read is rejected
+// at parse time.
 //
-// (`fault_spec_help()` renders the full grammar as a table; DESIGN.md §7
-// carries the same table.)
-//
-// Example: "nan-grad:epoch=3" poisons one gradient element at the first
-// iteration of epoch 3, exactly once. Determinism: matching is pure
-// arithmetic on (epoch, step, replica, firings so far); the only random
-// choices (which element, which bit, whether a flaky replica dies) come
-// from a pt::Rng seeded at construction, so equal spec + seed =>
-// bitwise-equal faults.
-//
-// The elastic-membership kinds (ISSUE 5) model *permanent* replica
-// failure, distinct from the transient drop/delay pair: kill-replica makes
-// a replica miss every heartbeat from the matching step onward,
-// flaky-replica kills it with probability `prob` per queried step, and
-// rejoin-replica revives a dead replica at the matching step (the
-// membership layer then runs the checkpointed-rejoin protocol).
-//
-// The silent-data-corruption kinds (ISSUE 7) model *quiet* failures the
-// guardian's NaN/spike checks cannot see: sdc-param / sdc-momentum flip
-// one bit of one parameter / momentum element *after* the optimizer step,
-// retrying the bit choice until the result is finite — the corruption is
-// invisible to every loud check and only the IntegrityMonitor's digest
-// vote catches it. torn-ckpt truncates checkpoint files a few bytes short
-// of the end, cutting through the CRC-32 footer: the partial write of a
-// process that died mid-save, the case the checkpoint scrubber exists for.
-//
-// The serving-resilience kinds (ISSUE 10) model checkpoint and runtime
-// failures the CRC scrub *cannot* see: poison-ckpt overwrites a network's
-// classifier head with NaN (or, with scale=, finite seeded garbage) before
-// the checkpoint is saved, so the file's CRC-32 footer is perfectly valid
-// yet every logit it produces is corrupt — only the serve::CanaryGate's
-// shadow execution catches it. slow-model inflates a generation's modeled
-// batch service ticks (a latency regression on the modeled clock, keyed
-// epoch=generation / step=batch id), and flaky-output injects a quiet NaN
-// into one logit of a served batch — the post-swap GenerationHealth breach
-// that triggers automatic rollback.
+// Determinism: matching is pure arithmetic on (epoch, step, replica,
+// firings so far); the only random choices (which element, which bit,
+// whether a flaky replica dies) come from one pt::Rng seeded at
+// construction, so equal spec + seed => bitwise-equal faults.
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -106,31 +65,69 @@ struct FaultSpec {
   bool scale_set = false;
 };
 
+/// Every key of the grammar, comma-separated; a kind reads a subset.
+inline constexpr const char* kFaultKeys =
+    "epoch,step,replica,count,scale,delay,prob";
+
+/// The runtime hook that queries a kind; each kind has exactly one.
+enum class FaultConsumer : std::uint8_t {
+  kStepHook,        ///< ElasticCluster::step: gradient and SDC corruption
+  kMembership,      ///< the cluster's heartbeat poll and shard attempts
+  kCheckpointSave,  ///< PruneTrainer::save_checkpoint's written files
+  kServeBatch,      ///< serve::ServeRuntime's batch execution
+  kPoisonHarness,   ///< poison_network, called by a harness before a save
+};
+
+/// One row of the fault-kind table.
+struct FaultKindInfo {
+  FaultSpec::Kind kind;
+  const char* name;        ///< the spec spelling
+  FaultConsumer consumer;
+  const char* keys;        ///< the keys its consumer reads, comma-separated
+  const char* help;        ///< fault_spec_help()'s semantics column
+
+  bool reads(const std::string& key) const;
+};
+
+/// Every kind, one row each, in fault_spec_help() order.
+const std::vector<FaultKindInfo>& fault_kinds();
+const FaultKindInfo& fault_kind(FaultSpec::Kind kind);
+
 std::string to_string(FaultSpec::Kind kind);
 
 /// Parses the spec grammar above. Throws std::invalid_argument with the
-/// offending token on malformed input. "" yields an empty list.
+/// offending token on malformed input, and naming the clause and the key
+/// when a clause sets a key its kind does not read. "" yields an empty
+/// list.
 std::vector<FaultSpec> parse_fault_specs(const std::string& text);
 
-/// The full spec grammar rendered as one human-readable table (every kind
-/// with its semantics and keys). Printed by `quickstart --fault-spec help`;
-/// DESIGN.md §7 carries the same table.
+/// The full spec grammar rendered from the kind table as one
+/// human-readable table (every kind with its semantics and keys). Printed
+/// by `--fault-spec help`.
 std::string fault_spec_help();
 
-/// Rejects every clause of `text` whose keys can never match in a training
-/// run of `run_epochs` epochs with `replicas` workers (checkpoints written
-/// iff `checkpointing`): replica kinds on a single device, serve kinds (no
-/// trainer consumes them), checkpoint kinds without checkpoints, epoch= on
-/// the replica kinds (matched on the cluster's step counter only), epoch=
-/// past the end of the run (a gradient or SDC epoch is 0-based, a
-/// checkpoint is matched after the epoch counter advances, so
-/// 0..run_epochs), step= or replica= on checkpoint
-/// kinds, replica= on a single device, and replica= naming a worker that
-/// does not exist. It does not check that a step key falls inside the run.
-/// Throws std::invalid_argument naming the clause. TrainConfig::validate()
-/// calls this with the configured run shape.
+/// Rejects every clause of `text` that can never fire in a training run of
+/// `run_epochs` epochs with `replicas` workers (checkpoints written iff
+/// `checkpointing`): a kind whose consumer is absent from the run (membership
+/// kinds on a single device, serve and poison-harness kinds, checkpoint
+/// kinds without checkpoints), an epoch= past the end of the run (a
+/// gradient or SDC epoch is 0-based, a checkpoint is matched after the
+/// epoch counter advances, so 0..run_epochs), replica= on a single device
+/// or naming a worker that does not exist, and a rejoin-replica clause
+/// when `allow_rejoin` is false or when no kill-replica / flaky-replica
+/// clause can kill its replica at an earlier step. It does not check that
+/// a step key falls inside the run. Throws std::invalid_argument naming
+/// the clause. TrainConfig::validate() calls this with the configured run
+/// shape.
 void validate_training_faults(const std::string& text, int replicas,
-                              bool checkpointing, std::int64_t run_epochs);
+                              bool checkpointing, std::int64_t run_epochs,
+                              bool allow_rejoin = true);
+
+/// Rejects every clause of `text` that the serving runtime never queries:
+/// only the kServeBatch kinds have a consumer there. Throws
+/// std::invalid_argument naming the clause. ServeConfig::validate() calls
+/// this.
+void validate_serving_faults(const std::string& text);
 
 /// A training step's place on the two clocks a gradient or SDC clause can
 /// name. A clause that sets epoch= matches (epoch, epoch_step): step S of
@@ -234,12 +231,16 @@ class FaultInjector {
     std::int64_t fires = 0;
   };
 
-  /// True when `a` still has budget and matches the coordinates; -1 spec
-  /// fields are wildcards.
-  static bool matches(const Armed& a, std::int64_t epoch, std::int64_t step,
-                      int replica);
-  /// matches() on the clock the clause names (see StepClock).
-  static bool matches(const Armed& a, const StepClock& clock, int replica);
+  /// The match-and-consume loop every query shares: calls `act(spec)` for
+  /// each clause of a kind in `kinds` that still has budget and matches
+  /// (`clock`, `replica`) (-1 spec fields are wildcards; a clause that sets
+  /// epoch= matches (clock.epoch, clock.epoch_step), any other clause
+  /// matches clock.step). A clause whose `act` returns true consumes one
+  /// firing; with `once`, the first such clause ends the loop. Returns true
+  /// if any clause fired.
+  template <class Act>
+  bool fire(std::initializer_list<FaultSpec::Kind> kinds,
+            const StepClock& clock, int replica, bool once, Act&& act);
 
   std::vector<Armed> specs_;
   Rng rng_{0x0fa1u};

@@ -137,7 +137,6 @@ RecoveryPolicy::Decision RecoveryPolicy::on_fatal(const HealthEvent& event) {
   d.backoff_seconds = std::min(
       std::pow(cfg_.backoff_base, static_cast<double>(rollbacks_ - 1)),
       cfg_.backoff_cap);
-  d.skip_reconfig = cfg_.skip_offending_reconfig;
   if (telemetry::enabled()) {
     telemetry::count("recovery/rollbacks");
     telemetry::event("recovery/rollback",

@@ -30,11 +30,6 @@ struct RecoveryConfig {
   float lr_cut = 0.5f;             ///< LR multiplier applied per rollback
   double backoff_base = 2.0;       ///< exponential backoff base (>= 1)
   double backoff_cap = 60.0;       ///< modeled wait ceiling, seconds
-  /// Suppress the periodic reconfigurations replayed between the rollback
-  /// point and the fault epoch, in case the prune itself destabilized the
-  /// run. Off by default: with a deterministic retry the usual cause is a
-  /// transient (injected) fault, and skipping changes the sparsity schedule.
-  bool skip_offending_reconfig = false;
 
   /// Throws std::invalid_argument naming the offending field.
   void validate() const;
@@ -101,7 +96,6 @@ class RecoveryPolicy {
     /// Modeled wait before the retry: min(base^(attempt-1), cap) seconds.
     double backoff_seconds = 0;
     std::int64_t attempt = 0;  ///< 1-based rollback count, this one included
-    bool skip_reconfig = false;
     /// Filled in by the trainer once the rollback target is resolved: the
     /// checkpoint actually restored, its generation number, and how many
     /// newer (corrupt) generations the search cascaded past.

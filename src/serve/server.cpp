@@ -45,6 +45,12 @@ void ServeConfig::validate() const {
   canary.validate();
   health.validate();
   breaker.validate();
+  try {
+    robust::validate_serving_faults(fault_spec);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(std::string("ServeConfig: fault_spec: ") +
+                                e.what());
+  }
 }
 
 ServeRuntime::ServeRuntime(ServeConfig cfg, exec::ExecContext& ctx)

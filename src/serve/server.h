@@ -67,9 +67,9 @@ struct ServeConfig {
   CanaryConfig canary;            ///< pre-publish gate on the poll() path
   GenerationHealthConfig health;  ///< post-swap guard + rollback policy
   BreakerConfig breaker;          ///< per-model circuit breaker
-  /// Serve-side fault injection (robust::FaultInjector grammar): the
-  /// slow-model and flaky-output kinds fire inside the runtime, keyed on
-  /// (generation, batch id). Parsed at construction; "" disarms.
+  /// Serve-side fault injection (robust::FaultInjector grammar): only the
+  /// serve-batch kinds fire inside the runtime, keyed on (generation,
+  /// batch id); validate() rejects any other clause. "" disarms.
   std::string fault_spec;
   std::uint64_t fault_seed = 0x5e12;
 

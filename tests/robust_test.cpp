@@ -8,10 +8,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -202,18 +204,57 @@ TEST(FaultSpec, KillAndFlakyQueriesAreDeterministic) {
   EXPECT_TRUE(rejoin.rejoin_replica(1, 9));
 }
 
+std::vector<std::string> fault_keys() {
+  std::vector<std::string> keys;
+  std::stringstream in(robust::kFaultKeys);
+  for (std::string key; std::getline(in, key, ',');) keys.push_back(key);
+  return keys;
+}
+
 TEST(FaultSpec, HelpTextDocumentsEveryKindAndKey) {
   const std::string help = robust::fault_spec_help();
-  for (const char* kind :
-       {"nan-grad", "bitflip-grad", "scale-grad", "drop-replica",
-        "delay-replica", "kill-replica", "flaky-replica", "rejoin-replica",
-        "truncate-ckpt", "corrupt-ckpt", "sdc-param", "sdc-momentum",
-        "torn-ckpt"}) {
-    EXPECT_NE(help.find(kind), std::string::npos) << kind;
+  EXPECT_EQ(robust::fault_kinds().size(),
+            static_cast<std::size_t>(robust::FaultSpec::Kind::kFlakyOutput) + 1);
+  for (const robust::FaultKindInfo& row : robust::fault_kinds()) {
+    EXPECT_EQ(robust::to_string(row.kind), row.name);
+    EXPECT_EQ(&robust::fault_kind(row.kind), &row);
+    // The kind's table line: its name, its semantics, then its keys.
+    const std::string help_text = row.help;
+    const std::size_t at = help.find("\n  " + std::string(row.name) + " ");
+    ASSERT_NE(at, std::string::npos) << row.name;
+    const std::size_t end = help.find('\n', at + 1);
+    const std::string line = help.substr(at + 1, end - at - 1);
+    EXPECT_NE(line.find(help_text.substr(0, help_text.find('\n'))),
+              std::string::npos)
+        << line;
+    EXPECT_TRUE(line.ends_with(std::string("  ") + row.keys)) << line;
   }
-  for (const char* key : {"epoch", "step", "replica", "count", "scale",
-                          "delay", "prob"}) {
-    EXPECT_NE(help.find(key), std::string::npos) << key;
+  for (const std::string& key : fault_keys()) {
+    EXPECT_NE(help.find("    " + key + "=<"), std::string::npos) << key;
+  }
+}
+
+TEST(FaultSpec, EveryKindRejectsKeysItDoesNotRead) {
+  // A key the kind's consumer never reads would be parsed and silently
+  // dropped; the parser names the clause and the key instead. Every key
+  // the kind does read parses.
+  for (const robust::FaultKindInfo& row : robust::fault_kinds()) {
+    for (const std::string& key : fault_keys()) {
+      const std::string clause = std::string(row.name) + ":" + key + "=1";
+      SCOPED_TRACE(clause);
+      if (row.reads(key)) {
+        EXPECT_NO_THROW(robust::parse_fault_specs(clause));
+        continue;
+      }
+      try {
+        robust::parse_fault_specs("nan-grad:step=2;" + clause);
+        ADD_FAILURE() << "accepted a key the kind does not read";
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("'" + clause + "'"), std::string::npos) << what;
+        EXPECT_NE(what.find(" " + key + "="), std::string::npos) << what;
+      }
+    }
   }
 }
 
@@ -576,6 +617,7 @@ TEST(TrainConfigFaults, EveryKindIsRejectedOrFires) {
     bool single;       // has a consumer at replicas=1
     bool cluster;      // has a consumer at replicas=2
     bool checkpoints;  // needs checkpoint_dir
+    bool allow_rejoin = true;
   };
   const std::vector<Row> rows = {
       {"nan-grad:step=1", true, true, false},
@@ -590,6 +632,15 @@ TEST(TrainConfigFaults, EveryKindIsRejectedOrFires) {
       {"flaky-replica:replica=1,prob=1", false, true, false},
       {"kill-replica:replica=1,step=1;rejoin-replica:replica=1,step=3", false,
        true, false},
+      // A rejoin needs rejoins allowed and a replica some clause can kill
+      // before it.
+      {"rejoin-replica:replica=1,step=3;kill-replica:replica=1,step=1", false,
+       false, false, /*allow_rejoin=*/false},
+      {"rejoin-replica:replica=1,step=3", false, false, false},
+      {"rejoin-replica:replica=1,step=3;kill-replica:replica=1,step=3", false,
+       false, false},
+      {"rejoin-replica:step=3;kill-replica:replica=1,step=1", false, true,
+       false},
       {"truncate-ckpt", true, true, true},
       {"corrupt-ckpt", true, true, true},
       {"torn-ckpt", true, true, true},
@@ -612,15 +663,22 @@ TEST(TrainConfigFaults, EveryKindIsRejectedOrFires) {
       {"slow-model", false, false, false},
       {"flaky-output", false, false, false},
   };
-  std::vector<bool> covered(
-      static_cast<std::size_t>(robust::FaultSpec::Kind::kFlakyOutput) + 1);
+  // Some rows are rejected by the parser itself, so their kinds are read
+  // off the clause text.
+  const auto& kinds = robust::fault_kinds();
+  std::vector<bool> covered(kinds.size());
   for (const Row& row : rows) {
-    for (const auto& spec : robust::parse_fault_specs(row.spec)) {
-      covered[static_cast<std::size_t>(spec.kind)] = true;
+    const std::string text = ";" + row.spec + ";";
+    for (std::size_t k = 0; k < kinds.size(); ++k) {
+      const std::string clause = std::string(";") + kinds[k].name;
+      if (text.find(clause + ":") != std::string::npos ||
+          text.find(clause + ";") != std::string::npos) {
+        covered[k] = true;
+      }
     }
   }
   for (std::size_t k = 0; k < covered.size(); ++k) {
-    EXPECT_TRUE(covered[k]) << "kind " << k << " missing from the table";
+    EXPECT_TRUE(covered[k]) << kinds[k].name << " missing from the rows";
   }
 
   data::SyntheticSpec spec = pruning_data();
@@ -629,7 +687,7 @@ TEST(TrainConfigFaults, EveryKindIsRejectedOrFires) {
   auto data = data::SyntheticImageDataset(spec);
   for (const Row& row : rows) {
     const std::int64_t clauses =
-        static_cast<std::int64_t>(robust::parse_fault_specs(row.spec).size());
+        1 + std::count(row.spec.begin(), row.spec.end(), ';');
     const std::string first_clause = row.spec.substr(0, row.spec.find(';'));
     for (const std::int64_t replicas : {1, 2}) {
       for (const bool checkpoints : {false, true}) {
@@ -644,6 +702,7 @@ TEST(TrainConfigFaults, EveryKindIsRejectedOrFires) {
         cfg.replicas = replicas;
         cfg.suspect_threshold = 1;
         cfg.fault_spec = row.spec;
+        cfg.allow_rejoin = row.allow_rejoin;
         // A fresh directory per run, so no run sees another's checkpoints.
         if (checkpoints) {
           cfg.checkpoint_dir = scratch_dir("every_kind").string();

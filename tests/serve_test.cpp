@@ -590,6 +590,28 @@ TEST(ServeRuntime, ConfigValidationFailsFast) {
   EXPECT_THROW(rt.run({}), std::logic_error);  // one-shot
 }
 
+TEST(ServeRuntime, ConfigRejectsFaultKindsTheRuntimeNeverQueries) {
+  // Only the serve-batch kinds have a consumer in the runtime; any other
+  // clause would arm and never fire.
+  for (const std::string clause :
+       {"nan-grad", "kill-replica:replica=1", "poison-ckpt:epoch=2"}) {
+    SCOPED_TRACE(clause);
+    serve::ServeConfig cfg;
+    cfg.fault_spec = "slow-model:epoch=2;" + clause;
+    try {
+      cfg.validate();
+      ADD_FAILURE() << "accepted a clause the runtime never queries";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + clause + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  serve::ServeConfig cfg;
+  cfg.fault_spec = "slow-model:epoch=2,scale=4;flaky-output:step=3";
+  EXPECT_NO_THROW(cfg.validate());
+}
+
 // --- Serving resilience (ISSUE 10) ---------------------------------------
 
 std::shared_ptr<serve::ModelVersion> bare_version(graph::Network net,
