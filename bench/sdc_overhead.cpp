@@ -130,8 +130,7 @@ int main(int argc, char** argv) {
   pt::dist::ElasticCluster victim(build_replicas(replicas), spec_for(replicas));
   victim.set_fault_injector(pt::robust::FaultInjector::from_string(
       "sdc-param:replica=1,step=" + std::to_string(inject_step), 11));
-  pt::robust::IntegrityMonitor monitor(
-      pt::robust::IntegrityConfig{check_interval});
+  pt::robust::IntegrityMonitor monitor(check_interval);
   pt::optim::SGD opt_a(0.05f, 0.9f);
   pt::optim::SGD opt_b(0.05f, 0.9f);
   std::int64_t detect_step = -1;
@@ -164,7 +163,7 @@ int main(int argc, char** argv) {
   // measured is the digest pass itself).
   auto time_with_interval = [&](std::int64_t interval) {
     pt::dist::ElasticCluster c(build_replicas(replicas), spec_for(replicas));
-    pt::robust::IntegrityMonitor mon(pt::robust::IntegrityConfig{interval});
+    pt::robust::IntegrityMonitor mon(interval);
     pt::optim::SGD opt(0.05f, 0.9f);
     for (int i = 0; i < 2; ++i) c.step(ctx, make_batch(batch, 7), opt);
     const auto t0 = std::chrono::steady_clock::now();

@@ -208,15 +208,15 @@ int main(int argc, char** argv) {
   cfg.eval_interval = 4;
   cfg.checkpoint_dir = flags.get("checkpoint-dir");
   cfg.resume_from = flags.get("resume");
-  cfg.max_rollbacks = flags.get_int("max-rollbacks");
+  cfg.recovery.max_rollbacks = flags.get_int("max-rollbacks");
   cfg.fault_spec = flags.get("fault-spec");
   cfg.num_threads = flags.get_int("threads");
   cfg.replicas = flags.get_int("replicas");
-  cfg.min_live_fraction = flags.get_double("min-live-fraction");
-  cfg.suspect_threshold = flags.get_int("suspect-threshold");
+  cfg.membership.min_live_fraction = flags.get_double("min-live-fraction");
+  cfg.membership.suspect_threshold = flags.get_int("suspect-threshold");
   cfg.sdc_check_interval = flags.get_int("sdc-check-interval");
   cfg.keep_checkpoints = flags.get_int("keep-checkpoints");
-  cfg.allow_rejoin = !flags.get_bool("no-rejoin");
+  cfg.membership.allow_rejoin = !flags.get_bool("no-rejoin");
   if (flags.get_bool("no-telemetry")) {
     pt::telemetry::set_enabled(false);
   } else {

@@ -16,7 +16,6 @@
 #include "dist/allreduce.h"
 #include "dist/codec.h"
 #include "models/builders.h"
-#include "nn/conv2d.h"
 #include "nn/loss.h"
 #include "optim/lr_schedule.h"
 #include "optim/sgd.h"
@@ -37,6 +36,10 @@ struct PhaseSpec {
 };
 
 namespace {
+
+// The fault injector's seed: a fault spec alone fixes every random choice
+// its faults make (which bit flips, which flaky step dies).
+constexpr std::uint64_t kFaultSeed = 0x5eedf0a1ULL;
 
 // Trainer-section (de)serialization. The section rides inside the
 // checkpoint as an opaque named blob, so src/ckpt never needs to know
@@ -153,10 +156,11 @@ telemetry::Json config_json(const TrainConfig& cfg) {
   j["eval_interval"] = telemetry::Json(cfg.eval_interval);
   j["num_threads"] = telemetry::Json(cfg.num_threads);
   j["prune_min_channels"] = telemetry::Json(cfg.prune_min_channels);
-  j["max_rollbacks"] = telemetry::Json(cfg.max_rollbacks);
+  j["max_rollbacks"] = telemetry::Json(cfg.recovery.max_rollbacks);
   j["fault_spec"] = telemetry::Json(cfg.fault_spec);
   j["replicas"] = telemetry::Json(cfg.replicas);
-  j["min_live_fraction"] = telemetry::Json(cfg.min_live_fraction);
+  j["min_live_fraction"] =
+      telemetry::Json(cfg.membership.min_live_fraction);
   j["sdc_check_interval"] = telemetry::Json(cfg.sdc_check_interval);
   j["keep_checkpoints"] = telemetry::Json(cfg.keep_checkpoints);
   return j;
@@ -260,26 +264,14 @@ void TrainConfig::validate() const {
   if (num_threads < 0) {
     fail("num_threads must be >= 0 (got " + std::to_string(num_threads) + ")");
   }
+  // The embedded configs range-check their own fields; only the rules
+  // that span them stay here.
   health.validate();
-  if (max_rollbacks < 0) {
-    fail("max_rollbacks must be >= 0 (got " + std::to_string(max_rollbacks) +
-         ")");
-  }
-  if (max_rollbacks > 0 && checkpoint_dir.empty()) {
-    fail("max_rollbacks > 0 requires checkpoint_dir (rollback needs a "
-         "checkpoint to roll back to)");
-  }
-  if (!(rollback_lr_cut > 0.f) || rollback_lr_cut > 1.f) {
-    fail("rollback_lr_cut must lie in (0, 1] (got " +
-         std::to_string(rollback_lr_cut) + ")");
-  }
-  if (!(rollback_backoff >= 1.0)) {
-    fail("rollback_backoff must be >= 1 (got " +
-         std::to_string(rollback_backoff) + ")");
-  }
-  if (!(rollback_backoff_cap >= 0.0)) {
-    fail("rollback_backoff_cap must be >= 0 (got " +
-         std::to_string(rollback_backoff_cap) + ")");
+  recovery.validate();
+  membership.validate();
+  if (recovery.max_rollbacks > 0 && checkpoint_dir.empty()) {
+    fail("recovery.max_rollbacks > 0 requires checkpoint_dir (rollback needs "
+         "a checkpoint to roll back to)");
   }
   if (prune_min_channels < 1) {
     fail("prune_min_channels must be >= 1 (got " +
@@ -292,9 +284,9 @@ void TrainConfig::validate() const {
     for (const RunStep& step : schedule(*this)) {
       if (step.kind == RunStep::Kind::kPhase) run_epochs += step.phase.epochs;
     }
-    robust::validate_training_faults(fault_spec, static_cast<int>(replicas),
-                                     !checkpoint_dir.empty(), run_epochs,
-                                     allow_rejoin);
+    robust::validate_training_faults(
+        fault_spec, static_cast<int>(replicas), !checkpoint_dir.empty(),
+        run_epochs, membership.suspect_threshold, membership.allow_rejoin);
   } catch (const std::invalid_argument& e) {
     fail(std::string("fault_spec: ") + e.what());
   }
@@ -344,15 +336,6 @@ void TrainConfig::validate() const {
          "\" requires replicas > 1 (gradient compression only applies to "
          "the simulated allreduce)");
   }
-  // Every run trains on a cluster, so its membership knobs always apply.
-  if (!(min_live_fraction > 0.0 && min_live_fraction <= 1.0)) {
-    fail("min_live_fraction must lie in (0, 1] (got " +
-         std::to_string(min_live_fraction) + ")");
-  }
-  if (suspect_threshold < 1) {
-    fail("suspect_threshold must be >= 1 (got " +
-         std::to_string(suspect_threshold) + ")");
-  }
 }
 
 PruneTrainer::PruneTrainer(graph::Network& net,
@@ -379,8 +362,8 @@ PruneTrainer::PruneTrainer(graph::Network& net,
     health_ = std::make_unique<robust::HealthMonitor>(cfg_.health);
   }
   if (cfg_.sdc_check_interval > 0) {
-    integrity_ = std::make_unique<robust::IntegrityMonitor>(
-        robust::IntegrityConfig{cfg_.sdc_check_interval});
+    integrity_ =
+        std::make_unique<robust::IntegrityMonitor>(cfg_.sdc_check_interval);
   }
   if (!cfg_.checkpoint_dir.empty()) {
     scrubber_ =
@@ -407,18 +390,14 @@ PruneTrainer::PruneTrainer(graph::Network& net,
     monitor_ = std::make_unique<prune::SparsityMonitor>(net);
   }
   rebuild_cluster(
-      robust::FaultInjector::from_string(cfg_.fault_spec, cfg_.fault_seed));
+      robust::FaultInjector::from_string(cfg_.fault_spec, kFaultSeed));
 }
 
 void PruneTrainer::rebuild_cluster(robust::FaultInjector injector) {
   cost::CommSpec comm = cfg_.comm;
   comm.gpus = static_cast<int>(cfg_.replicas);
-  dist::MembershipConfig membership;
-  membership.suspect_threshold = static_cast<int>(cfg_.suspect_threshold);
-  membership.min_live_fraction = cfg_.min_live_fraction;
-  membership.allow_rejoin = cfg_.allow_rejoin;
   cluster_ = std::make_unique<dist::ElasticCluster>(
-      *net_, static_cast<int>(cfg_.replicas), comm, membership);
+      *net_, static_cast<int>(cfg_.replicas), comm, cfg_.membership);
   // Share (not copy) the trainer-owned codec: set_codec re-binds it to the
   // rebuilt replica topology, and shape-compatible residual state — loaded
   // from a checkpoint or carried across a rollback — survives the bind.
@@ -499,11 +478,6 @@ float PruneTrainer::calibrate_lambda(TrainResult& result) {
   net_->clear_context();
   result.lambda =
       strategy_->calibrate(class_loss, strategy_->regularization_loss(*net_));
-  if (cfg_.verbose) {
-    std::ostringstream os;
-    os << to_string(cfg_.policy) << ": calibrated lambda=" << result.lambda;
-    log_info(os.str());
-  }
   return result.lambda;
 }
 
@@ -585,7 +559,9 @@ void PruneTrainer::train_epoch(EpochStats& stats, float lambda, float lr,
     robust::HealthEvent ev = e.to_health_event(epoch_counter_);
     report_.events.push_back(ev);
     log_error("guardian: " + ev.describe());
-    if (cfg_.max_rollbacks > 0) throw robust::FatalHealthError(std::move(ev));
+    if (cfg_.recovery.max_rollbacks > 0) {
+      throw robust::FatalHealthError(std::move(ev));
+    }
     throw;
   }
   stats.train_loss = loss_sum / static_cast<double>(samples);
@@ -644,7 +620,7 @@ void PruneTrainer::run_integrity_check() {
 void PruneTrainer::run_phase(TrainResult& result, const PhaseSpec& spec,
                              std::int64_t phase, std::int64_t start,
                              float& lambda) {
-  optim::MultiStepLR schedule(cfg_.lr_milestones, cfg_.lr_gamma);
+  optim::MultiStepLR schedule(cfg_.lr_milestones);
   DynamicBatchAdjuster adjuster(cfg_.dynamic_batch);
 
   for (std::int64_t e = start; e < spec.epochs; ++e) {
@@ -707,7 +683,7 @@ void PruneTrainer::run_phase(TrainResult& result, const PhaseSpec& spec,
         }
         const robust::HealthEvent* fatal =
             robust::HealthMonitor::first_fatal(events);
-        if (fatal != nullptr && cfg_.max_rollbacks > 0) {
+        if (fatal != nullptr && cfg_.recovery.max_rollbacks > 0) {
           throw robust::FatalHealthError(*fatal);
         }
       }
@@ -744,12 +720,6 @@ void PruneTrainer::run_phase(TrainResult& result, const PhaseSpec& spec,
         if (rstats.changed) {
           const auto adj = adjuster.propose(*net_, input_shape_, batch_size_);
           if (adj.changed) {
-            if (cfg_.verbose) {
-              std::ostringstream os;
-              os << "epoch " << epoch_counter_ << ": batch " << batch_size_
-                 << " -> " << adj.new_batch << " (lr x" << adj.lr_scale << ")";
-              log_info(os.str());
-            }
             batch_size_ = adj.new_batch;
             lr_scale_ *= adj.lr_scale;
           }
@@ -786,11 +756,7 @@ void PruneTrainer::run_phase(TrainResult& result, const PhaseSpec& spec,
       stats.gpu_time_modeled =
           device.training_time(*net_, input_shape_, batch_size_) *
           static_cast<double>(iters);
-      std::int64_t channels = 0;
-      for (int id : net_->nodes_of_type<nn::Conv2d>()) {
-        channels += net_->layer_as<nn::Conv2d>(id).out_channels();
-      }
-      stats.channels_alive = channels;
+      stats.channels_alive = models::count_channels(*net_);
       stats.conv_layers = models::count_conv_layers(*net_);
       if (cfg_.eval_interval <= 1 || e == spec.epochs - 1 ||
           epoch_counter_ % cfg_.eval_interval == 0) {
@@ -804,14 +770,6 @@ void PruneTrainer::run_phase(TrainResult& result, const PhaseSpec& spec,
       result.total_comm_bytes += stats.comm_bytes_per_gpu;
       result.total_gpu_time_modeled += stats.gpu_time_modeled;
       result.total_wall_seconds += stats.wall_seconds;
-
-      if (cfg_.verbose) {
-        std::ostringstream os;
-        os << to_string(cfg_.policy) << " epoch " << epoch_counter_ << ": loss "
-           << stats.train_loss << " acc " << stats.train_acc << " test "
-           << stats.test_acc << " ch " << stats.channels_alive;
-        log_info(os.str());
-      }
       result.epochs.push_back(stats);
     }
     ++epoch_counter_;
@@ -1036,14 +994,9 @@ const robust::RecoveryReport& PruneTrainer::recovery_report() const {
 TrainResult PruneTrainer::run() {
   telemetry::ScopedTimer run_span("train");
   try {
-    if (cfg_.max_rollbacks <= 0) return run_attempt();
+    if (cfg_.recovery.max_rollbacks <= 0) return run_attempt();
 
-    robust::RecoveryConfig rc;
-    rc.max_rollbacks = cfg_.max_rollbacks;
-    rc.lr_cut = cfg_.rollback_lr_cut;
-    rc.backoff_base = cfg_.rollback_backoff;
-    rc.backoff_cap = cfg_.rollback_backoff_cap;
-    robust::RecoveryPolicy policy(rc);
+    robust::RecoveryPolicy policy(cfg_.recovery);
 
     for (;;) {
       try {
@@ -1056,7 +1009,7 @@ TrainResult PruneTrainer::run() {
           report_.aborted = true;
           save_diagnostic_checkpoint();
           log_error("guardian: rollback budget (" +
-                    std::to_string(cfg_.max_rollbacks) +
+                    std::to_string(cfg_.recovery.max_rollbacks) +
                     ") exhausted; aborting with diagnostic checkpoint");
           throw robust::TrainingAborted(
               "training aborted after " + std::to_string(policy.rollbacks()) +
@@ -1160,7 +1113,7 @@ void PruneTrainer::save_diagnostic_checkpoint() {
 
 void PruneTrainer::ensure_initial_checkpoint(const TrainResult& result,
                                              float lambda) {
-  if (cfg_.max_rollbacks <= 0 || initial_ckpt_saved_) return;
+  if (cfg_.recovery.max_rollbacks <= 0 || initial_ckpt_saved_) return;
   save_checkpoint(result, resume_ ? resume_->phase : 0,
                   resume_ ? resume_->epochs_done : 0, lambda);
   initial_ckpt_saved_ = true;
@@ -1201,7 +1154,7 @@ TrainResult PruneTrainer::run_attempt() {
         // A checkpoint taken during fine-tuning already carries the decay
         // in its lr scale.
         if (!held) {
-          optim::MultiStepLR lr(cfg_.lr_milestones, cfg_.lr_gamma);
+          optim::MultiStepLR lr(cfg_.lr_milestones);
           lr_scale_ *= static_cast<float>(lr.multiplier_at(cfg_.epochs));
         }
         lambda = 0.f;
@@ -1212,11 +1165,7 @@ TrainResult PruneTrainer::run_attempt() {
   cost::FlopsModel flops(*net_, input_shape_);
   result.final_inference_flops = flops.inference_flops();
   result.final_test_acc = evaluate();
-  std::int64_t channels = 0;
-  for (int id : net_->nodes_of_type<nn::Conv2d>()) {
-    channels += net_->layer_as<nn::Conv2d>(id).out_channels();
-  }
-  result.final_channels = channels;
+  result.final_channels = models::count_channels(*net_);
   return result;
 }
 

@@ -60,8 +60,8 @@ struct TrainConfig {
   float base_lr = 0.1f;
   float momentum = 0.9f;
   float weight_decay = 1e-4f;
-  std::vector<std::int64_t> lr_milestones = {};  ///< fractions handled by caller
-  double lr_gamma = 0.1;
+  /// Epochs at which the LR drops by 10x (the paper's step schedule).
+  std::vector<std::int64_t> lr_milestones = {};
 
   PrunePolicy policy = PrunePolicy::kPruneTrain;
 
@@ -118,7 +118,6 @@ struct TrainConfig {
   /// Evaluate test accuracy every k epochs (the final epoch is always
   /// evaluated); other epochs report the last measured value.
   std::int64_t eval_interval = 1;
-  bool verbose = false;
 
   /// Directory for crash-safe checkpoints. Empty (the default) disables
   /// checkpointing. When set, the trainer writes `ckpt-epoch-<N>.bin` plus
@@ -140,30 +139,26 @@ struct TrainConfig {
   /// divergence, non-finite gradients/params/BN statistics, and
   /// pruning-collapse warnings before each reconfiguration. Events are
   /// logged and recorded; they only interrupt the run when rollback
-  /// recovery is enabled (max_rollbacks > 0).
+  /// recovery is enabled (recovery.max_rollbacks > 0).
   bool health_checks = true;
   robust::HealthConfig health;  ///< monitor thresholds
 
-  /// > 0 enables rollback recovery: a fatal health event rolls the run
-  /// back to the last good checkpoint (requires checkpoint_dir), cuts the
-  /// LR by rollback_lr_cut per attempt, waits a modeled capped-exponential
-  /// backoff, and retries — at most this many times, after which run()
-  /// writes a diagnostic checkpoint (ckpt-diagnostic.bin) and throws
-  /// robust::TrainingAborted.
-  std::int64_t max_rollbacks = 0;
-  float rollback_lr_cut = 0.5f;      ///< recovery LR multiplier per rollback
-  double rollback_backoff = 2.0;     ///< backoff base: min(base^(k-1), cap) s
-  double rollback_backoff_cap = 60.0;
+  /// Rollback recovery. recovery.max_rollbacks > 0 enables it: a fatal
+  /// health event rolls the run back to the last good checkpoint (requires
+  /// checkpoint_dir), cuts the LR by recovery.lr_cut per attempt, waits a
+  /// modeled capped-exponential backoff, and retries — at most that many
+  /// times, after which run() writes a diagnostic checkpoint
+  /// (ckpt-diagnostic.bin) and throws robust::TrainingAborted.
+  robust::RecoveryConfig recovery;
 
   /// Reconfiguration survival floor: no channel variable is ever sliced
   /// below this many channels (pruning-collapse guard; 1 = historical).
   std::int64_t prune_min_channels = 1;
 
   /// Fault-injection spec (robust::parse_fault_specs grammar), "" = none.
-  /// Deterministic given the spec and fault_seed; used to exercise every
-  /// recovery path in tests and demos.
+  /// Deterministic given the spec (the injector's seed is a constant);
+  /// used to exercise every recovery path in tests and demos.
   std::string fault_spec;
-  std::uint64_t fault_seed = 0x5eedf0a1ULL;
 
   // --- Silent-data-corruption defense (src/robust/integrity) ---
 
@@ -197,16 +192,13 @@ struct TrainConfig {
   /// single-device training: a one-replica cluster whose only replica is
   /// the trained network itself.
   std::int64_t replicas = 1;
-  /// Quorum: a step needs >= ceil(min_live_fraction * replicas) live
-  /// members, else the run checkpoints-and-aborts via the guardian
-  /// (robust::TrainingAborted carrying a kQuorumLoss event).
-  double min_live_fraction = 0.5;
-  /// Consecutive missed step-acks before a replica is declared DEAD
-  /// (detection bookkeeping; participation stops at the first miss).
-  std::int64_t suspect_threshold = 3;
-  /// Allow DEAD replicas to rejoin; validate() rejects a rejoin-replica
-  /// fault when this is off.
-  bool allow_rejoin = true;
+  /// The cluster's membership knobs: the quorum (a step below
+  /// ceil(membership.min_live_fraction * replicas) live members
+  /// checkpoints-and-aborts via the guardian, robust::TrainingAborted
+  /// carrying a kQuorumLoss event), the missed acks before a replica is
+  /// DEAD, and whether DEAD replicas may rejoin (validate() rejects a
+  /// rejoin-replica fault that cannot fire under these).
+  dist::MembershipConfig membership;
 
   // --- Telemetry (src/telemetry) ---
 
@@ -268,8 +260,8 @@ class PruneTrainer {
   PruneTrainer(graph::Network& net, const data::SyntheticImageDataset& dataset,
                TrainConfig cfg);
 
-  /// Runs the configured schedule. With max_rollbacks > 0 this is a retry
-  /// loop: a fatal health event rolls the run back to the last good
+  /// Runs the configured schedule. With recovery.max_rollbacks > 0 this is
+  /// a retry loop: a fatal health event rolls the run back to the last good
   /// checkpoint and re-enters the schedule (see TrainConfig); when the
   /// budget is exhausted a diagnostic checkpoint is written and
   /// robust::TrainingAborted is thrown.

@@ -7,6 +7,14 @@
 
 namespace pt::dist {
 
+namespace {
+
+// Smoothing of the per-replica step-time EWMA (1 would keep only the
+// latest sample).
+constexpr double kEwmaAlpha = 0.2;
+
+}  // namespace
+
 std::string to_string(ReplicaState state) {
   switch (state) {
     case ReplicaState::kHealthy: return "healthy";
@@ -28,10 +36,6 @@ void MembershipConfig::validate() const {
   if (!(min_live_fraction > 0.0 && min_live_fraction <= 1.0)) {
     fail("min_live_fraction must lie in (0, 1] (got " +
          std::to_string(min_live_fraction) + ")");
-  }
-  if (!(ewma_alpha > 0.0 && ewma_alpha <= 1.0)) {
-    fail("ewma_alpha must lie in (0, 1] (got " + std::to_string(ewma_alpha) +
-         ")");
   }
 }
 
@@ -157,8 +161,7 @@ void MembershipTable::record_step_time(int replica, double seconds) {
   m.ewma_step_seconds =
       m.ewma_step_seconds == 0
           ? seconds
-          : cfg_.ewma_alpha * seconds +
-                (1.0 - cfg_.ewma_alpha) * m.ewma_step_seconds;
+          : kEwmaAlpha * seconds + (1.0 - kEwmaAlpha) * m.ewma_step_seconds;
 }
 
 double MembershipTable::max_ewma(const std::vector<int>& replicas) const {

@@ -46,14 +46,12 @@ struct MembershipConfig {
   /// Consecutive missed step-acks before a SUSPECT member is declared
   /// DEAD. Detection bookkeeping only — participation stops at the first
   /// missed ack regardless (see the determinism contract above).
-  int suspect_threshold = 3;
+  std::int64_t suspect_threshold = 3;
   /// Quorum: a step needs >= ceil(min_live_fraction * size) participants,
   /// else ElasticCluster raises ClusterDegraded into the guardian.
   double min_live_fraction = 0.5;
   /// When false, DEAD is terminal: rejoin faults and schedules are ignored.
   bool allow_rejoin = true;
-  /// Smoothing for the per-replica step-time EWMA (1 = latest sample only).
-  double ewma_alpha = 0.2;
 
   /// Throws std::invalid_argument naming the offending field.
   void validate() const;

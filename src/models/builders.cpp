@@ -261,4 +261,13 @@ std::int64_t count_conv_layers(const graph::Network& net) {
   return count;
 }
 
+std::int64_t count_channels(const graph::Network& net) {
+  std::int64_t count = 0;
+  for (int id : net.nodes_of_type<nn::Conv2d>()) {
+    const auto& conv = dynamic_cast<const nn::Conv2d&>(*net.node(id).layer);
+    count += conv.out_channels();
+  }
+  return count;
+}
+
 }  // namespace pt::models

@@ -55,4 +55,8 @@ graph::Network build_by_name(const std::string& name, const ModelConfig& cfg);
 /// layers" metric, Tab. 3).
 std::int64_t count_conv_layers(const graph::Network& net);
 
+/// Sum of the output channels of every live convolution layer: the
+/// channel count reconfiguration shrinks.
+std::int64_t count_channels(const graph::Network& net);
+
 }  // namespace pt::models

@@ -1,6 +1,6 @@
 #include "prune/materialize.h"
 
-#include "nn/conv2d.h"
+#include "models/builders.h"
 
 namespace pt::prune {
 
@@ -23,10 +23,8 @@ MaterializeStats materialize_inference(graph::Network& net, InferenceForm form,
   }
   net.clear_context();
   net.zero_grad();
-  for (int id : net.nodes_of_type<nn::Conv2d>()) {
-    ++stats.conv_layers;
-    stats.channels += net.layer_as<nn::Conv2d>(id).out_channels();
-  }
+  stats.conv_layers = models::count_conv_layers(net);
+  stats.channels = models::count_channels(net);
   return stats;
 }
 

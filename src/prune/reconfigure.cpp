@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "models/builders.h"
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
@@ -44,14 +45,7 @@ bool Reconfigurer::remove_dead_branches(ReconfigStats& stats) {
 
 ReconfigStats Reconfigurer::reconfigure() {
   ReconfigStats stats;
-  auto count_channels = [&] {
-    std::int64_t total = 0;
-    for (int id : net_->nodes_of_type<nn::Conv2d>()) {
-      total += net_->layer_as<nn::Conv2d>(id).out_channels();
-    }
-    return total;
-  };
-  stats.channels_before = count_channels();
+  stats.channels_before = models::count_channels(*net_);
 
   zero_small_weights();
   remove_dead_branches(stats);
@@ -95,7 +89,7 @@ ReconfigStats Reconfigurer::reconfigure() {
     }
   }
 
-  stats.channels_after = count_channels();
+  stats.channels_after = models::count_channels(*net_);
   stats.changed = stats.channels_after != stats.channels_before ||
                   stats.blocks_removed > 0;
   return stats;

@@ -193,6 +193,7 @@ std::vector<FaultSpec> parse_fault_specs(const std::string& text) {
       specs.push_back(spec);
       continue;
     }
+    std::vector<std::string> seen;  // the keys this clause has set
     for (const std::string& kv : split(clause.substr(colon + 1), ',')) {
       const std::size_t eq = kv.find('=');
       if (eq == std::string::npos || eq == 0 || eq + 1 >= kv.size()) {
@@ -209,25 +210,38 @@ std::vector<FaultSpec> parse_fault_specs(const std::string& text) {
                                     "' sets " + key + "=, which " + name +
                                     " does not read");
       }
+      if (std::find(seen.begin(), seen.end(), key) != seen.end()) {
+        throw std::invalid_argument("fault spec clause '" + clause +
+                                    "' sets " + key + "= twice");
+      }
+      seen.push_back(key);
+      // The std::sto* functions stop at the first character they cannot
+      // read; the whole value must be consumed, so "3x" and "1.9" are not
+      // read as 3 and 1.
+      std::size_t used = 0;
       try {
         if (key == "epoch") {
-          spec.epoch = std::stoll(value);
+          spec.epoch = std::stoll(value, &used);
         } else if (key == "step") {
-          spec.step = std::stoll(value);
+          spec.step = std::stoll(value, &used);
         } else if (key == "replica") {
-          spec.replica = std::stoi(value);
+          spec.replica = std::stoi(value, &used);
         } else if (key == "count") {
-          spec.count = std::stoll(value);
+          spec.count = std::stoll(value, &used);
         } else if (key == "scale") {
-          spec.scale = std::stod(value);
+          spec.scale = std::stod(value, &used);
           spec.scale_set = true;
         } else if (key == "delay") {
-          spec.delay_seconds = std::stod(value);
+          spec.delay_seconds = std::stod(value, &used);
         } else {
-          spec.prob = std::stod(value);
+          spec.prob = std::stod(value, &used);
         }
       } catch (const std::exception&) {
-        throw std::invalid_argument("fault spec: bad value in '" + kv + "'");
+        used = 0;
+      }
+      if (used != value.size()) {
+        throw std::invalid_argument("fault spec clause '" + clause +
+                                    "': bad value in '" + kv + "'");
       }
     }
     if (spec.count < 0) {
@@ -250,6 +264,7 @@ std::vector<FaultSpec> parse_fault_specs(const std::string& text) {
 
 void validate_training_faults(const std::string& text, int replicas,
                               bool checkpointing, std::int64_t run_epochs,
+                              std::int64_t suspect_threshold,
                               bool allow_rejoin) {
   const auto clauses = parse_clauses(text);
   for (const auto& [s, clause] : clauses) {
@@ -290,19 +305,22 @@ void validate_training_faults(const std::string& text, int replicas,
     }
     if (s.kind != Kind::kRejoinReplica) continue;
     if (!allow_rejoin) fail("revives a dead replica, but allow_rejoin is off");
-    // The membership poll only revives a dead replica: some kill-replica or
-    // flaky-replica clause must be able to kill it at an earlier step.
+    // The membership poll only revives a DEAD replica, and a replica killed
+    // at step k is DEAD from step k + suspect_threshold - 1: some
+    // kill-replica or flaky-replica clause must kill it that early.
     bool killable = false;
     for (const auto& other : clauses) {
       const FaultSpec& k = other.first;
       killable |= (k.kind == Kind::kKillReplica ||
                    k.kind == Kind::kFlakyReplica) &&
                   (k.replica < 0 || s.replica < 0 || k.replica == s.replica) &&
-                  (k.step < 0 || s.step < 0 || k.step < s.step);
+                  (k.step < 0 || s.step < 0 ||
+                   k.step + suspect_threshold <= s.step);
     }
     if (!killable) {
       fail("revives a dead replica, but no kill-replica or flaky-replica "
-           "clause kills one before it");
+           "clause kills one at least suspect_threshold=" +
+           std::to_string(suspect_threshold) + " steps before it");
     }
   }
 }

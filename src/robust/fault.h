@@ -96,9 +96,10 @@ const FaultKindInfo& fault_kind(FaultSpec::Kind kind);
 std::string to_string(FaultSpec::Kind kind);
 
 /// Parses the spec grammar above. Throws std::invalid_argument with the
-/// offending token on malformed input, and naming the clause and the key
-/// when a clause sets a key its kind does not read. "" yields an empty
-/// list.
+/// offending token on malformed input, and naming the clause when a clause
+/// sets a key its kind does not read, sets a key twice, or gives a value
+/// that is not one whole number (trailing text, a fraction for an integer
+/// key). "" yields an empty list.
 std::vector<FaultSpec> parse_fault_specs(const std::string& text);
 
 /// The full spec grammar rendered from the kind table as one
@@ -115,13 +116,16 @@ std::string fault_spec_help();
 /// epoch counter advances, so 0..run_epochs), replica= on a single device
 /// or naming a worker that does not exist, and a rejoin-replica clause
 /// when `allow_rejoin` is false or when no kill-replica / flaky-replica
-/// clause can kill its replica at an earlier step. It does not check that
-/// a step key falls inside the run. Throws std::invalid_argument naming
-/// the clause. TrainConfig::validate() calls this with the configured run
-/// shape.
+/// clause can leave its replica DEAD in time: a killed replica is DEAD
+/// only after `suspect_threshold` missed acks, so a rejoin at step s needs
+/// a killer with no step= or with step + suspect_threshold <= s. It does
+/// not check that a step key falls inside the run. Throws
+/// std::invalid_argument naming the clause. TrainConfig::validate() calls
+/// this with the configured run shape and membership knobs.
 void validate_training_faults(const std::string& text, int replicas,
                               bool checkpointing, std::int64_t run_epochs,
-                              bool allow_rejoin = true);
+                              std::int64_t suspect_threshold,
+                              bool allow_rejoin);
 
 /// Rejects every clause of `text` that the serving runtime never queries:
 /// only the kServeBatch kinds have a consumer there. Throws

@@ -138,16 +138,13 @@ StateDigest compute_state_digest(
   return d;
 }
 
-void IntegrityConfig::validate() const {
-  if (check_interval < 0) {
+IntegrityMonitor::IntegrityMonitor(std::int64_t check_interval)
+    : check_interval_(check_interval) {
+  if (check_interval_ < 0) {
     throw std::invalid_argument(
-        "IntegrityConfig: check_interval must be >= 0 (got " +
-        std::to_string(check_interval) + ")");
+        "IntegrityMonitor: check_interval must be >= 0 (got " +
+        std::to_string(check_interval_) + ")");
   }
-}
-
-IntegrityMonitor::IntegrityMonitor(IntegrityConfig cfg) : cfg_(cfg) {
-  cfg_.validate();
 }
 
 VoteOutcome IntegrityMonitor::check_replicas(

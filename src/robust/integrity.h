@@ -116,14 +116,6 @@ StateDigest compute_state_digest(
     const std::vector<StateItem>* strategy_state = nullptr,
     const std::vector<StateItem>* codec_state = nullptr);
 
-struct IntegrityConfig {
-  /// Steps between cross-replica digest votes; 0 disables the monitor.
-  std::int64_t check_interval = 0;
-
-  /// Throws std::invalid_argument naming the offending field.
-  void validate() const;
-};
-
 /// One replica as the monitor sees it: a rank for reporting and the
 /// network to digest. Only *live* replicas belong in a vote — a dead
 /// replica's state is legitimately stale, not corrupt.
@@ -150,15 +142,17 @@ class IntegrityMonitor {
   /// core::PruneTrainer wires dist::ElasticCluster::heal_replica here.
   using HealFn = std::function<std::int64_t(int victim, int root)>;
 
-  explicit IntegrityMonitor(IntegrityConfig cfg);
+  /// Votes every `check_interval` steps; 0 never votes. Throws
+  /// std::invalid_argument when negative.
+  explicit IntegrityMonitor(std::int64_t check_interval);
 
-  const IntegrityConfig& config() const { return cfg_; }
+  std::int64_t check_interval() const { return check_interval_; }
 
   /// True when a vote is due after `steps_done` completed steps (every
   /// check_interval-th step; never before the first).
   bool due(std::int64_t steps_done) const {
-    return cfg_.check_interval > 0 && steps_done > 0 &&
-           steps_done % cfg_.check_interval == 0;
+    return check_interval_ > 0 && steps_done > 0 &&
+           steps_done % check_interval_ == 0;
   }
 
   /// Digest + vote + heal over the live replica set. Digests compute on
@@ -183,7 +177,7 @@ class IntegrityMonitor {
   std::int64_t digest_bytes_total() const { return digest_bytes_total_; }
 
  private:
-  IntegrityConfig cfg_;
+  std::int64_t check_interval_ = 0;
   std::int64_t checks_ = 0;
   std::int64_t mismatches_ = 0;
   std::int64_t heals_ = 0;

@@ -26,7 +26,8 @@ namespace pt::robust {
 class CheckpointScrubber;  // integrity.h
 
 struct RecoveryConfig {
-  std::int64_t max_rollbacks = 3;  ///< retry budget for the whole run
+  /// Retry budget for the whole run; 0 (the default) disables recovery.
+  std::int64_t max_rollbacks = 0;
   float lr_cut = 0.5f;             ///< LR multiplier applied per rollback
   double backoff_base = 2.0;       ///< exponential backoff base (>= 1)
   double backoff_cap = 60.0;       ///< modeled wait ceiling, seconds

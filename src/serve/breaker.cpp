@@ -13,18 +13,6 @@ void GenerationHealthConfig::validate() const {
   if (window < 1) {
     fail("window must be >= 1 (got " + std::to_string(window) + ")");
   }
-  if (max_shed_rate > 1.0) {
-    fail("max_shed_rate must be <= 1 (got " + std::to_string(max_shed_rate) +
-         ")");
-  }
-  if (min_shed_samples < 1) {
-    fail("min_shed_samples must be >= 1 (got " +
-         std::to_string(min_shed_samples) + ")");
-  }
-  if (probation_ticks < 0) {
-    fail("probation_ticks must be >= 0 (got " +
-         std::to_string(probation_ticks) + ")");
-  }
 }
 
 GenerationHealth::GenerationHealth(GenerationHealthConfig cfg) : cfg_(cfg) {
@@ -34,7 +22,6 @@ GenerationHealth::GenerationHealth(GenerationHealthConfig cfg) : cfg_(cfg) {
 void GenerationHealth::reset() {
   nan_ticks_.clear();
   misses_.clear();
-  arrivals_.clear();
 }
 
 void GenerationHealth::prune(Tick now) {
@@ -44,9 +31,6 @@ void GenerationHealth::prune(Tick now) {
   }
   while (!misses_.empty() && misses_.front().first <= horizon) {
     misses_.pop_front();
-  }
-  while (!arrivals_.empty() && arrivals_.front().first <= horizon) {
-    arrivals_.pop_front();
   }
 }
 
@@ -62,10 +46,6 @@ void GenerationHealth::record_batch(Tick now, bool nan_output,
   }
 }
 
-void GenerationHealth::record_arrival(Tick now, bool shed) {
-  arrivals_.emplace_back(now, shed);
-}
-
 const char* GenerationHealth::breach(Tick now) {
   prune(now);
   if (cfg_.max_nan_batches >= 0 &&
@@ -79,17 +59,6 @@ const char* GenerationHealth::breach(Tick now) {
       misses += n;
     }
     if (misses > cfg_.max_deadline_misses) return "deadline-miss";
-  }
-  if (cfg_.max_shed_rate >= 0 &&
-      static_cast<std::int64_t>(arrivals_.size()) >= cfg_.min_shed_samples) {
-    std::int64_t shed = 0;
-    for (const auto& [tick, was_shed] : arrivals_) {
-      (void)tick;
-      shed += was_shed ? 1 : 0;
-    }
-    const double rate = static_cast<double>(shed) /
-                        static_cast<double>(arrivals_.size());
-    if (rate > cfg_.max_shed_rate) return "shed-rate";
   }
   return nullptr;
 }

@@ -5,22 +5,21 @@
 //
 // The canary gate (canary.h) screens a candidate *before* publish; these
 // guards watch it *after*. GenerationHealth keeps sliding-window counters
-// on the modeled clock — batches with non-finite logits, modeled deadline
-// misses, and shed arrivals — and reports a breach when a configured
-// threshold is exceeded. The runtime answers a breach with automatic
-// rollback to the previous pinned generation (see server.h: the rollback
-// target is held resident through a probation window, so rollback is a
+// on the modeled clock — batches with non-finite logits and modeled
+// deadline misses — and reports a breach when a configured threshold is
+// exceeded. The runtime answers a breach with automatic rollback to the
+// previous pinned generation (see server.h: the rollback target is held
+// resident through a probation window of kProbationTicks, so rollback is a
 // LeaseTable epoch bump — zero-drop by construction, nothing in flight is
 // cancelled).
 //
 // Determinism: every input to these guards is worker-count-invariant.
 // NaN-output verdicts are payload facts (bitwise identical at any worker /
-// thread count), sheds happen at admission (worker-independent), and the
-// deadline-miss counter deliberately uses the *modeled serial* completion
-// estimate (formation tick + modeled service ticks) rather than the actual
-// worker-assigned completion — the same choice the mailbox admission
-// estimate makes — so breaches, rollbacks, and breaker transitions land on
-// the same tick under 1 worker or N.
+// thread count), and the deadline-miss counter deliberately uses the
+// *modeled serial* completion estimate (formation tick + modeled service
+// ticks) rather than the actual worker-assigned completion — the same
+// choice the mailbox admission estimate makes — so breaches, rollbacks,
+// and breaker transitions land on the same tick under 1 worker or N.
 //
 // The breaker is the classic closed -> open -> half-open machine:
 //   closed:    everything admitted; `failure_threshold` consecutive
@@ -43,6 +42,10 @@
 
 namespace pt::serve {
 
+/// Rollback window after a swap: how long the superseded version stays
+/// pinned as the rollback target (it retires afterwards).
+inline constexpr Tick kProbationTicks = 512;
+
 struct GenerationHealthConfig {
   /// Sliding-window length in modeled ticks for all counters.
   Tick window = 64;
@@ -53,16 +56,6 @@ struct GenerationHealthConfig {
   /// header comment) exceed this; -1 disables (legitimate overload also
   /// misses deadlines — opt in when a generation is the suspect).
   std::int64_t max_deadline_misses = -1;
-  /// Breach when windowed shed fraction exceeds this; < 0 disables.
-  double max_shed_rate = -1.0;
-  /// Arrivals required in the window before the shed-rate check arms.
-  std::int64_t min_shed_samples = 8;
-  /// Rollback window after a swap: how long the superseded version stays
-  /// pinned as the rollback target (it retires afterwards). 0 disables
-  /// probation (no rollback target is ever held).
-  Tick probation_ticks = 512;
-  /// Roll back automatically on breach while a probation pin is held.
-  bool auto_rollback = true;
 
   /// Throws std::invalid_argument naming the offending field.
   void validate() const;
@@ -76,11 +69,9 @@ class GenerationHealth {
 
   void reset();
   void record_batch(Tick now, bool nan_output, std::int64_t modeled_misses);
-  void record_arrival(Tick now, bool shed);
 
   /// Breach verdict at `now` (window pruned first): nullptr when healthy,
-  /// else the counter that tripped ("nan-output" | "deadline-miss" |
-  /// "shed-rate").
+  /// else the counter that tripped ("nan-output" | "deadline-miss").
   const char* breach(Tick now);
 
   std::int64_t nan_batches() const { return nan_total_; }
@@ -92,7 +83,6 @@ class GenerationHealth {
   GenerationHealthConfig cfg_;
   std::deque<Tick> nan_ticks_;                        ///< NaN-output batches
   std::deque<std::pair<Tick, std::int64_t>> misses_;  ///< per-batch misses
-  std::deque<std::pair<Tick, bool>> arrivals_;        ///< (tick, shed)
   std::int64_t nan_total_ = 0;   ///< lifetime, across resets
   std::int64_t miss_total_ = 0;  ///< lifetime, across resets
 };
@@ -106,7 +96,6 @@ enum class BreakerState : std::uint8_t {
 const char* to_string(BreakerState state);
 
 struct BreakerConfig {
-  bool enabled = true;
   /// Consecutive unhealthy batches that open a closed breaker.
   std::int64_t failure_threshold = 2;
   /// Modeled cooldown ticks before an open breaker admits probes.

@@ -38,6 +38,9 @@ CanaryGate::CanaryGate(CanaryConfig cfg) : cfg_(cfg) { cfg_.validate(); }
 
 namespace {
 
+// The probe inputs' seed: every evaluation draws the same probe set.
+constexpr std::uint64_t kProbeSeed = 0xca9a;
+
 /// Per-row argmaxes of a [n, classes] logits tensor.
 std::vector<std::int64_t> row_argmax(const Tensor& logits) {
   const std::int64_t n = logits.shape()[0];
@@ -69,11 +72,11 @@ CanaryReport CanaryGate::evaluate(ModelVersion& candidate,
   rep.probes = cfg_.probes;
 
   // Deterministic probe set: [probes, C, H, W], a pure function of the
-  // seed and the tenant's input shape.
+  // probe count and the tenant's input shape.
   std::vector<std::int64_t> dims;
   dims.push_back(cfg_.probes);
   for (std::int64_t d = 0; d < input.rank(); ++d) dims.push_back(input[d]);
-  Rng rng(cfg_.probe_seed);
+  Rng rng(kProbeSeed);
   const Tensor probes = Tensor::randn(Shape(dims), rng);
 
   const Tensor logits = candidate.net.forward(ctx, probes, false);

@@ -9,8 +9,8 @@
 // footer and produces garbage on every request. The canary gate closes
 // that gap the way production serving systems do: before a publish, the
 // candidate shadow-executes a deterministic probe set (a fixed-seed randn
-// batch, a pure function of CanaryConfig::probe_seed and the tenant's
-// input shape) and is rejected + quarantined when
+// batch from a constant seed, so a pure function of the probe count and
+// the tenant's input shape) and is rejected + quarantined when
 //
 //   1. any probe logit is non-finite (always on — the universal check),
 //   2. its probe argmaxes disagree with the incumbent's reference
@@ -37,8 +37,7 @@ namespace pt::serve {
 
 struct CanaryConfig {
   bool enabled = true;
-  std::int64_t probes = 8;            ///< probe samples per evaluation
-  std::uint64_t probe_seed = 0xca9a;  ///< probe inputs are a pure fn of this
+  std::int64_t probes = 8;  ///< probe samples per evaluation
   /// Max fraction of probes whose argmax may differ from the incumbent's
   /// reference before rejection; 1.0 disables the check.
   double max_disagreement = 1.0;

@@ -7,16 +7,14 @@
 
 namespace pt::serve {
 
-Mailbox::Mailbox(std::string model, MailboxPolicy policy)
-    : model_(std::move(model)), policy_(policy) {
+Mailbox::Mailbox(std::string model, std::int64_t max_queue,
+                 std::int64_t max_batch)
+    : model_(std::move(model)), max_queue_(max_queue), max_batch_(max_batch) {
   if (model_.empty()) {
     throw std::invalid_argument("Mailbox: empty model name");
   }
-  if (policy_.max_batch <= 0) {
+  if (max_batch_ <= 0) {
     throw std::invalid_argument("Mailbox: max_batch must be >= 1");
-  }
-  if (policy_.batch_service_ticks <= 0) {
-    throw std::invalid_argument("Mailbox: batch_service_ticks must be >= 1");
   }
 }
 
@@ -24,7 +22,7 @@ void Mailbox::set_batch_service_ticks(Tick t) {
   if (t <= 0) {
     throw std::invalid_argument("Mailbox: batch_service_ticks must be >= 1");
   }
-  policy_.batch_service_ticks = t;
+  batch_service_ticks_ = t;
 }
 
 ShedReason Mailbox::offer(const Request& r, Tick now) {
@@ -39,12 +37,12 @@ ShedReason Mailbox::offer(const Request& r, Tick now) {
         ")");
   }
   last_arrival_ = r.arrival;
-  if (policy_.max_queue > 0 && size() >= policy_.max_queue) {
+  if (max_queue_ > 0 && size() >= max_queue_) {
     ++shed_queue_full_;
     telemetry::count("serve/shed_queue_full");
     return ShedReason::kQueueFull;
   }
-  if (policy_.shed_on_infeasible && now + modeled_wait() > r.deadline) {
+  if (now + modeled_wait() > r.deadline) {
     ++shed_infeasible_;
     telemetry::count("serve/shed_infeasible");
     return ShedReason::kInfeasibleDeadline;
@@ -63,9 +61,8 @@ Tick Mailbox::oldest_deadline() const {
 
 Tick Mailbox::modeled_wait() const {
   const std::int64_t depth = size() + 1;  // the candidate itself
-  const std::int64_t batches =
-      (depth + policy_.max_batch - 1) / policy_.max_batch;
-  return batches * policy_.batch_service_ticks;
+  const std::int64_t batches = (depth + max_batch_ - 1) / max_batch_;
+  return batches * batch_service_ticks_;
 }
 
 std::vector<Request> Mailbox::pop_batch() {
@@ -83,7 +80,7 @@ std::vector<Request> Mailbox::pop_batch() {
   const Shape shape = queue_[order.front()].input.shape();
   std::vector<bool> taken(queue_.size(), false);
   for (std::size_t idx : order) {
-    if (static_cast<std::int64_t>(out.size()) >= policy_.max_batch) break;
+    if (static_cast<std::int64_t>(out.size()) >= max_batch_) break;
     if (queue_[idx].input.shape() != shape) continue;
     taken[idx] = true;
     out.push_back(std::move(queue_[idx]));

@@ -26,27 +26,20 @@
 
 namespace pt::serve {
 
-/// Admission + batching policy of one mailbox.
-struct MailboxPolicy {
-  std::int64_t max_queue = 64;  ///< depth bound; <= 0 means unbounded
-  std::int64_t max_batch = 8;   ///< largest batch pop_batch() forms
-  /// Modeled ticks to serve one full batch of `max_batch` samples on one
-  /// worker — the unit of the serial-service wait estimate. Updated by the
-  /// runtime whenever a new model version is published (a pruned model
-  /// serves faster, so admission loosens after a swap).
-  Tick batch_service_ticks = 1;
-  /// Reject requests whose modeled completion estimate exceeds their
-  /// deadline. Off = deadline misses are served late instead of shed.
-  /// (Named distinctly from the Mailbox::shed_infeasible_count() stat.)
-  bool shed_on_infeasible = true;
-};
-
 class Mailbox {
  public:
-  explicit Mailbox(std::string model, MailboxPolicy policy);
+  /// `max_queue` bounds the depth (<= 0: unbounded) and `max_batch` caps
+  /// pop_batch(); the runtime passes ServeConfig's two knobs.
+  Mailbox(std::string model, std::int64_t max_queue, std::int64_t max_batch);
 
   const std::string& model() const { return model_; }
-  const MailboxPolicy& policy() const { return policy_; }
+  std::int64_t max_batch() const { return max_batch_; }
+
+  /// Modeled ticks to serve one full batch of `max_batch` samples on one
+  /// worker — the unit of the serial-service wait estimate; 1 until set.
+  /// The runtime sets it whenever a new model version is published (a
+  /// pruned model serves faster, so admission loosens after a swap).
+  Tick batch_service_ticks() const { return batch_service_ticks_; }
   void set_batch_service_ticks(Tick t);
 
   /// Admission control at modeled tick `now`. Returns kNone and enqueues,
@@ -81,7 +74,9 @@ class Mailbox {
 
  private:
   std::string model_;
-  MailboxPolicy policy_;
+  std::int64_t max_queue_;
+  std::int64_t max_batch_;
+  Tick batch_service_ticks_ = 1;
   std::vector<Request> queue_;  ///< arrival order; dispatch scans deadlines
   Tick last_arrival_ = -1;
   std::int64_t admitted_ = 0;

@@ -6,6 +6,7 @@
 
 #include "ckpt/checkpoint.h"
 #include "cost/flops.h"
+#include "prune/materialize.h"
 #include "telemetry/metrics.h"
 #include "util/logging.h"
 
@@ -46,7 +47,7 @@ std::shared_ptr<ModelVersion> ModelRegistry::make_version(
   version->generation = generation;
   version->net = std::move(net);
   version->materialized = prune::materialize_inference(
-      version->net, cfg_.form, cfg_.gating_threshold);
+      version->net, prune::InferenceForm::kChannelUnion);
   cost::FlopsModel flops(version->net, input);
   version->inference_flops = flops.inference_flops();
   version->service_ticks_per_batch = std::max<Tick>(

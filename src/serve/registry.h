@@ -10,8 +10,8 @@
 //     generation is skipped, not loaded,
 //  3. loads the newest scrubbed-valid generation newer than what is being
 //     served (ckpt::Checkpoint::load + restore_network),
-//  4. materializes the configured inference form
-//     (prune::materialize_inference — channel union by default),
+//  4. materializes it for inference (prune::materialize_inference, in the
+//     channel-union form the trainer's reconfiguration leaves),
 //  5. prices it (cost::FlopsModel -> modeled batch service ticks),
 //  6. canary-validates it against the incumbent (serve::CanaryGate,
 //     ISSUE 10): shadow-executed probe logits must be finite, agree with
@@ -35,7 +35,6 @@
 
 #include "exec/context.h"
 #include "graph/network.h"
-#include "prune/materialize.h"
 #include "robust/health.h"
 #include "robust/integrity.h"
 #include "serve/canary.h"
@@ -43,20 +42,22 @@
 
 namespace pt::serve {
 
+/// The registry's knobs. ServeConfig extends it, so a runtime's registry
+/// is configured by the runtime's own fields.
 struct RegistryConfig {
-  prune::InferenceForm form = prune::InferenceForm::kChannelUnion;
-  float gating_threshold = 1e-4f;  ///< kChannelGating dense-channel test
   /// Modeled worker compute rate: FLOPs retired per modeled tick. Converts
   /// a version's per-sample inference FLOPs into batch service ticks, so a
   /// pruned (smaller) model is modeled faster — the swap_speedup the bench
   /// measures.
   double flops_per_tick = 2e6;
-  std::int64_t max_batch = 8;  ///< batch size the service estimate prices
+  /// Dynamic-batching cap, and the batch size the service estimate prices.
+  std::int64_t max_batch = 8;
   /// Canary gate every poll() publish passes through (ISSUE 10). Direct
   /// publish_network() calls bypass it: that is the cold-start/test path,
   /// where the caller *is* the provenance.
   CanaryConfig canary;
 
+  /// Throws std::invalid_argument naming the offending field.
   void validate() const;
 };
 

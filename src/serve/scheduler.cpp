@@ -6,11 +6,8 @@ namespace pt::serve {
 
 bool Scheduler::due(const Mailbox& m, Tick now) const {
   if (m.empty()) return false;
-  if (m.size() >= m.policy().max_batch) return true;
-  const Tick must_start_by = m.oldest_deadline() -
-                             m.policy().batch_service_ticks -
-                             cfg_.dispatch_margin;
-  return now >= must_start_by;
+  if (m.size() >= m.max_batch()) return true;
+  return now >= m.oldest_deadline() - m.batch_service_ticks();
 }
 
 std::vector<BatchPlan> Scheduler::form(Tick now,

@@ -15,8 +15,8 @@
 // persistent cursor:
 //  - dispatch when a full batch is waiting (size >= max_batch), or
 //  - when the oldest deadline forces it: serving must start within
-//    batch_service_ticks (+ dispatch_margin) of the deadline, or the
-//    requests would provably miss it by waiting longer.
+//    batch_service_ticks of the deadline, or the requests would provably
+//    miss it by waiting longer.
 // Rounds repeat until no mailbox is due, so a burst forms several batches
 // at one tick (fairly interleaved across tenants) instead of one.
 #pragma once
@@ -43,16 +43,8 @@ struct BatchPlan {
   std::shared_ptr<ModelVersion> version;  ///< pinned lease
 };
 
-struct SchedulerConfig {
-  /// Extra ticks of headroom the deadline-forced dispatch keeps: dispatch
-  /// when oldest_deadline - now <= batch_service_ticks + dispatch_margin.
-  Tick dispatch_margin = 0;
-};
-
 class Scheduler {
  public:
-  explicit Scheduler(SchedulerConfig cfg) : cfg_(cfg) {}
-
   /// Forms every batch due at tick `now` from `mailboxes` (tenant
   /// registration order), pinning versions from `leases`. Tenants with no
   /// published version are skipped (their requests wait for the first
@@ -69,7 +61,6 @@ class Scheduler {
   std::int64_t batches_formed() const { return next_batch_id_; }
 
  private:
-  SchedulerConfig cfg_;
   std::size_t cursor_ = 0;
   std::int64_t next_batch_id_ = 0;
 };

@@ -15,6 +15,9 @@ namespace {
 
 constexpr std::int64_t kMaxLoopIterations = 50'000'000;
 
+// The fault injector's seed: the fault spec alone fixes every fault.
+constexpr std::uint64_t kFaultSeed = 0x5e12;
+
 double percentile(std::vector<Tick>& sorted_values, double p) {
   if (sorted_values.empty()) return 0;
   const auto n = static_cast<std::int64_t>(sorted_values.size());
@@ -30,19 +33,10 @@ void ServeConfig::validate() const {
   if (workers < 1) {
     throw std::invalid_argument("ServeConfig: workers must be >= 1");
   }
-  if (max_batch < 1) {
-    throw std::invalid_argument("ServeConfig: max_batch must be >= 1");
-  }
-  if (dispatch_margin < 0) {
-    throw std::invalid_argument("ServeConfig: dispatch_margin must be >= 0");
-  }
-  if (flops_per_tick <= 0) {
-    throw std::invalid_argument("ServeConfig: flops_per_tick must be > 0");
-  }
   if (poll_interval < 0) {
     throw std::invalid_argument("ServeConfig: poll_interval must be >= 0");
   }
-  canary.validate();
+  RegistryConfig::validate();
   health.validate();
   breaker.validate();
   try {
@@ -54,30 +48,15 @@ void ServeConfig::validate() const {
 }
 
 ServeRuntime::ServeRuntime(ServeConfig cfg, exec::ExecContext& ctx)
-    : cfg_(cfg),
-      ctx_(&ctx),
-      registry_([&] {
-        RegistryConfig rc;
-        rc.form = cfg.form;
-        rc.gating_threshold = cfg.gating_threshold;
-        rc.flops_per_tick = cfg.flops_per_tick;
-        rc.max_batch = cfg.max_batch;
-        rc.canary = cfg.canary;
-        return rc;
-      }()),
-      scheduler_(SchedulerConfig{cfg.dispatch_margin}) {
+    : cfg_(cfg), ctx_(&ctx), registry_(cfg) {
   cfg_.validate();
-  injector_ = robust::FaultInjector::from_string(cfg_.fault_spec,
-                                                 cfg_.fault_seed);
+  injector_ = robust::FaultInjector::from_string(cfg_.fault_spec, kFaultSeed);
 }
 
 void ServeRuntime::ensure_tenant(const std::string& name) {
   if (mailboxes_.count(name) > 0) return;
-  MailboxPolicy policy;
-  policy.max_queue = cfg_.max_queue;
-  policy.max_batch = cfg_.max_batch;
-  policy.shed_on_infeasible = cfg_.shed_on_infeasible;
-  mailboxes_.emplace(name, std::make_unique<Mailbox>(name, policy));
+  mailboxes_.emplace(
+      name, std::make_unique<Mailbox>(name, cfg_.max_queue, cfg_.max_batch));
   guards_.emplace(name, std::make_unique<Guard>(cfg_.health, cfg_.breaker));
   mailbox_order_.push_back(name);
 }
@@ -122,9 +101,8 @@ void ServeRuntime::begin_probation(const std::string& model,
     git->second->health.reset();
     git->second->breaker.reset(now, "new generation published");
   }
-  if (previous && cfg_.health.auto_rollback && cfg_.health.probation_ticks > 0) {
-    probation_[model] =
-        Probation{std::move(previous), now + cfg_.health.probation_ticks};
+  if (previous) {
+    probation_[model] = Probation{std::move(previous), now + kProbationTicks};
   } else {
     probation_.erase(model);
   }
@@ -132,7 +110,6 @@ void ServeRuntime::begin_probation(const std::string& model,
 
 void ServeRuntime::maybe_rollback(const std::string& model, Tick now,
                                   std::vector<RollbackEvent>& out) {
-  if (!cfg_.health.auto_rollback) return;
   auto pit = probation_.find(model);
   if (pit == probation_.end() || !pit->second.previous) return;
   auto git = guards_.find(model);
@@ -346,17 +323,14 @@ ServeReport ServeRuntime::run(const std::vector<Request>& trace) {
       auto mb = mailboxes_.find(r.model);
       ShedReason reason = ShedReason::kUnknownModel;
       if (mb != mailboxes_.end()) {
-        auto& guard = *guards_.at(r.model);
-        CircuitBreaker::Admission adm = CircuitBreaker::Admission::kAdmit;
-        if (cfg_.breaker.enabled) adm = guard.breaker.admit(now);
-        if (adm == CircuitBreaker::Admission::kShed) {
+        if (guards_.at(r.model)->breaker.admit(now) ==
+            CircuitBreaker::Admission::kShed) {
           reason = ShedReason::kCircuitOpen;
           ++shed_circuit_open;
           telemetry::count("serve/shed_circuit_open");
         } else {
           reason = mb->second->offer(r, now);
         }
-        guard.health.record_arrival(now, reason != ShedReason::kNone);
       } else {
         telemetry::count("serve/shed_unknown_model");
       }
@@ -369,9 +343,6 @@ ServeReport ServeRuntime::run(const std::vector<Request>& trace) {
         resp.completion = now;
         responses.emplace(r.id, std::move(resp));
         ++shed_count;
-      }
-      if (mb != mailboxes_.end()) {
-        maybe_rollback(r.model, now, rollback_events);
       }
     }
 
@@ -432,7 +403,7 @@ ServeReport ServeRuntime::run(const std::vector<Request>& trace) {
       auto git = guards_.find(plan.model);
       if (git != guards_.end()) {
         git->second->health.record_batch(now, !healthy, modeled_misses);
-        if (cfg_.breaker.enabled) git->second->breaker.on_batch(now, healthy);
+        git->second->breaker.on_batch(now, healthy);
       }
       maybe_rollback(plan.model, now, rollback_events);
     }
@@ -448,9 +419,8 @@ ServeReport ServeRuntime::run(const std::vector<Request>& trace) {
     for (const InFlight& f : inflight_) next = std::min(next, f.completion);
     for (Mailbox* mb : mailbox_ptrs) {
       if (mb->empty()) continue;
-      const Tick due_tick = mb->oldest_deadline() -
-                            mb->policy().batch_service_ticks -
-                            cfg_.dispatch_margin;
+      const Tick due_tick =
+          mb->oldest_deadline() - mb->batch_service_ticks();
       next = std::min(next, std::max(now + 1, due_tick));
     }
     if (cfg_.poll_interval > 0 &&

@@ -17,9 +17,9 @@
 //
 // Serving resilience (ISSUE 10) rides the same loop: the registry's
 // CanaryGate screens every poll() publish; after an accepted swap the
-// superseded version is held as a probation pin, and a per-model
-// GenerationHealth breach (NaN outputs / modeled deadline misses /
-// shed rate, all worker-count-invariant) triggers automatic rollback —
+// superseded version is held as a probation pin for kProbationTicks, and
+// a per-model GenerationHealth breach (NaN outputs / modeled deadline
+// misses, both worker-count-invariant) triggers automatic rollback —
 // a LeaseTable epoch bump back to the pinned version, zero-drop by
 // construction, with the indicted generation quarantined so the next
 // poll cannot republish it. A per-model CircuitBreaker additionally
@@ -52,28 +52,25 @@
 
 namespace pt::serve {
 
-struct ServeConfig {
+/// The runtime's knobs. The registry's (flops_per_tick, max_batch,
+/// canary) are inherited from RegistryConfig, and the runtime hands this
+/// config to its registry as is.
+struct ServeConfig : RegistryConfig {
   int workers = 1;             ///< modeled lease-holding workers
-  std::int64_t max_batch = 8;  ///< dynamic-batching cap
   std::int64_t max_queue = 64; ///< per-tenant mailbox depth bound (<=0: inf)
-  Tick dispatch_margin = 0;    ///< extra deadline headroom at formation
-  bool shed_on_infeasible = true;  ///< admission deadline-feasibility check
-  double flops_per_tick = 2e6; ///< modeled worker rate (FLOPs per tick)
   Tick poll_interval = 0;      ///< registry poll cadence; 0 = never poll
-  prune::InferenceForm form = prune::InferenceForm::kChannelUnion;
-  float gating_threshold = 1e-4f;
 
   // Serving resilience (ISSUE 10).
-  CanaryConfig canary;            ///< pre-publish gate on the poll() path
   GenerationHealthConfig health;  ///< post-swap guard + rollback policy
   BreakerConfig breaker;          ///< per-model circuit breaker
   /// Serve-side fault injection (robust::FaultInjector grammar): only the
   /// serve-batch kinds fire inside the runtime, keyed on (generation,
-  /// batch id); validate() rejects any other clause. "" disarms.
+  /// batch id); validate() rejects any other clause. "" disarms. The
+  /// injector's seed is a constant, so the spec alone fixes the faults.
   std::string fault_spec;
-  std::uint64_t fault_seed = 0x5e12;
 
-  /// Throws std::invalid_argument naming the offending field.
+  /// Throws std::invalid_argument naming the offending field; checks the
+  /// inherited registry fields too.
   void validate() const;
 };
 

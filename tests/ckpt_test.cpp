@@ -481,6 +481,11 @@ TEST(TrainConfigValidate, RejectsBadFields) {
   expect_rejects([](auto& c) { c.fine_tune_epochs = -1; }, "fine_tune_epochs");
   expect_rejects([](auto& c) { c.sdc_check_interval = 4; },
                  "sdc_check_interval");
+  // The embedded configs check their own fields from validate().
+  expect_rejects([](auto& c) { c.recovery.backoff_base = 0.5; },
+                 "RecoveryConfig: backoff_base");
+  expect_rejects([](auto& c) { c.membership.min_live_fraction = 0.0; },
+                 "MembershipConfig: min_live_fraction");
 }
 
 TEST(TrainConfigValidate, TrainerConstructorValidates) {

@@ -566,16 +566,11 @@ TEST(Membership, QuorumThresholdAndValidation) {
   bad = {};
   bad.min_live_fraction = 1.5;
   EXPECT_THROW(MembershipTable(2, bad), std::invalid_argument);
-  bad = {};
-  bad.ewma_alpha = 0.0;
-  EXPECT_THROW(MembershipTable(2, bad), std::invalid_argument);
   EXPECT_THROW(MembershipTable(0, MembershipConfig{}), std::invalid_argument);
 }
 
 TEST(Membership, EwmaTracksStragglerEstimates) {
-  MembershipConfig mc;
-  mc.ewma_alpha = 0.2;
-  MembershipTable table(2, mc);
+  MembershipTable table(2, MembershipConfig{});
   table.record_step_time(0, 1.0);  // first sample taken verbatim
   EXPECT_DOUBLE_EQ(table.member(0).ewma_step_seconds, 1.0);
   table.record_step_time(0, 2.0);
@@ -987,7 +982,7 @@ core::TrainConfig elastic_cfg(const std::string& dir) {
   cfg.reconfig_interval = 2;
   cfg.eval_interval = 2;
   cfg.checkpoint_dir = dir;
-  cfg.max_rollbacks = 2;
+  cfg.recovery.max_rollbacks = 2;
   cfg.replicas = 2;
   return cfg;
 }
@@ -998,11 +993,11 @@ TEST(ElasticTrainer, ValidatesElasticFields) {
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg = {};
   cfg.replicas = 2;
-  cfg.min_live_fraction = 1.5;
+  cfg.membership.min_live_fraction = 1.5;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg = {};
   cfg.replicas = 2;
-  cfg.suspect_threshold = 0;
+  cfg.membership.suspect_threshold = 0;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg = {};
   cfg.replicas = 2;
@@ -1105,7 +1100,7 @@ TEST(ElasticTrainer, QuorumLossUnderFlakyAbortsWithDiagnosticCheckpoint) {
   graph::Network net = elastic_net();
   core::TrainConfig cfg = elastic_cfg(dir.string());
   cfg.replicas = 4;
-  cfg.min_live_fraction = 0.75;
+  cfg.membership.min_live_fraction = 0.75;
   cfg.fault_spec = "flaky-replica:prob=1,count=0";  // everyone dies at once
   core::PruneTrainer trainer(net, data, cfg);
   try {

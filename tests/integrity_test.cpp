@@ -83,7 +83,7 @@ core::TrainConfig integrity_cfg(const std::string& dir) {
   cfg.reconfig_interval = 2;
   cfg.eval_interval = 2;
   cfg.checkpoint_dir = dir;
-  cfg.max_rollbacks = 2;
+  cfg.recovery.max_rollbacks = 2;
   cfg.replicas = 3;
   cfg.sdc_check_interval = 4;
   return cfg;
@@ -198,19 +198,15 @@ TEST(StateDigest, StrategyStateIsPartOfTheDigest) {
   EXPECT_EQ(bad[0], "strategy/mask");
 }
 
-TEST(IntegrityConfig, ValidatesAndSchedules) {
-  robust::IntegrityConfig cfg;
-  cfg.check_interval = -1;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg.check_interval = 4;
-  EXPECT_NO_THROW(cfg.validate());
+TEST(IntegrityMonitor, ValidatesAndSchedules) {
+  EXPECT_THROW(robust::IntegrityMonitor(-1), std::invalid_argument);
 
-  robust::IntegrityMonitor mon(cfg);
+  robust::IntegrityMonitor mon(4);
   EXPECT_FALSE(mon.due(0));  // never before the first step
   EXPECT_FALSE(mon.due(3));
   EXPECT_TRUE(mon.due(4));
   EXPECT_TRUE(mon.due(8));
-  robust::IntegrityMonitor off(robust::IntegrityConfig{});
+  robust::IntegrityMonitor off(0);
   EXPECT_FALSE(off.due(4));
 }
 
@@ -220,7 +216,7 @@ TEST(IntegrityConfig, ValidatesAndSchedules) {
 TEST(IntegrityMonitor, UnanimousVoteHealsNothing) {
   graph::Network r0 = small_net(), r1 = small_net(), r2 = small_net();
   exec::ExecContext ctx(2);
-  robust::IntegrityMonitor mon(robust::IntegrityConfig{4});
+  robust::IntegrityMonitor mon(4);
   int heal_calls = 0;
   const auto out = mon.check_replicas(
       {{0, &r0}, {1, &r1}, {2, &r2}}, ctx, nullptr,
@@ -242,7 +238,7 @@ TEST(IntegrityMonitor, MinorityReplicaIsConvictedAndHealed) {
   exec::ExecContext ctx(2);
   ASSERT_FALSE(flip_one_bit(r1, nn::StateRole::kParam).empty());
 
-  robust::IntegrityMonitor mon(robust::IntegrityConfig{4});
+  robust::IntegrityMonitor mon(4);
   const auto heal = [&](int victim, int root) -> std::int64_t {
     // The trainer wires ElasticCluster::heal_replica here; the test heals
     // by the same full-state copy, replica-local.
@@ -281,7 +277,7 @@ TEST(IntegrityMonitor, EvenSplitIsNoQuorumAndHealsNothing) {
   exec::ExecContext ctx(1);
   ASSERT_FALSE(flip_one_bit(r1, nn::StateRole::kParam).empty());
 
-  robust::IntegrityMonitor mon(robust::IntegrityConfig{4});
+  robust::IntegrityMonitor mon(4);
   int heal_calls = 0;
   const auto out = mon.check_replicas(
       {{0, &r0}, {1, &r1}}, ctx, nullptr,
@@ -296,7 +292,7 @@ TEST(IntegrityMonitor, EvenSplitIsNoQuorumAndHealsNothing) {
 TEST(IntegrityMonitor, SingleReplicaTriviallyPasses) {
   graph::Network r0 = small_net();
   exec::ExecContext ctx(1);
-  robust::IntegrityMonitor mon(robust::IntegrityConfig{4});
+  robust::IntegrityMonitor mon(4);
   const auto out = mon.check_replicas({{0, &r0}}, ctx, nullptr,
                                       [](int, int) -> std::int64_t { return 0; });
   EXPECT_FALSE(out.mismatch);
@@ -329,9 +325,9 @@ TEST(FaultSpec, HelpDocumentsTheSdcKinds) {
 
 TEST(FaultSpec, RejectsSdcTargetingANonexistentReplica) {
   const std::string spec = "sdc-param:replica=3,step=1";
-  EXPECT_THROW(robust::validate_training_faults(spec, 3, false, 1),
+  EXPECT_THROW(robust::validate_training_faults(spec, 3, false, 1, 3, true),
                std::invalid_argument);
-  EXPECT_NO_THROW(robust::validate_training_faults(spec, 4, false, 1));
+  EXPECT_NO_THROW(robust::validate_training_faults(spec, 4, false, 1, 3, true));
   // The trainer routes --fault-spec through the same check.
   core::TrainConfig cfg;
   cfg.replicas = 2;

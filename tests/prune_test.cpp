@@ -771,7 +771,7 @@ TEST_P(StrategyConformanceTest, RollbackReplayBitwise) {
 
   core::TrainConfig clean_cfg = conformance_cfg(name);
   clean_cfg.checkpoint_dir = clean_dir.string();
-  clean_cfg.max_rollbacks = 2;
+  clean_cfg.recovery.max_rollbacks = 2;
   graph::Network clean_net = conformance_net();
   core::PruneTrainer clean(clean_net, data, clean_cfg);
   const core::TrainResult r_clean = clean.run();
@@ -782,9 +782,9 @@ TEST_P(StrategyConformanceTest, RollbackReplayBitwise) {
   // (lr_cut=1, fault spent) reproduces the clean run bitwise.
   core::TrainConfig fault_cfg = conformance_cfg(name);
   fault_cfg.checkpoint_dir = fault_dir.string();
-  fault_cfg.max_rollbacks = 2;
+  fault_cfg.recovery.max_rollbacks = 2;
   fault_cfg.fault_spec = "nan-grad:epoch=3,step=1";
-  fault_cfg.rollback_lr_cut = 1.0f;
+  fault_cfg.recovery.lr_cut = 1.0f;
   graph::Network fault_net = conformance_net();
   core::PruneTrainer faulty(fault_net, data, fault_cfg);
   const core::TrainResult r_fault = faulty.run();

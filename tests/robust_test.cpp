@@ -82,7 +82,7 @@ core::TrainConfig guardian_cfg(const std::string& dir) {
   cfg.reconfig_interval = 2;
   cfg.eval_interval = 2;
   cfg.checkpoint_dir = dir;
-  cfg.max_rollbacks = 2;
+  cfg.recovery.max_rollbacks = 2;
   return cfg;
 }
 
@@ -127,6 +127,32 @@ TEST(FaultSpec, RejectsMalformedSpecs) {
                std::invalid_argument);
   EXPECT_THROW(robust::parse_fault_specs("nan-grad;;drop-replica"),
                std::invalid_argument);
+}
+
+TEST(FaultSpec, RejectsTrailingTextFractionsAndRepeatedKeys) {
+  // Each value must be one whole number of its key's type, and each key
+  // is set once; the error names the clause.
+  for (const std::string clause :
+       {"nan-grad:epoch=3x", "flaky-replica:prob=0.5abc", "nan-grad:step=1.9",
+        "kill-replica:replica=1.0", "nan-grad:epoch=1,epoch=4",
+        "scale-grad:scale=2,scale=2"}) {
+    SCOPED_TRACE(clause);
+    try {
+      robust::parse_fault_specs("truncate-ckpt;" + clause);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + clause + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // Real-valued keys still parse as doubles, so fault draws do not move.
+  const auto specs = robust::parse_fault_specs(
+      "flaky-replica:prob=0.1;delay-replica:delay=0.3;scale-grad:scale=1e-3");
+  ASSERT_EQ(specs.size(), 3u);
+  EXPECT_EQ(specs[0].prob, 0.1);
+  EXPECT_EQ(specs[1].delay_seconds, 0.3);
+  EXPECT_EQ(specs[2].scale, 1e-3);
 }
 
 TEST(FaultSpec, ParsesElasticMembershipKinds) {
@@ -577,22 +603,22 @@ TEST(FindLastGoodCheckpoint, SkipsCorruptedFilesAndFallsBack) {
 
 TEST(GuardianConfig, ValidatesRobustnessFields) {
   core::TrainConfig cfg;
-  cfg.max_rollbacks = -1;
+  cfg.recovery.max_rollbacks = -1;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg = {};
-  cfg.max_rollbacks = 2;  // rollback without a checkpoint_dir
+  cfg.recovery.max_rollbacks = 2;  // rollback without a checkpoint_dir
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg.checkpoint_dir = "/tmp/somewhere";
   EXPECT_NO_THROW(cfg.validate());
-  cfg.rollback_lr_cut = 0.f;
+  cfg.recovery.lr_cut = 0.f;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg.rollback_lr_cut = 1.5f;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg = {};
-  cfg.rollback_backoff = 0.9;
+  cfg.recovery.lr_cut = 1.5f;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg = {};
-  cfg.rollback_backoff_cap = -1.0;
+  cfg.recovery.backoff_base = 0.9;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg = {};
+  cfg.recovery.backoff_cap = -1.0;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg = {};
   cfg.prune_min_channels = 0;
@@ -618,6 +644,7 @@ TEST(TrainConfigFaults, EveryKindIsRejectedOrFires) {
     bool cluster;      // has a consumer at replicas=2
     bool checkpoints;  // needs checkpoint_dir
     bool allow_rejoin = true;
+    std::int64_t suspect_threshold = 1;
   };
   const std::vector<Row> rows = {
       {"nan-grad:step=1", true, true, false},
@@ -641,6 +668,12 @@ TEST(TrainConfigFaults, EveryKindIsRejectedOrFires) {
        false, false},
       {"rejoin-replica:step=3;kill-replica:replica=1,step=1", false, true,
        false},
+      // A killed replica is DEAD only after suspect_threshold missed acks,
+      // and only a DEAD replica rejoins.
+      {"rejoin-replica:replica=1,step=2;kill-replica:replica=1,step=1", false,
+       false, false, true, /*suspect_threshold=*/3},
+      {"rejoin-replica:replica=1,step=2;kill-replica:replica=1,step=1", false,
+       true, false, true, /*suspect_threshold=*/1},
       {"truncate-ckpt", true, true, true},
       {"corrupt-ckpt", true, true, true},
       {"torn-ckpt", true, true, true},
@@ -700,9 +733,9 @@ TEST(TrainConfigFaults, EveryKindIsRejectedOrFires) {
         cfg.epochs = 1;
         cfg.batch_size = 16;
         cfg.replicas = replicas;
-        cfg.suspect_threshold = 1;
+        cfg.membership.suspect_threshold = row.suspect_threshold;
         cfg.fault_spec = row.spec;
-        cfg.allow_rejoin = row.allow_rejoin;
+        cfg.membership.allow_rejoin = row.allow_rejoin;
         // A fresh directory per run, so no run sees another's checkpoints.
         if (checkpoints) {
           cfg.checkpoint_dir = scratch_dir("every_kind").string();
@@ -757,7 +790,7 @@ TEST(Guardian, NanFaultRollsBackAndReproducesCleanRun) {
   graph::Network fault_net = small_net();
   core::TrainConfig fault_cfg = guardian_cfg(fault_dir.string());
   fault_cfg.fault_spec = "nan-grad:epoch=3,step=1";
-  fault_cfg.rollback_lr_cut = 1.0f;
+  fault_cfg.recovery.lr_cut = 1.0f;
   core::PruneTrainer faulty(fault_net, data, fault_cfg);
   const auto fault_result = faulty.run();
 
@@ -814,7 +847,7 @@ TEST(Guardian, ExhaustedBudgetAbortsWithDiagnosticCheckpoint) {
   graph::Network net = small_net();
   core::TrainConfig cfg = guardian_cfg(dir.string());
   cfg.epochs = 3;
-  cfg.max_rollbacks = 1;
+  cfg.recovery.max_rollbacks = 1;
   cfg.fault_spec = "nan-grad:count=0";  // refaults on every retry
   core::PruneTrainer trainer(net, data, cfg);
   try {

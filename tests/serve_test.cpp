@@ -79,11 +79,8 @@ serve::Request make_request(std::int64_t id, const std::string& model,
 // --- Mailbox -------------------------------------------------------------
 
 TEST(Mailbox, AdmissionShedsWithStructuredReasons) {
-  serve::MailboxPolicy policy;
-  policy.max_queue = 2;
-  policy.max_batch = 4;
-  policy.batch_service_ticks = 10;
-  serve::Mailbox m("m", policy);
+  serve::Mailbox m("m", /*max_queue=*/2, /*max_batch=*/4);
+  m.set_batch_service_ticks(10);
 
   // Empty queue: one batch of modeled service -> wait estimate 10 ticks.
   EXPECT_EQ(m.modeled_wait(), 10);
@@ -105,12 +102,8 @@ TEST(Mailbox, AdmissionShedsWithStructuredReasons) {
 }
 
 TEST(Mailbox, PopBatchIsDeadlineOrderedAndShapeGrouped) {
-  serve::MailboxPolicy policy;
-  policy.max_queue = 0;  // unbounded
-  policy.max_batch = 3;
-  policy.batch_service_ticks = 1;
-  policy.shed_on_infeasible = false;
-  serve::Mailbox m("m", policy);
+  serve::Mailbox m("m", /*max_queue=*/0, /*max_batch=*/3);  // unbounded
+  m.set_batch_service_ticks(1);
 
   // Deadlines out of arrival order; request 2 has a different shape.
   ASSERT_EQ(m.offer(make_request(0, "m", 0, 90), 0), serve::ShedReason::kNone);
@@ -146,11 +139,9 @@ TEST(Mailbox, PopBatchIsDeadlineOrderedAndShapeGrouped) {
 // --- Scheduler -----------------------------------------------------------
 
 TEST(Scheduler, DispatchesFullBatchesAndForcedDeadlines) {
-  serve::MailboxPolicy policy;
-  policy.max_batch = 2;
-  policy.batch_service_ticks = 5;
-  serve::Mailbox m("m", policy);
-  serve::Scheduler sched(serve::SchedulerConfig{});
+  serve::Mailbox m("m", /*max_queue=*/64, /*max_batch=*/2);
+  m.set_batch_service_ticks(5);
+  serve::Scheduler sched;
 
   EXPECT_FALSE(sched.due(m, 0));
   ASSERT_EQ(m.offer(make_request(0, "m", 0, 100), 0), serve::ShedReason::kNone);
@@ -163,10 +154,10 @@ TEST(Scheduler, DispatchesFullBatchesAndForcedDeadlines) {
 }
 
 TEST(Scheduler, RoundRobinInterleavesTenantsAndSkipsUnpublished) {
-  serve::MailboxPolicy policy;
-  policy.max_batch = 2;
-  policy.batch_service_ticks = 1;
-  serve::Mailbox m1("a", policy), m2("b", policy);
+  serve::Mailbox m1("a", /*max_queue=*/64, /*max_batch=*/2);
+  serve::Mailbox m2("b", /*max_queue=*/64, /*max_batch=*/2);
+  m1.set_batch_service_ticks(1);
+  m2.set_batch_service_ticks(1);
   for (std::int64_t i = 0; i < 4; ++i) {
     ASSERT_EQ(m1.offer(make_request(i, "a", i, i + 2), i),
               serve::ShedReason::kNone);
@@ -175,7 +166,7 @@ TEST(Scheduler, RoundRobinInterleavesTenantsAndSkipsUnpublished) {
   }
 
   serve::LeaseTable leases;
-  serve::Scheduler sched(serve::SchedulerConfig{});
+  serve::Scheduler sched;
   // No tenant has published weights yet: nothing forms, requests wait.
   EXPECT_TRUE(sched.form(10, {&m1, &m2}, leases).empty());
   EXPECT_EQ(m1.size() + m2.size(), 8);
@@ -582,6 +573,17 @@ TEST(ServeRuntime, ConfigValidationFailsFast) {
   cfg = serve::ServeConfig{};
   cfg.max_batch = 0;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  // The inherited RegistryConfig checks run too, the canary's included.
+  cfg = serve::ServeConfig{};
+  cfg.canary.max_disagreement = 1.5;
+  try {
+    cfg.validate();
+    ADD_FAILURE() << "canary.max_disagreement should have been rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("CanaryConfig: max_disagreement"),
+              std::string::npos)
+        << e.what();
+  }
 
   exec::ExecContext ctx(1);
   serve::ServeRuntime rt(serve::ServeConfig{}, ctx);
