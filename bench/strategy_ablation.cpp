@@ -3,7 +3,7 @@
 //
 //   $ ./strategy_ablation [--epochs N] [--quick] [--out BENCH.json]
 //
-// For each strategy in the registry (group_lasso, dsd, dst, channel_prop)
+// For each strategy in the registry (group_lasso, dst, channel_prop)
 // this runs the canonical proxy ResNet-8(w0.5)/8x8 protocol with the same
 // aggressive parameters the conformance suite uses, and reports:
 //
@@ -13,7 +13,7 @@
 //  - wall-clock seconds per epoch,
 //  - `strategy_resume_bitwise`: a mid-run checkpoint resume replayed into a
 //    fresh network must reproduce the uninterrupted run bit for bit —
-//    serialized strategy state (masks, thresholds, saliency) included.
+//    serialized strategy state (thresholds, saliency) included.
 //    run_bench_suite.sh fails the suite when this flag is false.
 #include <chrono>
 #include <cstring>
@@ -61,9 +61,6 @@ pt::graph::Network ablation_net() {
 /// strategy visibly acts within a short proxy run.
 std::map<std::string, std::string> ablation_params(const std::string& name) {
   if (name == "group_lasso") return {{"ratio", "0.3"}, {"boost", "2000"}};
-  if (name == "dsd") {
-    return {{"sparsity", "0.5"}, {"sparse_begin", "0.2"}, {"sparse_end", "0.8"}};
-  }
   if (name == "dst") {
     return {{"alpha", "2"}, {"threshold_lr", "0.1"}, {"beta", "1"},
             {"init", "0.05"}};

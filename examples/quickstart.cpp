@@ -35,7 +35,7 @@
 // --replicas N trains on a simulated elastic data-parallel cluster
 // (DESIGN.md §10): batches shard over the live replicas, membership faults
 // (kill-replica / flaky-replica / rejoin-replica) exercise permanent
-// failure, quorum loss, and checkpointed rejoin. --min-live-fraction,
+// failure, quorum loss, and fenced rejoin. --min-live-fraction,
 // --suspect-threshold, and --no-rejoin tune the membership policy:
 //
 //   $ ./quickstart --replicas 4 --checkpoint-dir /tmp/pt
@@ -55,8 +55,8 @@
 //         --sdc-check-interval 4 --keep-checkpoints 3
 //         --fault-spec "sdc-param:replica=1,step=3"
 //
-// --strategy <name> swaps the sparsifier (group_lasso, dsd, dst,
-// channel_prop — see DESIGN.md §11); the repeatable --strategy-param k=v
+// --strategy <name> swaps the sparsifier (group_lasso, dst, channel_prop
+// — see DESIGN.md §11); the repeatable --strategy-param k=v
 // tunes it (group_lasso starts from ratio=0.25, boost=150), e.g.:
 //
 //   $ ./quickstart --strategy-param ratio=0.3
@@ -101,11 +101,11 @@ int main(int argc, char** argv) {
                "inject deterministic faults, e.g. 'nan-grad:epoch=7' or "
                "'kill-replica:replica=2,step=50'; 'help' prints the grammar");
   flags.define("strategy", "group_lasso",
-               "sparsification strategy (group_lasso, dsd, dst, "
-               "channel_prop); 'help' prints the registry table");
+               "sparsification strategy (group_lasso, dst, channel_prop); "
+               "'help' prints the registry table");
   flags.define_list("strategy-param",
                     "strategy parameter as key=value, e.g. "
-                    "--strategy-param sparsity=0.4 (see --strategy help)");
+                    "--strategy-param ratio=0.3 (see --strategy help)");
   flags.define("codec", "dense",
                "gradient wire format for the simulated allreduce (dense, "
                "twobit, live_channel; needs --replicas > 1); 'help' prints "

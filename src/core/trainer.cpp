@@ -220,6 +220,15 @@ std::vector<RunStep> schedule(const TrainConfig& cfg) {
   return steps;
 }
 
+/// The epochs of every phase of the schedule.
+std::int64_t run_epochs(const TrainConfig& cfg) {
+  std::int64_t epochs = 0;
+  for (const RunStep& step : schedule(cfg)) {
+    if (step.kind == RunStep::Kind::kPhase) epochs += step.phase.epochs;
+  }
+  return epochs;
+}
+
 }  // namespace
 
 std::string to_string(PrunePolicy policy) {
@@ -280,13 +289,10 @@ void TrainConfig::validate() const {
   try {
     // A clause with no consumer in this run shape would otherwise arm and
     // never fire — a silently dead test.
-    std::int64_t run_epochs = 0;
-    for (const RunStep& step : schedule(*this)) {
-      if (step.kind == RunStep::Kind::kPhase) run_epochs += step.phase.epochs;
-    }
     robust::validate_training_faults(
         fault_spec, static_cast<int>(replicas), !checkpoint_dir.empty(),
-        run_epochs, membership.suspect_threshold, membership.allow_rejoin);
+        run_epochs(*this), membership.suspect_threshold,
+        membership.allow_rejoin);
   } catch (const std::invalid_argument& e) {
     fail(std::string("fault_spec: ") + e.what());
   }
@@ -316,11 +322,6 @@ void TrainConfig::validate() const {
          " is a group-lasso training protocol; it requires strategy "
          "\"group_lasso\" (got \"" + strategy + "\")");
   }
-  if (strategy == "dsd" && fine_tune_epochs > 0) {
-    fail("fine_tune_epochs contradicts strategy \"dsd\": DSD already ends "
-         "with a dense retraining window — drop the legacy flag or use "
-         "strategy_params[\"sparse_end\"] to shape it");
-  }
   if (replicas < 1) {
     fail("replicas must be >= 1 (got " + std::to_string(replicas) + ")");
   }
@@ -349,6 +350,17 @@ PruneTrainer::PruneTrainer(graph::Network& net,
                     dataset.spec().width}),
       batch_size_(cfg_.batch_size) {
   cfg_.validate();
+  // Step keys need the dataset size, which validate() cannot see. The batch
+  // never shrinks, so no epoch has more steps than at the configured batch.
+  const std::int64_t steps_per_epoch =
+      loader_.iterations_per_epoch(batch_size_);
+  try {
+    robust::validate_fault_steps(cfg_.fault_spec, steps_per_epoch,
+                                 steps_per_epoch * run_epochs(cfg_));
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(std::string("TrainConfig: fault_spec: ") +
+                                e.what());
+  }
   strategy_ = prune::StrategyRegistry::global().create(cfg_.strategy,
                                                        cfg_.strategy_params);
   // Like the strategy, the codec exists before any resume load so
@@ -403,11 +415,6 @@ void PruneTrainer::rebuild_cluster(robust::FaultInjector injector) {
   // from a checkpoint or carried across a rollback — survives the bind.
   if (codec_) cluster_->set_codec(codec_);
   cluster_->set_fault_injector(std::move(injector));
-  if (!cfg_.checkpoint_dir.empty()) {
-    namespace fs = std::filesystem;
-    const fs::path latest = fs::path(cfg_.checkpoint_dir) / "ckpt-latest.bin";
-    if (fs::exists(latest)) cluster_->set_resync_checkpoint(latest.string());
-  }
 }
 
 void PruneTrainer::sync_net_from_cluster() {
@@ -427,12 +434,11 @@ void PruneTrainer::sync_net_from_cluster() {
   }
 }
 
-prune::ReconfigStats PruneTrainer::reconfigure(TrainResult& result,
-                                               float threshold) {
+prune::ReconfigStats PruneTrainer::reconfigure(TrainResult& result) {
   prune::ReconfigStats rstats;
   {
     telemetry::ScopedTimer span("reconfigure");
-    rstats = prune::Reconfigurer(*net_, threshold, cfg_.prune_min_channels)
+    rstats = prune::Reconfigurer(*net_, cfg_.threshold, cfg_.prune_min_channels)
                  .reconfigure();
   }
   result.layers_removed += rstats.convs_removed;
@@ -447,7 +453,7 @@ prune::ReconfigStats PruneTrainer::reconfigure(TrainResult& result,
         (m.state == dist::ReplicaState::kHealthy && !m.failed) ||
         m.state == dist::ReplicaState::kRejoining;
     if (!current) continue;
-    prune::Reconfigurer reconfigurer(cluster_->replica(r), threshold,
+    prune::Reconfigurer reconfigurer(cluster_->replica(r), cfg_.threshold,
                                      cfg_.prune_min_channels);
     reconfigurer.reconfigure();
   }
@@ -459,7 +465,7 @@ prune::ReconfigStats PruneTrainer::reconfigure(TrainResult& result,
   cluster_->codec().bind(*net_, cluster_->size());
   if (rstats.changed) {
     // Surgery may have dropped channels the strategy tracks by index;
-    // give it a chance to rebuild (masks, thresholds, saliency).
+    // give it a chance to rebuild (thresholds, saliency).
     strategy_->on_reconfigured(*net_);
     // The workspace is sized for the pre-surgery shapes; drop it so its
     // capacity — and the high-water statistic — re-measures the pruned
@@ -557,8 +563,7 @@ void PruneTrainer::train_epoch(EpochStats& stats, float lambda, float lr,
     // rebuilds the cluster from the last good checkpoint; without it the
     // divergence propagates as-is.
     robust::HealthEvent ev = e.to_health_event(epoch_counter_);
-    report_.events.push_back(ev);
-    log_error("guardian: " + ev.describe());
+    record_event(ev);
     if (cfg_.recovery.max_rollbacks > 0) {
       throw robust::FatalHealthError(std::move(ev));
     }
@@ -575,6 +580,14 @@ void PruneTrainer::train_epoch(EpochStats& stats, float lambda, float lr,
   // models, checkpoints) reads *net_; bring it up to date.
   sync_net_from_cluster();
   stats.lasso_loss = strategy_->regularization_loss(*net_);
+}
+
+void PruneTrainer::record_event(const robust::HealthEvent& ev,
+                                const std::string& note) {
+  report_.events.push_back(ev);
+  log(ev.severity == robust::Severity::kFatal ? LogLevel::kError
+                                              : LogLevel::kWarn,
+      "guardian: " + ev.describe() + note);
 }
 
 void PruneTrainer::run_integrity_check() {
@@ -602,8 +615,7 @@ void PruneTrainer::run_integrity_check() {
     robust::HealthEvent ev{robust::EventType::kSdcNoQuorum,
                            robust::Severity::kFatal, epoch_counter_,
                            static_cast<double>(views.size()), out.detail};
-    report_.events.push_back(ev);
-    log_error("guardian: " + ev.describe());
+    record_event(ev);
     throw robust::FatalHealthError(std::move(ev));
   }
   if (out.mismatch) {
@@ -612,8 +624,7 @@ void PruneTrainer::run_integrity_check() {
     robust::HealthEvent ev{robust::EventType::kSdcDetected,
                            robust::Severity::kWarning, epoch_counter_,
                            static_cast<double>(out.healed.size()), out.detail};
-    report_.events.push_back(ev);
-    log_warn("guardian: " + ev.describe());
+    record_event(ev);
   }
 }
 
@@ -637,16 +648,13 @@ void PruneTrainer::run_phase(TrainResult& result, const PhaseSpec& spec,
                        static_cast<float>(schedule.multiplier_at(e));
 
       prune::EpochInfo einfo;
-      einfo.global_epoch = epoch_counter_;
       einfo.epoch_in_phase = e;
       einfo.phase_epochs = spec.epochs;
       einfo.sparsify = spec.sparsify;
       einfo.periodic_reconfig = spec.periodic_reconfig;
       einfo.one_shot_at = spec.one_shot_at;
       einfo.reconfig_interval = cfg_.reconfig_interval;
-      einfo.threshold = cfg_.threshold;
       einfo.min_channels = cfg_.prune_min_channels;
-      einfo.lr = lr;
       strategy_->on_epoch_begin(*net_, einfo);
 
       // Eq. 3: calibrate lambda at the first regularized iteration using the
@@ -673,14 +681,7 @@ void PruneTrainer::run_phase(TrainResult& result, const PhaseSpec& spec,
       if (health_) {
         const std::vector<robust::HealthEvent> events =
             health_->check_epoch(epoch_counter_, stats.train_loss, *net_);
-        for (const robust::HealthEvent& ev : events) {
-          report_.events.push_back(ev);
-          if (ev.severity == robust::Severity::kFatal) {
-            log_error("guardian: " + ev.describe());
-          } else {
-            log_warn("guardian: " + ev.describe());
-          }
-        }
+        for (const robust::HealthEvent& ev : events) record_event(ev);
         const robust::HealthEvent* fatal =
             robust::HealthMonitor::first_fatal(events);
         if (fatal != nullptr && cfg_.recovery.max_rollbacks > 0) {
@@ -691,19 +692,14 @@ void PruneTrainer::run_phase(TrainResult& result, const PhaseSpec& spec,
       // Prune + reconfigure at epoch boundaries, on the strategy's cadence
       // (the default implementation reproduces the paper's periodic /
       // one-shot schedule).
-      const prune::ReconfigDecision decision =
-          strategy_->propose_reconfigure(einfo);
-      if (decision.reconfigure) {
+      if (strategy_->propose_reconfigure(einfo).reconfigure) {
         if (health_) {
-          const std::vector<robust::HealthEvent> events =
-              health_->check_prune(epoch_counter_, *net_, decision.threshold);
-          for (const robust::HealthEvent& ev : events) {
-            report_.events.push_back(ev);
-            log_warn("guardian: " + ev.describe());
+          for (const robust::HealthEvent& ev :
+               health_->check_prune(epoch_counter_, *net_, cfg_.threshold)) {
+            record_event(ev);
           }
         }
-        const prune::ReconfigStats rstats =
-            reconfigure(result, decision.threshold);
+        const prune::ReconfigStats rstats = reconfigure(result);
         stats.reconfigured = rstats.changed;
         reconfig_rec = {rstats, /*happened=*/true};
         if (telemetry::enabled()) {
@@ -929,8 +925,6 @@ void PruneTrainer::save_checkpoint(const TrainResult& result, std::int64_t phase
     scrubber_->note_saved(numbered, epoch_counter_);
     scrubber_->scrub(*ctx_);
   }
-  // Rejoining replicas resync their topology from the freshest save.
-  cluster_->set_resync_checkpoint(latest);
 }
 
 void PruneTrainer::load_checkpoint_file(const std::string& path) {
@@ -1026,11 +1020,9 @@ TrainResult PruneTrainer::run() {
     // a crash or a silent small-batch run.
     robust::HealthEvent ev = err.event();
     if (ev.epoch < 0) ev.epoch = epoch_counter_;
-    report_.events.push_back(ev);
+    record_event(ev, "; aborting with diagnostic checkpoint");
     report_.aborted = true;
     save_diagnostic_checkpoint();
-    log_error("guardian: " + ev.describe() +
-              "; aborting with diagnostic checkpoint");
     throw robust::TrainingAborted("training aborted: " + ev.describe(),
                                   recovery_report());
   }
@@ -1065,8 +1057,7 @@ void PruneTrainer::rollback(robust::RecoveryPolicy::Decision decision,
                            robust::Severity::kWarning, epoch_counter_,
                            static_cast<double>(target.skipped_corrupt),
                            cs.str()};
-    report_.events.push_back(ev);
-    log_warn("guardian: " + ev.describe());
+    record_event(ev);
     if (telemetry::enabled()) {
       telemetry::event("health/checkpoint-cascade", ev.describe());
     }
@@ -1148,7 +1139,7 @@ TrainResult PruneTrainer::run_attempt() {
         break;
       }
       case RunStep::Kind::kReconfigure:
-        if (!held) reconfigure(result, cfg_.threshold);
+        if (!held) reconfigure(result);
         break;
       case RunStep::Kind::kEnterFineTune:
         // A checkpoint taken during fine-tuning already carries the decay

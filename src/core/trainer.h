@@ -66,8 +66,8 @@ struct TrainConfig {
   PrunePolicy policy = PrunePolicy::kPruneTrain;
 
   /// Sparsification strategy, by prune::StrategyRegistry name. The default
-  /// reproduces the pre-strategy trainer bitwise; the zoo adds "dsd",
-  /// "dst", and "channel_prop" (src/prune/strategy_zoo.h).
+  /// reproduces the pre-strategy trainer bitwise; the zoo adds "dst" and
+  /// "channel_prop" (src/prune/strategy_zoo.h).
   std::string strategy = "group_lasso";
   /// Per-strategy parameters (string key/value; see `--strategy help` or
   /// StrategyRegistry::help() for each strategy's keys and defaults). The
@@ -188,7 +188,7 @@ struct TrainConfig {
   /// in-process replicas (dist::ElasticCluster): batches shard over the
   /// live set, gradients allreduce deterministically, and membership
   /// faults (kill/flaky/rejoin-replica in fault_spec) exercise permanent
-  /// failure and checkpointed rejoin. 1 (the default) is plain
+  /// failure and fenced rejoin. 1 (the default) is plain
   /// single-device training: a one-replica cluster whose only replica is
   /// the trained network itself.
   std::int64_t replicas = 1;
@@ -317,6 +317,11 @@ class PruneTrainer {
   /// split escalates as a fatal kSdcNoQuorum when recovery is enabled.
   void run_integrity_check();
 
+  /// Appends `ev` to the guardian report and logs it ("guardian: " +
+  /// describe() + `note`) at error level when fatal, warning otherwise.
+  void record_event(const robust::HealthEvent& ev,
+                    const std::string& note = "");
+
   /// Best-effort ckpt-diagnostic.bin: the broken model plus a "guardian"
   /// section holding the serialized RecoveryReport. Never throws.
   void save_diagnostic_checkpoint();
@@ -343,13 +348,13 @@ class PruneTrainer {
   /// (evaluation, health checks, checkpoints, and cost models all read
   /// *net_) when that replica is not rank 0 — *net_ itself.
   void sync_net_from_cluster();
-  /// The channel-union surgery at `threshold`: on *net_ (rank 0), then on
+  /// The channel-union surgery at cfg_.threshold: on *net_ (rank 0), then on
   /// every other replica whose state is current (live members and freshly
   /// resynced rejoiners; stale failed replicas keep their old topology
   /// until a rejoin resync replays the new one), a codec rebind, and — when
   /// the topology changed — the strategy's on_reconfigured and a workspace
   /// rebuild. Adds the removed conv layers to `result`.
-  prune::ReconfigStats reconfigure(TrainResult& result, float threshold);
+  prune::ReconfigStats reconfigure(TrainResult& result);
   /// Eq. 3: runs a 32-sample probe batch (drawn from the shared shuffle
   /// RNG) forward without training and sets result.lambda from its
   /// classification loss and the strategy's regularization sum.

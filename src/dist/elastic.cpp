@@ -148,10 +148,6 @@ void ElasticCluster::schedule_rejoin(int replica, std::int64_t step) {
   table_.schedule_rejoin(replica, step);
 }
 
-void ElasticCluster::set_resync_checkpoint(std::string path) {
-  resync_ckpt_path_ = std::move(path);
-}
-
 cost::CommCost ElasticCluster::comm_cost(const graph::Network& model,
                                          int members) const {
   cost::CommQuery q;
@@ -179,27 +175,16 @@ std::vector<robust::HealthEvent> ElasticCluster::drain_health_events() {
 }
 
 std::int64_t ElasticCluster::resync_rejoiner(int r, int root) {
-  // Phase 1 — topology replay. Prefer the last CRC-valid checkpoint (the
-  // replica "restarts from disk"); a missing or corrupt file leaves the
-  // joiner's stale model in place.
-  if (!resync_ckpt_path_.empty()) {
-    try {
-      replica(r) = ckpt::Checkpoint::load(resync_ckpt_path_).restore_network();
-    } catch (const std::exception&) {
-      // Keep the stale model; copy_replica rebuilds it if it must.
-    }
-  }
-
   // The joiner's per-replica codec state (error-feedback residuals) is
   // dropped with its stale model: the accumulated quantization error
   // belongs to gradients the group never averaged.
   codec_->reset_replica(r);
 
-  // Phase 2 — fenced state broadcast: every persistent tensor (params,
-  // momentum, BN buffers) plus current gradients, copied bit-exactly from
-  // the survivor so the joiner's first synced step matches the group. A
-  // joiner whose shapes went stale (no checkpoint, or a reconfiguration
-  // after the save) is rebuilt as a survivor clone first.
+  // Fenced state broadcast: every persistent tensor (params, momentum, BN
+  // buffers) plus current gradients, copied bit-exactly from the survivor
+  // so the joiner's first synced step matches the group. A joiner whose
+  // shapes went stale (a reconfiguration while it was dead) is rebuilt as
+  // a survivor clone first.
   return copy_replica(root, r).bytes;
 }
 

@@ -34,13 +34,13 @@
 //    leave trailing shards empty the same way. delay-replica is modeled
 //    straggler time, never a failed attempt.
 //
-//  * Checkpointed rejoin: a DEAD replica revived by a rejoin-replica fault
-//    (or schedule_rejoin) spends one fenced step REJOINING — it replays
-//    topology from the last CRC-valid checkpoint (set_resync_checkpoint;
-//    a missing, corrupt, or stale-shape file falls back to cloning a
-//    survivor), then receives a full state broadcast (params + momentum +
-//    BN buffers) from the first participant, so its first synced step is
-//    bit-identical to the survivors'. Resynced bytes are accounted.
+//  * Fenced rejoin: a DEAD replica revived by a rejoin-replica fault (or
+//    schedule_rejoin) spends one fenced step REJOINING — it is rebuilt as a
+//    clone of the first participant when its topology went stale (a
+//    reconfiguration while it was dead), then receives a full state
+//    broadcast (params + momentum + BN buffers) from that participant, so
+//    its first synced step is bit-identical to the survivors'. Resynced
+//    bytes are accounted.
 //
 //  * Straggler accounting: measured step time plus injected delay and drop
 //    detection feeds a per-replica EWMA; the modeled synchronous step time
@@ -164,10 +164,6 @@ class ElasticCluster {
   void schedule_departure(int replica, std::int64_t step);
   void schedule_rejoin(int replica, std::int64_t step);
 
-  /// Path of the last known-good checkpoint; rejoiners replay their
-  /// topology from it before the state broadcast ("" = survivor clone).
-  void set_resync_checkpoint(std::string path);
-
   /// Replaces the gradient codec (default: `dense`) and binds it to the
   /// current replica topology. Shape-compatible codec state (loaded from a
   /// checkpoint) survives the bind; a rejoiner's per-replica state is
@@ -194,12 +190,11 @@ class ElasticCluster {
   std::vector<robust::HealthEvent> drain_health_events();
 
   /// Heals replica `victim` in place by a fenced full-state copy from
-  /// replica `root` — the phase-2 broadcast of the rejoin resync, without
-  /// the topology replay (digest voting already proved the topologies
-  /// match; a victim whose *structure* diverged is rebuilt from a root
-  /// clone first). Used by the integrity monitor when a digest vote
-  /// convicts a minority replica of silent corruption: one copy, no
-  /// rollback, no lost steps. Returns the bytes copied.
+  /// replica `root` — the same copy as the rejoin resync (a victim whose
+  /// *structure* diverged is rebuilt from a root clone first). Used by the
+  /// integrity monitor when a digest vote convicts a minority replica of
+  /// silent corruption: one copy, no rollback, no lost steps. Returns the
+  /// bytes copied.
   std::int64_t heal_replica(int victim, int root);
 
   /// Makes replica `dst` a bit-exact copy of replica `src`, rebuilding it
@@ -229,17 +224,17 @@ class ElasticCluster {
   /// the codec's compressed volume.
   cost::CommCost comm_cost(const graph::Network& model, int members) const;
 
-  /// Replays topology + state onto rejoiner `r` from checkpoint or the
-  /// survivor at rank `root`, then counts the fenced state broadcast.
+  /// Replays topology + state onto rejoiner `r` from the survivor at rank
+  /// `root` and returns the bytes of the fenced state broadcast.
   std::int64_t resync_rejoiner(int r, int root);
 
   /// Records a fatal kQuorumLoss event and returns it as ClusterDegraded.
   ClusterDegraded degraded(std::int64_t step_id, int live,
                            const std::string& detail);
 
-  /// The fenced full-state copy shared by rejoin resync (phase 2) and
-  /// integrity heals: every state tensor of `src_rank`'s replica copied
-  /// bit-exactly onto `dst_rank`'s. Returns the bytes copied.
+  /// The fenced full-state copy shared by rejoin resync and integrity
+  /// heals: every state tensor of `src_rank`'s replica copied bit-exactly
+  /// onto `dst_rank`'s. Returns the bytes copied.
   std::int64_t copy_full_state(int src_rank, int dst_rank);
 
   /// Both public constructors land here: `rank0` (null when every replica
@@ -253,7 +248,6 @@ class ElasticCluster {
   std::shared_ptr<GradientCodec> codec_;
   MembershipTable table_;
   robust::FaultInjector injector_;
-  std::string resync_ckpt_path_;
   std::vector<MembershipTransition> transitions_;
   std::vector<robust::HealthEvent> health_events_;
   std::int64_t resync_bytes_total_ = 0;

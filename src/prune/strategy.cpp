@@ -12,7 +12,6 @@ ReconfigDecision Strategy::propose_reconfigure(const EpochInfo& info) const {
   const bool one_shot_hit =
       info.one_shot_at >= 0 && (info.epoch_in_phase + 1) == info.one_shot_at;
   d.reconfigure = periodic_hit || one_shot_hit;
-  d.threshold = info.threshold;
   return d;
 }
 

@@ -1,12 +1,12 @@
-// Pluggable sparsification strategies (ISSUE 6 tentpole).
+// Pluggable sparsification strategies.
 //
 // PruneTrain's group-lasso sparsifier used to be hard-wired into
 // core::PruneTrainer. This interface extracts the per-epoch / per-step
-// hooks the trainer calls so alternative sparsification schemes (DSD
-// dense-sparse-dense scheduling, DST trainable thresholds, dynamic channel
-// propagation — see strategy_zoo.h) plug into the same training loop,
-// channel-union reconfiguration, checkpointing, guardian rollback, and
-// elastic membership without forking the trainer.
+// hooks the trainer calls so alternative sparsification schemes (DST
+// trainable thresholds, dynamic channel propagation — see strategy_zoo.h)
+// plug into the same training loop, channel-union reconfiguration,
+// checkpointing, guardian rollback, and elastic membership without forking
+// the trainer.
 //
 // Contract (DESIGN.md §11 spells out the details):
 //
@@ -49,23 +49,19 @@ struct StepInfo {
 
 /// Per-epoch context handed to on_epoch_begin / propose_reconfigure.
 struct EpochInfo {
-  std::int64_t global_epoch = 0;   ///< trainer-wide epoch counter
   std::int64_t epoch_in_phase = 0; ///< 0-based index within the phase
   std::int64_t phase_epochs = 0;   ///< total epochs of the current phase
   bool sparsify = false;           ///< phase trains with sparsification
   bool periodic_reconfig = false;  ///< phase allows periodic reconfiguration
   std::int64_t one_shot_at = -1;   ///< reconfigure once after this epoch (<0 = never)
   std::int64_t reconfig_interval = 0;  ///< TrainConfig::reconfig_interval
-  float threshold = 0.f;               ///< TrainConfig::threshold
   std::int64_t min_channels = 1;       ///< TrainConfig::prune_min_channels
-  float lr = 0.f;                      ///< effective learning rate this epoch
 };
 
 /// What propose_reconfigure returns: whether to run the channel-union
-/// reconfiguration after this epoch, and at which zeroing threshold.
+/// reconfiguration (at TrainConfig::threshold) after this epoch.
 struct ReconfigDecision {
   bool reconfigure = false;
-  float threshold = 0.f;
 };
 
 /// Strategy state is plug-in state; the alias (like StrategyFactory below)
@@ -121,10 +117,10 @@ class Strategy {
     (void)info;
   }
 
-  /// Whether (and at which threshold) to run the channel-union
-  /// reconfiguration after this epoch. The default reproduces the paper's
-  /// cadence: every reconfig_interval epochs when the phase allows it,
-  /// plus the one-shot point.
+  /// Whether to run the channel-union reconfiguration (at
+  /// TrainConfig::threshold) after this epoch. The default reproduces the
+  /// paper's cadence: every reconfig_interval epochs when the phase allows
+  /// it, plus the one-shot point.
   virtual ReconfigDecision propose_reconfigure(const EpochInfo& info) const;
 
   /// Called after a reconfiguration changed the reference network's
@@ -165,9 +161,9 @@ class StrategyRegistry : public Registry<Strategy> {
  public:
   StrategyRegistry() : Registry("prune strategy", "strategy") {}
 
-  /// The process-wide registry with the built-in zoo (group_lasso, dsd,
-  /// dst, channel_prop) registered by strategy_zoo.cpp; thread-safe
-  /// magic-static initialization.
+  /// The process-wide registry with the built-in zoo (group_lasso, dst,
+  /// channel_prop) registered by strategy_zoo.cpp; thread-safe magic-static
+  /// initialization.
   static StrategyRegistry& global();
 
   void register_strategy(StrategyFactory factory) { add(std::move(factory)); }

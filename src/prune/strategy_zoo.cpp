@@ -92,110 +92,6 @@ std::map<std::string, double> GroupLassoStrategy::metrics() const {
 }
 
 // ---------------------------------------------------------------------------
-// dsd — dense-sparse-dense phase scheduling at channel granularity.
-
-void DsdStrategy::on_epoch_begin(graph::Network& net, const EpochInfo& info) {
-  min_keep_ = std::max<std::int64_t>(1, info.min_channels);
-  const auto begin =
-      static_cast<std::int64_t>(sparse_begin_ * double(info.phase_epochs));
-  const auto end =
-      static_cast<std::int64_t>(sparse_end_ * double(info.phase_epochs));
-  in_window_ = info.sparsify && info.epoch_in_phase >= begin &&
-               info.epoch_in_phase < end;
-  if (!in_window_) {
-    // Dense again (or not yet sparse): drop the masks so the re-dense
-    // epochs retrain the masked channels from their momentum.
-    masks_.clear();
-    return;
-  }
-  // Entering the window freezes a magnitude mask from the current weights;
-  // a mid-window resume restores non-empty masks and must NOT re-derive
-  // them (the masked rows are zero now — ranking them would be circular).
-  if (masks_.empty()) build_masks(net);
-}
-
-void DsdStrategy::build_masks(graph::Network& net) {
-  for (int id : net.nodes_of_type<nn::Conv2d>()) {
-    if (!net.is_live(id)) continue;
-    const auto& conv = net.layer_as<nn::Conv2d>(id);
-    const std::int64_t k = conv.out_channels();
-    const std::int64_t m =
-        std::min(static_cast<std::int64_t>(sparsity_ * double(k)),
-                 k - min_keep_);
-    if (m <= 0) continue;
-    const std::vector<double> norms =
-        out_group_norms(conv, conv.weight().value.data());
-    std::vector<std::uint8_t> mask(static_cast<std::size_t>(k), 0);
-    for (std::int64_t kk : lowest_indices(norms, m)) {
-      mask[static_cast<std::size_t>(kk)] = 1;
-    }
-    masks_[id] = std::move(mask);
-  }
-}
-
-void DsdStrategy::apply_masks(graph::Network& net) const {
-  for (const auto& [id, mask] : masks_) {
-    if (!net.is_live(id)) continue;
-    auto& conv = net.layer_as<nn::Conv2d>(id);
-    if (static_cast<std::int64_t>(mask.size()) != conv.out_channels()) continue;
-    for (std::int64_t kk = 0; kk < conv.out_channels(); ++kk) {
-      if (mask[static_cast<std::size_t>(kk)]) zero_out_channel(conv, kk);
-    }
-  }
-}
-
-void DsdStrategy::post_step(graph::Network& net, const StepInfo& info) {
-  (void)info;
-  if (in_window_) apply_masks(net);
-}
-
-ReconfigDecision DsdStrategy::propose_reconfigure(const EpochInfo& info) const {
-  (void)info;
-  return {};  // never: masked channels come back in the final dense phase
-}
-
-void DsdStrategy::on_reconfigured(graph::Network& net) {
-  (void)net;
-  // Only the end-of-run compaction passes reach here (propose_reconfigure
-  // is always false); channel indices shifted, so the masks are void.
-  masks_.clear();
-}
-
-std::map<std::string, double> DsdStrategy::metrics() const {
-  double masked = 0;
-  for (const auto& [id, mask] : masks_) {
-    (void)id;
-    for (std::uint8_t b : mask) masked += b;
-  }
-  return {{"sparse_window", in_window_ ? 1.0 : 0.0},
-          {"masked_channels", masked}};
-}
-
-std::vector<StateItem> DsdStrategy::state() const {
-  std::vector<StateItem> items;
-  for (const auto& [id, mask] : masks_) {
-    StateItem item;
-    item.name = "mask";
-    item.i64 = {id};
-    item.f32.reserve(mask.size());
-    for (std::uint8_t b : mask) item.f32.push_back(static_cast<float>(b));
-    items.push_back(std::move(item));
-  }
-  return items;
-}
-
-void DsdStrategy::load_state(const std::vector<StateItem>& items) {
-  masks_.clear();
-  for (const StateItem& item : items) {
-    if (item.name != "mask" || item.i64.size() != 1) continue;
-    std::vector<std::uint8_t> mask;
-    mask.reserve(item.f32.size());
-    for (float f : item.f32) mask.push_back(f != 0.f ? 1 : 0);
-    masks_[static_cast<int>(item.i64[0])] = std::move(mask);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // dst — trainable per-layer thresholds.
 
 void DstStrategy::on_epoch_begin(graph::Network& net, const EpochInfo& info) {
@@ -444,27 +340,6 @@ void register_builtin_strategies(StrategyRegistry& registry) {
          return std::make_unique<GroupLassoStrategy>(
              ratio, boost, param_bool(p, "proximal"),
              param_bool(p, "size_normalized"));
-       }});
-
-  registry.register_strategy(
-      {"dsd",
-       "dense-sparse-dense scheduling: mid-run magnitude mask, final dense "
-       "retrain (arXiv:1607.04381)",
-       {{"sparsity", "0.3",
-         "fraction of each conv's out-channels masked in the sparse window"},
-        {"sparse_begin", "0.25", "window start as a fraction of the phase"},
-        {"sparse_end", "0.75", "window end as a fraction of the phase"}},
-       [](const ParamMap& p) {
-         const float s = param_float(p, "sparsity");
-         const float b = param_float(p, "sparse_begin");
-         const float e = param_float(p, "sparse_end");
-         require(s >= 0.f && s < 1.f, "sparsity", "lie in [0, 1)");
-         if (!(b >= 0.f) || !(e <= 1.f) || !(b < e)) {
-           throw std::invalid_argument(
-               "strategy parameters must satisfy 0 <= sparse_begin < "
-               "sparse_end <= 1");
-         }
-         return std::make_unique<DsdStrategy>(s, b, e);
        }});
 
   registry.register_strategy(

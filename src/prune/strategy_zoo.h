@@ -4,12 +4,6 @@
 //                    trainer with zero behavior change: lasso subgradient
 //                    or proximal group-soft-threshold, Eq. 3 lambda
 //                    calibration, periodic channel-union reconfiguration.
-//  * dsd           — dense-sparse-dense scheduling (Han et al.,
-//                    arXiv:1607.04381) at channel granularity: a magnitude
-//                    mask is frozen at the start of a mid-run sparse
-//                    window and re-applied after every step, then dropped
-//                    so the final epochs retrain dense. Never reconfigures
-//                    (sparsity is temporary by design).
 //  * dst           — dynamic sparse training with a trainable per-layer
 //                    threshold (Liu et al., arXiv:2005.06870): each conv
 //                    owns a scalar threshold t; channel groups whose L2
@@ -22,7 +16,7 @@
 //                    training; the losers are held at zero and physically
 //                    pruned at the periodic reconfigurations.
 //
-// All four compose with the trainer's checkpoint/rollback machinery via
+// All three compose with the trainer's checkpoint/rollback machinery via
 // Strategy::state() and keep every reduction in fixed (node, channel)
 // order so 1-vs-N-thread and resume runs stay bitwise-identical.
 #pragma once
@@ -60,44 +54,6 @@ class GroupLassoStrategy final : public Strategy {
   float boost_;
   bool proximal_;
   bool size_normalized_;
-};
-
-class DsdStrategy final : public Strategy {
- public:
-  DsdStrategy(float sparsity, float sparse_begin, float sparse_end)
-      : sparsity_(sparsity),
-        sparse_begin_(sparse_begin),
-        sparse_end_(sparse_end) {}
-
-  std::string name() const override { return "dsd"; }
-  void on_epoch_begin(graph::Network& net, const EpochInfo& info) override;
-  void post_step(graph::Network& net, const StepInfo& info) override;
-  /// DSD never reconfigures mid-run: the sparse phase is a temporary
-  /// regularizer, and the masked channels must survive to retrain dense.
-  ReconfigDecision propose_reconfigure(const EpochInfo& info) const override;
-  void on_reconfigured(graph::Network& net) override;
-  std::map<std::string, double> metrics() const override;
-  std::vector<StateItem> state() const override;
-  void load_state(const std::vector<StateItem>& items) override;
-
-  bool in_sparse_window() const { return in_window_; }
-
- private:
-  void build_masks(graph::Network& net);
-  void apply_masks(graph::Network& net) const;
-
-  float sparsity_;      ///< fraction of each conv's out-channels to mask
-  float sparse_begin_;  ///< window start, as a fraction of the phase
-  float sparse_end_;    ///< window end, as a fraction of the phase
-
-  // node id -> 1 byte per out-channel (1 = masked). Frozen at window
-  // entry, cleared at window exit; checkpointed so a mid-window resume
-  // does not re-derive masks from already-masked weights.
-  std::map<int, std::vector<std::uint8_t>> masks_;
-
-  // Per-epoch caches, re-derived by on_epoch_begin (not serialized).
-  bool in_window_ = false;
-  std::int64_t min_keep_ = 1;
 };
 
 class DstStrategy final : public Strategy {

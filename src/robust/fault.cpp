@@ -325,6 +325,24 @@ void validate_training_faults(const std::string& text, int replicas,
   }
 }
 
+void validate_fault_steps(const std::string& text,
+                          std::int64_t steps_per_epoch,
+                          std::int64_t run_steps) {
+  for (const auto& [s, clause] : parse_clauses(text)) {
+    const C consumer = fault_kind(s.kind).consumer;
+    if (consumer != C::kStepHook && consumer != C::kMembership) continue;
+    // With epoch=, a step-hook clause counts steps within that epoch.
+    const bool in_epoch = consumer == C::kStepHook && s.epoch >= 0;
+    const std::int64_t steps = in_epoch ? steps_per_epoch : run_steps;
+    if (s.step >= steps) {
+      reject(clause, "sets step=" + std::to_string(s.step) + ", but " +
+                         (in_epoch ? "an epoch" : "the run") +
+                         " has at most " + std::to_string(steps) +
+                         " steps, numbered from 0");
+    }
+  }
+}
+
 void validate_serving_faults(const std::string& text) {
   for (const auto& [s, clause] : parse_clauses(text)) {
     if (fault_kind(s.kind).consumer != C::kServeBatch) {

@@ -118,14 +118,25 @@ std::string fault_spec_help();
 /// when `allow_rejoin` is false or when no kill-replica / flaky-replica
 /// clause can leave its replica DEAD in time: a killed replica is DEAD
 /// only after `suspect_threshold` missed acks, so a rejoin at step s needs
-/// a killer with no step= or with step + suspect_threshold <= s. It does
-/// not check that a step key falls inside the run. Throws
-/// std::invalid_argument naming the clause. TrainConfig::validate() calls
-/// this with the configured run shape and membership knobs.
+/// a killer with no step= or with step + suspect_threshold <= s. Step keys
+/// are validate_fault_steps' part. Throws std::invalid_argument naming the
+/// clause. TrainConfig::validate() calls this with the configured run shape
+/// and membership knobs.
 void validate_training_faults(const std::string& text, int replicas,
                               bool checkpointing, std::int64_t run_epochs,
                               std::int64_t suspect_threshold,
                               bool allow_rejoin);
+
+/// Rejects every clause of `text` whose step= a training run of at most
+/// `run_steps` cluster steps, `steps_per_epoch` per epoch, never reaches:
+/// a membership or step-hook clause with step >= run_steps, and a
+/// step-hook clause with epoch= and step >= steps_per_epoch (its step is
+/// then the 0-based step within that epoch). Throws std::invalid_argument
+/// naming the clause. PruneTrainer's constructor calls this, where the
+/// dataset size bounds both.
+void validate_fault_steps(const std::string& text,
+                          std::int64_t steps_per_epoch,
+                          std::int64_t run_steps);
 
 /// Rejects every clause of `text` that the serving runtime never queries:
 /// only the kServeBatch kinds have a consumer there. Throws

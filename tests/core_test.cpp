@@ -320,7 +320,7 @@ TEST(TrainConfigStrategy, UnknownStrategyOrParamThrows) {
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
 
   TrainConfig cfg2 = base_cfg();
-  cfg2.strategy = "dsd";
+  cfg2.strategy = "dst";
   cfg2.strategy_params.clear();
   cfg2.strategy_params["bogus"] = "1";
   EXPECT_THROW(cfg2.validate(), std::invalid_argument);
@@ -336,17 +336,9 @@ TEST(TrainConfigStrategy, ProtocolPoliciesRequireGroupLasso) {
   TrainConfig cfg2 = base_cfg();
   cfg2.policy = PrunePolicy::kOneShot;
   cfg2.one_shot_epoch = 2;
-  cfg2.strategy = "dsd";
+  cfg2.strategy = "dst";
   cfg2.strategy_params.clear();
   EXPECT_THROW(cfg2.validate(), std::invalid_argument);
-}
-
-TEST(TrainConfigStrategy, DsdRejectsLegacyFineTuneEpochs) {
-  TrainConfig cfg = base_cfg();
-  cfg.strategy = "dsd";
-  cfg.strategy_params.clear();
-  cfg.fine_tune_epochs = 2;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 
 TEST(TrainConfigCodec, UnknownCodecOrParamThrows) {

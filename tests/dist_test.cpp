@@ -6,7 +6,7 @@
 // The elastic half (ISSUE 5) adds the membership state machine, the bitwise
 // determinism contract (injected kill == statically scheduled departure),
 // kill-before/after-reconfiguration consistency, quorum-loss abort into the
-// guardian, and checkpointed rejoin with a stale topology.
+// guardian, and fenced rejoin with a stale topology.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -476,7 +476,7 @@ TEST(Cluster, ReconfigurationKeepsReplicasConsistent) {
 
 // ---------------------------------------------------------------------------
 // Elastic membership (ISSUE 5): state machine, determinism contract, quorum,
-// reconfiguration under churn, and checkpointed rejoin.
+// reconfiguration under churn, and fenced rejoin.
 
 namespace fs = std::filesystem;
 
@@ -767,16 +767,12 @@ TEST(ElasticCluster, StragglerDelayFeedsModeledStepTime) {
   expect_params_bitwise_equal(cluster.replica(0), cluster.replica(1));
 }
 
-TEST(ElasticCluster, RejoinerReplaysTopologyFromCheckpointAndSyncsBitwise) {
+TEST(ElasticCluster, RejoinerSyncsBitwise) {
   exec::ExecContext ctx(1);
-  const fs::path dir = scratch_dir("rejoin");
   MembershipConfig mc;
   mc.suspect_threshold = 1;  // dead on the first missed ack
   mc.min_live_fraction = 0.25;
   ElasticCluster cluster = make_elastic(3, 42, mc);
-  const std::string ckpt_path = (dir / "ckpt-latest.bin").string();
-  ckpt::Checkpoint::capture(cluster.replica(0)).save(ckpt_path);
-  cluster.set_resync_checkpoint(ckpt_path);
   cluster.schedule_departure(1, 2);
   cluster.schedule_rejoin(1, 3);
 
@@ -803,7 +799,6 @@ TEST(ElasticCluster, RejoinerReplaysTopologyFromCheckpointAndSyncsBitwise) {
   const auto edges = cluster.drain_transitions();
   ASSERT_GE(edges.size(), 4u);
   EXPECT_EQ(edges.back().describe(), "replica 1: rejoining -> healthy at step 4");
-  fs::remove_all(dir);
 }
 
 TEST(ElasticCluster, KillStraddlingReconfigurationKeepsSurvivorsConsistent) {
@@ -850,12 +845,11 @@ TEST(ElasticCluster, KillStraddlingReconfigurationKeepsSurvivorsConsistent) {
   expect_params_bitwise_equal(cluster.replica(0), cluster.replica(2));
 }
 
-TEST(ElasticCluster, RejoinWithStaleTopologyFallsBackToSurvivorClone) {
-  // The checkpoint on disk predates a reconfiguration, so its shapes are
-  // stale; the rejoiner must detect that during topology replay and clone
-  // the survivor's structure instead, ending bitwise-synced.
+TEST(ElasticCluster, RejoinAfterReconfigurationClonesSurvivorTopology) {
+  // The survivors reconfigure while a replica is dead, so its shapes are
+  // stale by rejoin time; the resync must clone the survivor's structure,
+  // ending bitwise-synced.
   exec::ExecContext ctx(1);
-  const fs::path dir = scratch_dir("stale");
   models::ModelConfig mcfg = small_resnet_cfg();
   std::vector<graph::Network> nets;
   for (int i = 0; i < 3; ++i) nets.push_back(models::build_resnet_basic(8, mcfg));
@@ -863,11 +857,6 @@ TEST(ElasticCluster, RejoinWithStaleTopologyFallsBackToSurvivorClone) {
   mc.suspect_threshold = 2;
   mc.min_live_fraction = 0.25;
   ElasticCluster cluster(std::move(nets), spec_for(3), mc);
-
-  // Pre-reconfiguration checkpoint — will be stale by rejoin time.
-  const std::string ckpt_path = (dir / "ckpt-latest.bin").string();
-  ckpt::Checkpoint::capture(cluster.replica(0)).save(ckpt_path);
-  cluster.set_resync_checkpoint(ckpt_path);
   cluster.schedule_departure(2, 1);
 
   optim::SGD opt(0.05f, 0.9f);
@@ -897,7 +886,6 @@ TEST(ElasticCluster, RejoinWithStaleTopologyFallsBackToSurvivorClone) {
   EXPECT_EQ(cluster.replica(2).num_params(), cluster.replica(0).num_params());
   expect_params_bitwise_equal(cluster.replica(0), cluster.replica(2));
   expect_params_bitwise_equal(cluster.replica(0), cluster.replica(1));
-  fs::remove_all(dir);
 }
 
 TEST(AllreduceDivergence, NamesTheOffendingReplica) {

@@ -522,10 +522,45 @@ TEST(LayerDensities, ReflectSparsity) {
 // Strategy registry: names, creation, parameter validation, help table.
 
 TEST(StrategyRegistry, RegistersTheBuiltinZoo) {
-  const auto names = StrategyRegistry::global().names();
-  for (const char* expected : {"group_lasso", "dsd", "dst", "channel_prop"}) {
-    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
-        << expected;
+  EXPECT_EQ(StrategyRegistry::global().names(),
+            (std::vector<std::string>{"group_lasso", "dst", "channel_prop"}));
+}
+
+// The default propose_reconfigure is the paper's cadence: every
+// reconfig_interval epochs of a phase that allows it, plus the one-shot
+// point.
+TEST(StrategyCadence, DefaultProposeReconfigure) {
+  struct Row {
+    const char* what;
+    bool periodic;
+    std::int64_t interval;
+    std::int64_t one_shot_at;
+    std::vector<std::int64_t> hits;  // epochs in phase that reconfigure
+  };
+  const std::vector<Row> rows = {
+      {"periodic every 3", true, 3, -1, {2, 5, 8}},
+      {"periodic every epoch", true, 1, -1, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}},
+      {"periodic off", false, 3, -1, {}},
+      {"interval 0", true, 0, -1, {}},
+      {"one-shot after epoch 4", false, 3, 4, {3}},
+      {"one-shot with periodic", true, 5, 2, {1, 4, 9}},
+      {"one-shot never", false, 0, -1, {}},
+  };
+  const auto strategy = StrategyRegistry::global().create("group_lasso");
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.what);
+    std::vector<std::int64_t> hits;
+    for (std::int64_t e = 0; e < 10; ++e) {
+      EpochInfo info;
+      info.epoch_in_phase = e;
+      info.phase_epochs = 10;
+      info.sparsify = true;
+      info.periodic_reconfig = row.periodic;
+      info.reconfig_interval = row.interval;
+      info.one_shot_at = row.one_shot_at;
+      if (strategy->propose_reconfigure(info).reconfigure) hits.push_back(e);
+    }
+    EXPECT_EQ(hits, row.hits);
   }
 }
 
@@ -533,7 +568,7 @@ TEST(StrategyRegistry, UnknownStrategyOrParamThrows) {
   EXPECT_THROW(StrategyRegistry::global().create("no_such_strategy"),
                std::invalid_argument);
   EXPECT_THROW(
-      StrategyRegistry::global().create("dsd", {{"bogus_knob", "1"}}),
+      StrategyRegistry::global().create("dst", {{"bogus_knob", "1"}}),
       std::invalid_argument);
   EXPECT_THROW(
       StrategyRegistry::global().create("group_lasso", {{"ratio", "1.5"}}),
@@ -667,9 +702,6 @@ graph::Network conformance_net() {
 /// the 6 proxy epochs the conformance runs use.
 std::map<std::string, std::string> aggressive_params(const std::string& name) {
   if (name == "group_lasso") return {{"ratio", "0.3"}, {"boost", "2000"}};
-  if (name == "dsd") {
-    return {{"sparsity", "0.5"}, {"sparse_begin", "0.2"}, {"sparse_end", "0.8"}};
-  }
   if (name == "dst") {
     return {{"alpha", "2"}, {"threshold_lr", "0.1"}, {"beta", "1"},
             {"init", "0.05"}};
@@ -722,9 +754,9 @@ TEST_P(StrategyConformanceTest, CheckpointResumeBitwise) {
   const core::TrainResult r_full = full.run();
 
   // Resume mid-phase, from the end-of-epoch-3 checkpoint, into a freshly
-  // built dense network. The strategy's serialized state (masks,
-  // thresholds, saliency) must land in the new trainer and replay the
-  // remaining epochs bitwise.
+  // built dense network. The strategy's serialized state (thresholds,
+  // saliency) must land in the new trainer and replay the remaining epochs
+  // bitwise.
   core::TrainConfig rcfg = conformance_cfg(name);
   rcfg.resume_from = (dir / "ckpt-epoch-3.bin").string();
   graph::Network res_net = conformance_net();

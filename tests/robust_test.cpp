@@ -635,7 +635,8 @@ TEST(GuardianConfig, ValidatesRobustnessFields) {
 
 // ---------------------------------------------------------------------------
 // No silent accepts: in every run shape, each fault kind is either rejected
-// by TrainConfig::validate() (naming the clause) or fires in a short run.
+// by the PruneTrainer constructor (naming the clause) or fires in a short
+// run.
 
 TEST(TrainConfigFaults, EveryKindIsRejectedOrFires) {
   struct Row {
@@ -645,6 +646,7 @@ TEST(TrainConfigFaults, EveryKindIsRejectedOrFires) {
     bool checkpoints;  // needs checkpoint_dir
     bool allow_rejoin = true;
     std::int64_t suspect_threshold = 1;
+    std::int64_t epochs = 1;
   };
   const std::vector<Row> rows = {
       {"nan-grad:step=1", true, true, false},
@@ -695,6 +697,19 @@ TEST(TrainConfigFaults, EveryKindIsRejectedOrFires) {
       {"poison-ckpt", false, false, false},
       {"slow-model", false, false, false},
       {"flaky-output", false, false, false},
+      // A step= the run never reaches: the 1-epoch run has 4 steps
+      // (0-based), and with epoch= the step counts within that epoch.
+      {"nan-grad:step=3", true, true, false},
+      {"nan-grad:step=4", false, false, false},
+      {"sdc-param:epoch=0,step=3", true, true, false},
+      {"sdc-param:epoch=0,step=4", false, false, false},
+      {"nan-grad:epoch=0,step=4", false, false, false, true, 1, /*epochs=*/2},
+      {"nan-grad:step=4", true, true, false, true, 1, /*epochs=*/2},
+      {"kill-replica:replica=1,step=3", false, true, false},
+      {"kill-replica:replica=1,step=4", false, false, false},
+      {"delay-replica:step=4", false, false, false},
+      {"rejoin-replica:replica=1,step=4;kill-replica:replica=1,step=1", false,
+       false, false},
   };
   // Some rows are rejected by the parser itself, so their kinds are read
   // off the clause text.
@@ -730,7 +745,7 @@ TEST(TrainConfigFaults, EveryKindIsRejectedOrFires) {
         SCOPED_TRACE(where);
         core::TrainConfig cfg;
         cfg.policy = core::PrunePolicy::kDense;
-        cfg.epochs = 1;
+        cfg.epochs = row.epochs;
         cfg.batch_size = 16;
         cfg.replicas = replicas;
         cfg.membership.suspect_threshold = row.suspect_threshold;
@@ -744,7 +759,8 @@ TEST(TrainConfigFaults, EveryKindIsRejectedOrFires) {
                               (checkpoints || !row.checkpoints);
         if (!consumed) {
           try {
-            cfg.validate();
+            graph::Network net = small_net();
+            core::PruneTrainer trainer(net, data, cfg);
             ADD_FAILURE() << "accepted a clause that never fires";
           } catch (const std::invalid_argument& e) {
             EXPECT_NE(std::string(e.what()).find("'" + first_clause + "'"),
@@ -766,6 +782,49 @@ TEST(TrainConfigFaults, EveryKindIsRejectedOrFires) {
     }
   }
   fs::remove_all(scratch_dir("every_kind"));
+}
+
+// Step keys are bounded by the dataset: an epoch has ceil(train / batch)
+// steps, and the run that many per epoch.
+TEST(TrainConfigFaults, StepKeysPastTheRunAreRejected) {
+  const auto rejects = [](const std::string& spec) {
+    try {
+      robust::validate_fault_steps(spec, /*steps_per_epoch=*/3,
+                                   /*run_steps=*/6);
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + spec + "'"),
+                std::string::npos)
+          << e.what();
+      return true;
+    }
+    return false;
+  };
+  EXPECT_FALSE(rejects("nan-grad:step=5"));
+  EXPECT_TRUE(rejects("nan-grad:step=6"));
+  EXPECT_FALSE(rejects("sdc-momentum:epoch=1,step=2"));
+  EXPECT_TRUE(rejects("sdc-momentum:epoch=1,step=3"));
+  EXPECT_FALSE(rejects("kill-replica:step=5"));
+  EXPECT_TRUE(rejects("flaky-replica:step=6"));
+  EXPECT_TRUE(rejects("drop-replica:step=6"));
+  // Checkpoint and serve kinds read no step the cluster counts.
+  EXPECT_FALSE(rejects("corrupt-ckpt:epoch=9"));
+  EXPECT_FALSE(rejects("slow-model:step=99"));
+
+  // 40 samples at batch 16 is 3 steps, the last one short.
+  data::SyntheticSpec spec = pruning_data();
+  spec.train_samples = 40;
+  spec.test_samples = 32;
+  auto data = data::SyntheticImageDataset(spec);
+  core::TrainConfig cfg;
+  cfg.policy = core::PrunePolicy::kDense;
+  cfg.epochs = 1;
+  cfg.batch_size = 16;
+  cfg.fault_spec = "nan-grad:step=2";
+  graph::Network net = small_net();
+  EXPECT_NO_THROW(core::PruneTrainer trainer(net, data, cfg));
+  cfg.fault_spec = "nan-grad:step=3";
+  EXPECT_THROW(core::PruneTrainer trainer(net, data, cfg),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
